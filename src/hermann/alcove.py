@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import RationalAngle, inner, matrix_rank, solve_exact
+from .exact import RationalAngle, inner, matrix_rank, pairing, solve_exact
 from .roots import RootSystem, subsystem
 
 
@@ -81,15 +81,7 @@ class Face:
 def pairing_angle(d: GradedRootDatum, alpha, point: AlcovePoint,
                   phi: RationalAngle) -> RationalAngle:
     """The angle <alpha, H> + phi as a rational multiple of pi."""
-    c = sum(Fraction(a) * x for a, x in zip(alpha, point.coeffs))
-    return RationalAngle(c + phi.coeff)
-
-
-def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    return tuple(int(x) // g for x in vec), g
+    return RationalAngle(pairing(alpha, point.coeffs) + phi.coeff)
 
 
 def _slab_inequalities(d: GradedRootDatum):
@@ -100,7 +92,8 @@ def _slab_inequalities(d: GradedRootDatum):
         lower = (tuple(-x for x in alpha), t - Fraction(n0),
                  Wall(alpha, RationalAngle(t), n0))
         for vec, bound, wall in (upper, lower):
-            nvec, g = _primitive(vec)
+            g = gcd(*vec)
+            nvec = tuple(x // g for x in vec)
             nbound = bound / g
             cur = best.get(nvec)
             if cur is None or nbound < cur.bound:
@@ -177,7 +170,7 @@ def _enumerate_vertices(facets, rank):
                           [q.bound for q in combo])
         if sol is None:
             continue
-        if all(sum(Fraction(a) * x for a, x in zip(q.normal, sol)) <= q.bound
+        if all(pairing(q.normal, sol) <= q.bound
                for q in facets):
             verts.add(tuple(sol))
     return sorted(verts)
@@ -221,7 +214,7 @@ def alcove_barycenter(d: GradedRootDatum) -> AlcovePoint:
 def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False) -> bool:
     facets, _ = _alcove_data(d)
     for q in facets:
-        val = sum(Fraction(a) * x for a, x in zip(q.normal, point.coeffs))
+        val = pairing(q.normal, point.coeffs)
         if val > q.bound or (strict and val == q.bound):
             return False
     return True
@@ -253,7 +246,7 @@ def faces(d: GradedRootDatum):
     for v in verts:
         act[v] = frozenset(
             i for i, q in enumerate(facets)
-            if sum(Fraction(a) * x for a, x in zip(q.normal, v.coeffs)) == q.bound)
+            if pairing(q.normal, v.coeffs) == q.bound)
     sets = set(act.values())
     frontier = list(sets)
     while frontier:
@@ -294,13 +287,13 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     x = list(point.coeffs)
     budget = 8
     for alpha, t, _ in positive_sector_roots(d):
-        p = sum(Fraction(a) * c for a, c in zip(alpha, point.coeffs)) + t
+        p = pairing(alpha, point.coeffs) + t
         budget += 2 + abs(int(p))
     walls = []
     for _ in range(budget):
         hit = None
         for q in facets:
-            if sum(Fraction(a) * c for a, c in zip(q.normal, x)) > q.bound:
+            if pairing(q.normal, x) > q.bound:
                 hit = q
                 break
         if hit is None:
@@ -309,9 +302,9 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
         t = hit.wall.phi.coeff
         n = hit.wall.n
         norm2 = inner(c, c, d.sigma.gram)
-        p = sum(Fraction(a) * y for a, y in zip(c, x)) + t
+        p = pairing(c, x) + t
         factor = 2 * (p - n) / norm2
-        gc = [sum(Fraction(gram[i][j]) * c[j] for j in range(r)) for i in range(r)]
+        gc = [pairing(gram[i], c) for i in range(r)]
         x = [y - factor * g for y, g in zip(x, gc)]
         walls.append(hit.wall)
     raise NonTermination(f"folding did not settle within {budget} reflections")

@@ -1,8 +1,9 @@
 """Command-line front end for alcove reports, scans and diagrams.
 
 Exit codes: 0 success, 1 usage error, 2 datum parse/validation error,
-3 internal inconsistency.  All output is ASCII and byte-deterministic
-for a fixed command line.
+3 internal inconsistency, 4 not certified (find-minimal reached no
+certified point within its precision ladder).  All output is ASCII and
+byte-deterministic for a fixed command line.
 """
 
 import argparse
@@ -15,8 +16,8 @@ from .datum import BadParameters, CATALOG, ParseError, UnknownKey, \
     ValidationError, catalog, parse_datum, serialize_datum
 from .diagram import RankTooHigh, render_svg
 from .exact import format_interval, parse_rational
-from .geometry import InternalInconsistency, TriState, find_minimal, \
-    orbit_report, scan_austere, shape_spectrum
+from .geometry import InternalInconsistency, NoConvergence, TriState, \
+    find_minimal, orbit_report, scan_austere, shape_spectrum
 
 
 class _UsageError(Exception):
@@ -200,6 +201,8 @@ def _cmd_find_minimal(args, write):
             else Fraction(args.tolerance)
     except ValueError as exc:
         raise _UsageError(f"bad tolerance: {exc}") from exc
+    if tol <= 0:
+        raise _UsageError("--tolerance must be positive")
     orbit = find_minimal(d, tol)
     write(f"datum: {d.name}\n")
     write(f"iterations: {orbit.iterations}\n")
@@ -307,6 +310,9 @@ def main(argv=None, stdout=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except NoConvergence as exc:
+        print(f"not certified: {exc}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 from .alcove import alcove_vertices
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import dual_basis
+from .exact import dual_basis, ldl, pairing
 from .geometry import OrbitReport, TriState
 
 
@@ -26,24 +26,10 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def _ldl(m):
-    """Exact unit-lower-triangular L and positive diagonal D with m = L D L^T."""
-    n = len(m)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        lower[j][j] = Fraction(1)
-        diag[j] = m[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        for i in range(j + 1, n):
-            num = m[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = num / diag[j]
-    return lower, diag
-
-
 def _embedding(gram):
     """Rows of E map dual coordinates x to Euclidean u = E x isometrically."""
     m = dual_basis(gram)
-    lower, diag = _ldl([list(row) for row in m])
+    lower, diag = ldl(m)
     n = len(diag)
     return [[sqrt(diag[i]) * float(lower[j][i]) for j in range(n)] for i in range(n)]
 
@@ -168,8 +154,7 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
         if style_dash:
             group.set("stroke-dasharray", style_dash)
         for alpha in roots:
-            vals = [sum(Fraction(a) * Fraction(x) for a, x in zip(alpha, cx))
-                    for cx in corners_x]
+            vals = [pairing(alpha, map(Fraction, cx)) for cx in corners_x]
             lo = min(vals) + t
             hi = max(vals) + t
             n = int(lo) - 1

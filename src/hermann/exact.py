@@ -55,20 +55,6 @@ class RationalAngle:
         return f"{self.coeff}*pi"
 
 
-def normalize_mod_pi(a: RationalAngle) -> RationalAngle:
-    """Canonical representative with coefficient in [0, 1)."""
-    return RationalAngle(a.coeff % 1)
-
-
-def is_multiple_of(a: RationalAngle, unit: Fraction) -> bool:
-    """Exact test for a in unit*pi*Z; unit is 1 (pi) or 1/2 (pi/2)."""
-    return a.coeff % Fraction(unit) == 0
-
-
-PI = Fraction(1)
-HALF_PI = Fraction(1, 2)
-
-
 @dataclass(frozen=True)
 class RealInterval:
     """Certified enclosure [lo, hi] with dyadic-rational endpoints."""
@@ -191,6 +177,11 @@ def cot_eval(a: RationalAngle, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     raise RuntimeError(f"cot enclosure did not reach width {target} for {a}")
 
 
+def pairing(alpha, x):
+    """Exact pairing alpha . x of root coefficients with rational coordinates."""
+    return sum(a * y for a, y in zip(alpha, x))
+
+
 def inner(u, v, g: "GramMatrix") -> Fraction:
     """Exact inner product u^T g v in simple-root coordinates."""
     r = g.rank
@@ -264,34 +255,32 @@ class GramMatrix:
             for j in range(i):
                 if ent[i][j] != ent[j][i]:
                     raise SingularGram(f"not symmetric at ({i},{j})")
-        # positive definiteness via leading principal minors
-        for k in range(1, r + 1):
-            if _det([row[:k] for row in ent[:k]]) <= 0:
-                raise SingularGram(f"leading {k}x{k} minor is not positive")
+        ldl(ent)  # raises SingularGram unless positive definite
 
     @property
     def rank(self) -> int:
         return len(self.entries)
 
 
-def _det(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+def ldl(m):
+    """Exact unit-lower-triangular L and positive diagonal D with m = L D L^T.
+
+    Pivot j is the ratio of the leading (j+1)- and j-minors, so the first
+    pivot <= 0 raises SingularGram before it is divided by: a symmetric m
+    is positive definite exactly when this returns.
+    """
+    n = len(m)
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for j in range(n):
+        lower[j][j] = Fraction(1)
+        diag[j] = m[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
+        if diag[j] <= 0:
+            raise SingularGram(f"leading {j + 1}x{j + 1} minor is not positive")
+        for i in range(j + 1, n):
+            num = m[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            lower[i][j] = num / diag[j]
+    return lower, diag
 
 
 def dual_basis(g: GramMatrix):

@@ -1,11 +1,18 @@
 """Orbit invariants over the alcove: spectrum, mean curvature, classifications.
 
 All bookkeeping runs over positive roots with a nonzero angle; a root whose
-wall passes through the point contributes nothing.  Equalities between
-cotangent values are decided by exact angle identities whenever possible
-and by certified interval evaluation otherwise, so the austere and minimal
-predicates are honest tri-states: yes and no are proved, indeterminate
-means neither certificate was reached.
+wall passes through the point contributes nothing.  One pass builds these
+cot terms and every classification of an orbit report is read off them.
+
+In direction xi the principal curvatures are -<alpha, xi> cot(pi theta).
+Writing alpha = c*u on its root line u, the identities cot(pi - x) = -cot x
+and cot(pi/2) = 0 make the multiset symmetric under -1 when every line is
+balanced, m(c, theta) = m(c, 1 - theta) for theta != 1/2: austere is yes.
+An excess class is no unless a cross pair c' != c on its line stays
+unseparated by certified intervals, which is the only indeterminate case.
+Minimal is yes when every angle class cancels exactly and no when the
+certified norm is positive, so both predicates are honest tri-states: yes
+and no are proved, indeterminate means neither certificate was reached.
 """
 
 from __future__ import annotations
@@ -20,13 +27,12 @@ from itertools import product
 import mpmath
 
 from .alcove import (ActiveRoots, AlcovePoint, active_roots, alcove_barycenter,
-                     alcove_vertices, fundamental_alcove, pairing_angle,
-                     point_in_alcove)
+                     alcove_vertices, fundamental_alcove, point_in_alcove)
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, GramMatrix,
-                    RationalAngle, RealInterval, cot_eval, inner,
-                    interval_from_iv, iv_from_interval, matrix_rank,
-                    mpf_to_fraction, primitive_direction, zero_interval, _iv)
+from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RationalAngle,
+                    RealInterval, cot_eval, interval_from_iv, iv_from_interval,
+                    matrix_rank, mpf_to_fraction, pairing, primitive_direction,
+                    zero_interval, _iv)
 from .roots import (CartanLabel, contains_minus_identity, decompose_and_classify,
                     tits_minus_identity, weyl_group)
 
@@ -37,6 +43,9 @@ class NoConvergence(RuntimeError):
 
 class InternalInconsistency(RuntimeError):
     """Two independent routes to the same fact disagree."""
+
+
+_HALF = Fraction(1, 2)
 
 
 class TriState(enum.Enum):
@@ -61,7 +70,7 @@ def cot_terms(d: GradedRootDatum, point: AlcovePoint):
     """Nonzero-angle terms over positive roots, sector by sector."""
     out = []
     for alpha, t, m in positive_sector_roots(d):
-        theta = (sum(Fraction(a) * x for a, x in zip(alpha, point.coeffs)) + t) % 1
+        theta = (pairing(alpha, point.coeffs) + t) % 1
         if theta != 0:
             out.append(CotTerm(alpha, RationalAngle(theta), m))
     return tuple(out)
@@ -97,7 +106,7 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi,
     xi = tuple(Fraction(x) for x in xi)
     terms = []
     for t in cot_terms(d, point):
-        slope = sum(Fraction(a) * x for a, x in zip(t.alpha, xi))
+        slope = pairing(t.alpha, xi)
         value = cot_eval(t.theta, precision_bits).scale(-slope)
         terms.append(SpectrumTerm(t.alpha, t.theta, t.mult, slope, value))
     return SpectrumReport(d.zero_mult, tuple(terms), precision_bits)
@@ -110,12 +119,10 @@ class MeanCurvature:
     precision_bits: int
 
 
-def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
-                   precision_bits: int = DEFAULT_PRECISION_BITS) -> MeanCurvature:
-    """Certified enclosure of m_H = -sum mult*cot(theta)*alpha and its norm."""
+def _mean_curvature(d: GradedRootDatum, terms, precision_bits: int) -> MeanCurvature:
     r = d.rank
     coeffs = [zero_interval(precision_bits) for _ in range(r)]
-    for t in cot_terms(d, point):
+    for t in terms:
         ct = cot_eval(t.theta, precision_bits)
         for j in range(r):
             if t.alpha[j]:
@@ -134,13 +141,19 @@ def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
                          precision_bits)
 
 
+def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
+                   precision_bits: int = DEFAULT_PRECISION_BITS) -> MeanCurvature:
+    """Certified enclosure of m_H = -sum mult*cot(theta)*alpha and its norm."""
+    return _mean_curvature(d, cot_terms(d, point), precision_bits)
+
+
+def _totally_geodesic(terms) -> bool:
+    return all(t.theta.coeff == _HALF for t in terms)
+
+
 def is_totally_geodesic(d: GradedRootDatum, point: AlcovePoint) -> bool:
     """True when every sector angle lands in (pi/2) Z."""
-    for alpha, t, _ in positive_sector_roots(d):
-        p = sum(Fraction(a) * x for a, x in zip(alpha, point.coeffs)) + t
-        if p % Fraction(1, 2) != 0:
-            return False
-    return True
+    return _totally_geodesic(cot_terms(d, point))
 
 
 def _certified_nonzero_sum(c1, t1, c2, t2) -> bool:
@@ -155,107 +168,49 @@ def _certified_nonzero_sum(c1, t1, c2, t2) -> bool:
     return False
 
 
-def _max_flow(supply, edges):
-    """Max bipartite transportation between a multiset and its mirror."""
-    k = len(supply)
-    size = 2 * k + 2
-    src, sink = 2 * k, 2 * k + 1
-    cap = [[0] * size for _ in range(size)]
-    big = sum(supply) + 1
-    for i, m in enumerate(supply):
-        cap[src][i] = m
-        cap[k + i][sink] = m
-    for i, j in edges:
-        cap[i][k + j] = big
-        cap[j][k + i] = big
-    flow = 0
-    while True:
-        parent = [-1] * size
-        parent[src] = src
-        queue = [src]
-        while queue and parent[sink] == -1:
-            u = queue.pop(0)
-            for v in range(size):
-                if parent[v] == -1 and cap[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[sink] == -1:
-            return flow
-        push = None
-        v = sink
-        while v != src:
-            u = parent[v]
-            push = cap[u][v] if push is None else min(push, cap[u][v])
-            v = u
-        v = sink
-        while v != src:
-            u = parent[v]
-            cap[u][v] -= push
-            cap[v][u] += push
-            v = u
-        flow += push
-
-
-def _line_feasible(labels, allow_unknown):
-    """Can every term on one line pair off against a negated partner?
-
-    labels: ((c, theta), mult) with theta in (0,1).  Exact edges come from
-    the identities cot(pi-x) = -cot(x) and cot(pi/2) = 0; a cross-
-    coefficient pair is never exact, only certified-impossible or unknown.
-    """
-    half = Fraction(1, 2)
-    edges = []
-    for i, ((c1, t1), _) in enumerate(labels):
-        for j, ((c2, t2), _) in enumerate(labels):
-            if j < i:
-                continue
-            if t1 == half and t2 == half:
-                edges.append((i, j))
-                continue
-            if t1 == half or t2 == half:
-                continue
-            if c1 == c2:
-                if (t1 + t2) % 1 == 0:
-                    edges.append((i, j))
-                continue
-            if allow_unknown and not _certified_nonzero_sum(c1, t1, c2, t2):
-                edges.append((i, j))
-    supply = [m for _, m in labels]
-    return _max_flow(supply, edges) == sum(supply)
-
-
 def _lines(terms):
+    """Per root line u, the multiplicity of each class (c, theta), alpha = c*u."""
     lines = {}
     for t in terms:
         u, c = primitive_direction(t.alpha)
         bucket = lines.setdefault(u, {})
         key = (c, t.theta.coeff)
         bucket[key] = bucket.get(key, 0) + t.mult
-    return {u: tuple(sorted(b.items())) for u, b in sorted(lines.items())}
+    return lines.values()
+
+
+def _austere(terms) -> TriState:
+    """Balance of every root line under theta -> 1 - theta.
+
+    An excess of (c, theta) over its mirror (c, 1 - theta) can only be
+    cancelled by a cross pair c*cot(pi theta) = -c'*cot(pi theta') with
+    c' != c; when every such pair is certified nonzero the verdict is no.
+    """
+    verdict = TriState.YES
+    for classes in _lines(terms):
+        for (c, theta), m in classes.items():
+            if theta == _HALF or m <= classes.get((c, 1 - theta), 0):
+                continue
+            if all(_certified_nonzero_sum(c, theta, c2, t2)
+                   for c2, t2 in classes if c2 != c and t2 != _HALF):
+                return TriState.NO
+            verdict = TriState.INDETERMINATE
+    return verdict
 
 
 def is_austere(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     """Tri-state test for invariance of the curvature multiset under -1."""
-    verdict = TriState.YES
-    for labels in _lines(cot_terms(d, point)).values():
-        if _line_feasible(labels, allow_unknown=False):
-            continue
-        if _line_feasible(labels, allow_unknown=True):
-            verdict = TriState.INDETERMINATE
-        else:
-            return TriState.NO
-    return verdict
+    return _austere(cot_terms(d, point))
 
 
 def _folded_angle_classes(terms):
     """Group terms by cot value class: theta and 1-theta carry opposite signs."""
-    half = Fraction(1, 2)
     classes = {}
     for t in terms:
         theta, sign = t.theta.coeff, 1
-        if theta > half:
+        if theta > _HALF:
             theta, sign = 1 - theta, -1
-        if theta == half:
+        if theta == _HALF:
             continue
         vec = classes.setdefault(theta, None)
         if vec is None:
@@ -265,22 +220,25 @@ def _folded_angle_classes(terms):
     return classes
 
 
+def _minimal(terms, norm: RealInterval) -> TriState:
+    if all(not any(vec) for vec in _folded_angle_classes(terms).values()):
+        return TriState.YES
+    if norm.certainly_positive:
+        return TriState.NO
+    return TriState.INDETERMINATE
+
+
 def is_minimal(d: GradedRootDatum, point: AlcovePoint,
                precision_bits: int = DEFAULT_PRECISION_BITS) -> TriState:
     """Yes via exact cancellation, no via a norm bounded away from zero.
 
     The vector is a combination of cot(pi*theta) over theta in (0,1/2);
     if every angle class sums to the zero root the whole vector vanishes.
-    Austerity forces that classwise cancellation, so yes stays implied.
+    Austerity forces that classwise cancellation, so austere yes implies
+    minimal yes.
     """
-    classes = _folded_angle_classes(cot_terms(d, point))
-    if all(not any(vec) for vec in classes.values()):
-        return TriState.YES
-    if is_austere(d, point) is TriState.YES:
-        return TriState.YES
-    if mean_curvature(d, point, precision_bits).norm.certainly_positive:
-        return TriState.NO
-    return TriState.INDETERMINATE
+    terms = cot_terms(d, point)
+    return _minimal(terms, _mean_curvature(d, terms, precision_bits).norm)
 
 
 @dataclass(frozen=True)
@@ -347,29 +305,20 @@ class OrbitReport:
     precision_bits: int
 
     @property
-    def sigma_H(self):
-        return self.actives
-
-    @property
     def mean_curvature_norm(self) -> RealInterval:
         return self.mean_curvature.norm
 
 
 def orbit_report(d: GradedRootDatum, point: AlcovePoint,
                  precision_bits: int = DEFAULT_PRECISION_BITS) -> OrbitReport:
+    """Every classification of one orbit, from a single pass over its terms."""
+    terms = cot_terms(d, point)
     actives = active_roots(d, point)
-    austere = is_austere(d, point)
-    mc = mean_curvature(d, point, precision_bits)
-    classes = _folded_angle_classes(cot_terms(d, point))
-    if austere is TriState.YES or all(not any(v) for v in classes.values()):
-        minimal = TriState.YES
-    elif mc.norm.certainly_positive:
-        minimal = TriState.NO
-    else:
-        minimal = TriState.INDETERMINATE
+    mc = _mean_curvature(d, terms, precision_bits)
     flags = symmetry_flags(d, point, actives)
     return OrbitReport(point, actives, type_label(d, actives),
-                       is_totally_geodesic(d, point), austere, minimal,
+                       _totally_geodesic(terms), _austere(terms),
+                       _minimal(terms, mc.norm),
                        flags.arid_sufficient, flags.weakly_reflective_sufficient,
                        mc, precision_bits)
 
@@ -388,10 +337,6 @@ def _as_fraction(tol) -> Fraction:
     if isinstance(tol, int):
         return Fraction(tol)
     return Fraction(Decimal(str(tol)))
-
-
-def _volume_terms(d: GradedRootDatum):
-    return tuple((alpha, t, m) for alpha, t, m in positive_sector_roots(d))
 
 
 def _log_volume(terms, x):
@@ -415,7 +360,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     tol = _as_fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    terms = _volume_terms(d)
+    terms = tuple(positive_sector_roots(d))
     facets = fundamental_alcove(d)
     start = alcove_barycenter(d)
     r = d.rank

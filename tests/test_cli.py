@@ -132,6 +132,18 @@ def test_usage_errors_exit_one():
     assert main(["diagram", "--triad", "so_even", "--p", "9", "--q", "7",
                  "--out", "/tmp/never.svg"], stdout=io.StringIO()) == 1
     assert main(["no-such-verb"], stdout=io.StringIO()) == 1
+    for tol in ("0", "-1", "0/7"):
+        assert main(["find-minimal", "--triad", "isotropy:A1", f"--tolerance={tol}"],
+                    stdout=io.StringIO()) == 1
+
+
+def test_uncertified_minimal_search_exits_four(capsys):
+    # 1e-2000 needs more bits than the top of the precision ladder
+    out = io.StringIO()
+    assert main(["find-minimal", "--triad", "isotropy:A1", "--tolerance=1e-2000"],
+                stdout=out) == 4
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("not certified: ")
 
 
 def test_validation_errors_exit_two(tmp_path):

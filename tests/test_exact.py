@@ -16,9 +16,7 @@ from hermann.exact import (
     format_interval,
     format_rational,
     inner,
-    is_multiple_of,
     matrix_rank,
-    normalize_mod_pi,
     parse_rational,
     primitive_direction,
     solve_exact,
@@ -38,18 +36,6 @@ def test_rational_angle_str_and_arithmetic():
     assert str(a) == "1/4*pi"
     assert str(-a) == "-1/4*pi"
     assert (a + RationalAngle(HALF)).coeff == Fraction(3, 4)
-
-
-def test_normalize_mod_pi_lands_in_window():
-    assert normalize_mod_pi(RationalAngle(Fraction(7, 4))).coeff == Fraction(3, 4)
-    assert normalize_mod_pi(RationalAngle(Fraction(-1, 4))).coeff == Fraction(3, 4)
-    assert normalize_mod_pi(RationalAngle(Fraction(1))).coeff == 0
-
-
-def test_is_multiple_of():
-    assert is_multiple_of(RationalAngle(Fraction(3, 2)), HALF)
-    assert is_multiple_of(RationalAngle(Fraction(-2)), Fraction(1))
-    assert not is_multiple_of(RationalAngle(Fraction(1, 3)), HALF)
 
 
 def test_parse_rational():

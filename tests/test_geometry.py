@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,12 @@ from hypothesis import strategies as st
 
 from hermann.alcove import AlcovePoint, alcove_barycenter, alcove_vertices
 from hermann.datum import catalog
-from hermann.exact import inner
+import hermann.geometry as geometry
+from hermann.exact import RationalAngle, inner
 from hermann.geometry import (
+    CotTerm,
     TriState,
+    _austere,
     cot_terms,
     find_minimal,
     is_austere,
@@ -142,6 +146,32 @@ def test_austere_verdicts():
     assert is_austere(d, alcove_barycenter(d)) is TriState.NO
 
 
+def _line(*classes):
+    """Terms on the root line (1, 0): (c, theta, mult) gives alpha = (c, 0)."""
+    return tuple(CotTerm((c, 0), RationalAngle(theta), m) for c, theta, m in classes)
+
+
+@pytest.mark.parametrize("terms, verdict", [
+    (_line((1, Q(1, 3), 2), (1, Q(2, 3), 1)), TriState.NO),
+    (_line((1, Q(1, 2), 3)), TriState.YES),
+    (_line((1, Q(1, 3), 1), (2, Q(1, 4), 2), (1, Q(2, 3), 1), (2, Q(3, 4), 2)),
+     TriState.YES),
+])
+def test_line_balance_rule(terms, verdict):
+    assert _austere(terms) is verdict
+
+
+def test_excess_meeting_unseparated_cross_pair_is_indeterminate(monkeypatch):
+    # the excess at (1, 1/3) can only be cancelled by the c = 2 class
+    terms = _line((1, Q(1, 3), 1), (2, Q(3, 4), 1), (2, Q(1, 4), 1))
+    assert _austere(terms) is TriState.NO
+    monkeypatch.setattr(geometry, "_certified_nonzero_sum", lambda *args: False)
+    assert _austere(terms) is TriState.INDETERMINATE
+    # an exact excess on a second line still decides no
+    other = CotTerm((0, 1), RationalAngle(Q(1, 5)), 1)
+    assert _austere(terms + (other,)) is TriState.NO
+
+
 def test_minimal_by_exact_cancellation_without_austerity():
     d = _g2()
     point = AlcovePoint((0, Q(1, 3)))
@@ -192,7 +222,7 @@ def test_type_label_empty_at_interior():
     d = _g2()
     r = orbit_report(d, alcove_barycenter(d))
     assert r.type_label == "(none)"
-    assert r.sigma_H.union == ()
+    assert r.actives.union == ()
 
 
 def test_scan_austere_so_even():
@@ -259,6 +289,56 @@ def test_flag_implications_on_grid(ij):
         assert r.minimal is not TriState.NO
     if r.weakly_reflective_sufficient:
         assert r.austere is not TriState.NO
+
+
+CONSISTENCY_DATA = (
+    ("isotropy", (("label", "A1"),)),
+    ("isotropy", (("label", "BC1"),)),
+    ("so8_g2", ()),
+    ("so_even", (("p", 7), ("q", 5))),
+    ("su_sp", (("p", 7), ("q", 5))),
+    ("isotropy", (("label", "BC2"),)),
+    ("so_even", (("p", 9), ("q", 7))),
+    ("su_sp", (("p", 9), ("q", 7))),
+    ("isotropy", (("label", "C3"),)),
+)
+
+
+@cache
+def _consistency_datum(i):
+    key, params = CONSISTENCY_DATA[i]
+    return catalog(key, **dict(params))
+
+
+@given(st.integers(min_value=0, max_value=len(CONSISTENCY_DATA) - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_report_matches_standalone_predicates(i, data):
+    d = _consistency_datum(i)
+    verts = alcove_vertices(d)
+    weights = data.draw(st.lists(st.integers(min_value=0, max_value=6),
+                                 min_size=len(verts), max_size=len(verts)).filter(any))
+    total = sum(weights)
+    point = AlcovePoint(tuple(sum(w * v.coeffs[j] for w, v in zip(weights, verts)) / total
+                              for j in range(d.rank)))
+    r = orbit_report(d, point)
+    assert r.totally_geodesic == is_totally_geodesic(d, point)
+    assert r.austere is is_austere(d, point)
+    assert r.minimal is is_minimal(d, point)
+    assert r.mean_curvature == mean_curvature(d, point)
+
+
+def test_orbit_report_builds_the_terms_once(monkeypatch):
+    calls = []
+    original = geometry.cot_terms
+
+    def counting(d, point):
+        calls.append(point)
+        return original(d, point)
+
+    monkeypatch.setattr(geometry, "cot_terms", counting)
+    r = orbit_report(_so_even(), AlcovePoint((Q(1, 4), 0, 0)))
+    assert r.austere is TriState.YES and r.minimal is TriState.YES
+    assert len(calls) == 1
 
 
 def test_type_label_standalone_matches_report():
