@@ -16,8 +16,8 @@ from itertools import combinations
 from math import gcd
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import RationalAngle, inner, matrix_rank, pairing, solve_exact
-from .roots import RootSystem, subsystem
+from .exact import RationalAngle, inner, matrix_rank, pairing, pivot, solve_exact
+from .roots import RootSystem, decompose_and_classify, subsystem
 
 
 class EmptyAlcove(ValueError):
@@ -60,10 +60,10 @@ class Inequality:
 
 @dataclass(frozen=True)
 class ActiveRoots:
-    by_sector: tuple
     union: tuple
     system: RootSystem
     to_ambient: dict
+    components: tuple
 
 
 @dataclass(frozen=True)
@@ -115,34 +115,27 @@ def _simplex_max(objective, rows, bounds):
            + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
            + [Fraction(bounds[i])]
            for i in range(m)]
-    z = ([Fraction(x) for x in objective]
-         + [Fraction(-x) for x in objective]
-         + [Fraction(0)] * (m + 1))
+    # the objective is the last row, so each pivot updates it with the rest
+    tab.append([Fraction(x) for x in objective]
+               + [Fraction(-x) for x in objective]
+               + [Fraction(0)] * (m + 1))
     basis = [n + i for i in range(m)]
     while True:
+        z = tab[m]
         enter = next((j for j in range(n + m) if z[j] > 0), None)
         if enter is None:
             return -z[-1]
-        pivot = None
+        best = None
         for i in range(m):
             if tab[i][enter] > 0:
                 ratio = tab[i][-1] / tab[i][enter]
-                if pivot is None or ratio < pivot[0] or \
-                        (ratio == pivot[0] and basis[i] < pivot[1]):
-                    pivot = (ratio, basis[i], i)
-        if pivot is None:
+                if best is None or ratio < best[0] or \
+                        (ratio == best[0] and basis[i] < best[1]):
+                    best = (ratio, basis[i], i)
+        if best is None:
             return None
-        piv = pivot[2]
-        pv = tab[piv][enter]
-        tab[piv] = [x / pv for x in tab[piv]]
-        for i in range(m):
-            if i != piv and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[piv])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, tab[piv])]
-        basis[piv] = enter
+        pivot(tab, best[2], enter)
+        basis[best[2]] = enter
 
 
 def _prune_redundant(ineqs):
@@ -221,16 +214,11 @@ def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False
 
 
 def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
-    """Roots whose wall passes through the point, grouped by sector."""
-    by_sector = []
-    union = []
-    for sector in sorted(d.sectors, key=lambda s: s.phi.coeff):
-        hits = tuple(v for v in sorted(sector.roots)
-                     if pairing_angle(d, v, point, sector.phi).coeff.denominator == 1)
-        by_sector.append((sector.phi, hits))
-        union.extend(hits)
+    """Roots whose wall passes through the point, their system and its components."""
+    union = sorted({v for sector in d.sectors for v in sector.roots
+                    if pairing_angle(d, v, point, sector.phi).coeff.denominator == 1})
     system, to_ambient = subsystem(union, d.sigma.gram)
-    return ActiveRoots(tuple(by_sector), tuple(sorted(set(union))), system, to_ambient)
+    return ActiveRoots(tuple(union), system, to_ambient, decompose_and_classify(system))
 
 
 def faces(d: GradedRootDatum):

@@ -1,9 +1,10 @@
 """Command-line front end for alcove reports, scans and diagrams.
 
-Exit codes: 0 success, 1 usage error, 2 datum parse/validation error,
-3 internal inconsistency, 4 not certified (find-minimal reached no
-certified point within its precision ladder).  All output is ASCII and
-byte-deterministic for a fixed command line.
+Exit codes: 0 success, 1 usage error, 2 datum parse/validation error or
+a root-system type outside A, B, BC, C, D, G, 3 internal inconsistency,
+4 not certified (find-minimal reached no certified point within its
+precision ladder).  All output is ASCII and byte-deterministic for a fixed
+command line.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from .diagram import RankTooHigh, render_svg
 from .exact import format_interval, parse_rational
 from .geometry import InternalInconsistency, NoConvergence, TriState, \
     find_minimal, orbit_report, scan_austere, shape_spectrum
+from .roots import UnrecognizedType
 
 
 class _UsageError(Exception):
@@ -304,7 +306,7 @@ def main(argv=None, stdout=None) -> int:
     except (UnknownKey, BadParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnrecognizedType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistency as exc:

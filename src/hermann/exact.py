@@ -4,7 +4,8 @@ Every angle in the orbit-geometry formulas is a rational multiple of pi,
 so angles are stored as the rational coefficient alone and all membership
 tests (in pi.Z, in (pi/2).Z) are exact Fraction arithmetic.  The only
 real-number evaluations are cotangent values, served as certified
-enclosures with dyadic-rational endpoints.
+enclosures with dyadic-rational endpoints.  Every exact elimination (solves,
+ranks, the dual basis, the alcove simplex) is `row_reduce` or its `pivot`.
 """
 
 from __future__ import annotations
@@ -196,46 +197,42 @@ def inner(u, v, g: "GramMatrix") -> Fraction:
     return Fraction(total)
 
 
+def pivot(m, r, c):
+    """Scale row r so that m[r][c] = 1, then clear column c from every other row."""
+    inv = 1 / m[r][c]
+    m[r] = [x * inv for x in m[r]]
+    for i, row in enumerate(m):
+        if i != r and row[c] != 0:
+            f = row[c]
+            m[i] = [x - f * y for x, y in zip(row, m[r])]
+
+
+def row_reduce(rows):
+    """Reduced row-echelon form over Fraction and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is not None:
+            m[r], m[p] = m[p], m[r]
+            pivot(m, r, c)
+            pivots.append(c)
+    return m, tuple(pivots)
+
+
 def solve_exact(rows, rhs):
-    """Gaussian elimination over Fraction; None if the matrix is singular."""
+    """The solution x of the square system rows . x = rhs; None if rows is singular."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
+    m, pivots = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n] for row in m)
 
 
 def matrix_rank(vectors) -> int:
     """Rank of a list of rational vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    row = 0
-    for c in range(cols):
-        piv = next((i for i in range(row, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        for i in range(len(rows)):
-            if i != row and rows[i][c] != 0:
-                f = rows[i][c] / rows[row][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
-        row += 1
-        rank += 1
-        if row == len(rows):
-            break
-    return rank
+    return len(row_reduce(vectors)[1])
 
 
 @dataclass(frozen=True)
@@ -287,17 +284,15 @@ def dual_basis(g: GramMatrix):
     """Columns are the dual vectors H_i in simple-root coordinates.
 
     The defining property <H_i, alpha_j> = delta_ij makes the matrix the
-    inverse of g; the product is re-checked exactly before returning.
+    inverse of g, read off the reduced form of [g | I]; the product is
+    re-checked exactly before returning.
     """
     r = g.rank
-    cols = []
-    for i in range(r):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(r)]
-        col = solve_exact([list(row) for row in g.entries], rhs)
-        if col is None:
-            raise SingularGram("Gram matrix is singular")
-        cols.append(col)
-    out = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    m, pivots = row_reduce([list(row) + [int(i == j) for j in range(r)]
+                            for i, row in enumerate(g.entries)])
+    if pivots != tuple(range(r)):
+        raise SingularGram("Gram matrix is singular")
+    out = tuple(tuple(row[r:]) for row in m)
     for i in range(r):
         h = tuple(out[k][i] for k in range(r))
         for j in range(r):

@@ -33,8 +33,8 @@ from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RationalAngle,
                     RealInterval, cot_eval, interval_from_iv, iv_from_interval,
                     matrix_rank, mpf_to_fraction, pairing, primitive_direction,
                     zero_interval, _iv)
-from .roots import (CartanLabel, contains_minus_identity, decompose_and_classify,
-                    tits_minus_identity, weyl_group)
+from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
+                    weyl_group)
 
 
 class NoConvergence(RuntimeError):
@@ -261,7 +261,7 @@ def symmetry_flags(d: GradedRootDatum, point: AlcovePoint,
         return SymmetryFlags(False, False)
     w = weyl_group(actives.system)
     has = contains_minus_identity(w)
-    labels = [c.label for c in decompose_and_classify(actives.system)]
+    labels = [c.label for c in actives.components]
     predicted = tits_minus_identity(labels)
     if has != predicted:
         raise InternalInconsistency(
@@ -277,11 +277,10 @@ def type_label(d: GradedRootDatum, actives: ActiveRoots) -> str:
     system is reported as B1, matching the naming of short-root components
     inside a non-reduced ambient system.
     """
-    comps = decompose_and_classify(actives.system)
-    if not comps:
+    if not actives.components:
         return "(none)"
     labels = []
-    for comp in comps:
+    for comp in actives.components:
         lab = comp.label
         if lab == CartanLabel("A", 1):
             v = actives.to_ambient[comp.roots[-1]]
@@ -342,11 +341,7 @@ def _as_fraction(tol) -> Fraction:
 def _log_volume(terms, x):
     total = mpmath.mpf(0)
     for alpha, t, m in terms:
-        p = mpmath.mpf(0)
-        for a, xi in zip(alpha, x):
-            if a:
-                p += a * xi
-        p += mpmath.mpf(t.numerator) / t.denominator
+        p = pairing(alpha, x) + mpmath.mpf(t.numerator) / t.denominator
         total += m * mpmath.log(abs(mpmath.sin(mpmath.pi * p)))
     return total
 
@@ -377,8 +372,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                 total_iter += 1
                 cots = []
                 for alpha, t, m in terms:
-                    p = sum(a * xi for a, xi in zip(alpha, x) if a) \
-                        + mpmath.mpf(t.numerator) / t.denominator
+                    p = pairing(alpha, x) + mpmath.mpf(t.numerator) / t.denominator
                     theta = mpmath.pi * p
                     cots.append((alpha, m, mpmath.cos(theta) / mpmath.sin(theta)))
                 grad = [mpmath.pi * sum(m * ct * alpha[i] for alpha, m, ct in cots
@@ -410,9 +404,9 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                 step = mpmath.lu_solve(hess, mpmath.matrix(grad))
                 lam = mpmath.mpf(1)
                 for q in facets:
-                    ad = sum(a * step[i] for i, a in enumerate(q.normal) if a)
+                    ad = pairing(q.normal, step)
                     if ad > 0:
-                        ax = sum(a * x[i] for i, a in enumerate(q.normal) if a)
+                        ax = pairing(q.normal, x)
                         b = mpmath.mpf(q.bound.numerator) / q.bound.denominator
                         room = (b - ax) / ad
                         if room * mpmath.mpf("0.99") < lam:
@@ -427,8 +421,9 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                 else:
                     break
         prec *= 2
-    raise NoConvergence(f"no certified point below {tol} up to "
-                        f"{4 * MAX_PRECISION_BITS} bits")
+    short = mpmath.nstr(mpmath.mpf(tol.numerator) / tol.denominator, 3)
+    raise NoConvergence(f"no certified point below {short}: the ladder starts at "
+                        f"{bits_needed} bits, its cap is {4 * MAX_PRECISION_BITS} bits")
 
 
 def _scan_chunk(args):

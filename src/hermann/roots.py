@@ -2,7 +2,8 @@
 
 Roots are integer tuples of coefficients in a fixed simple-root basis; the
 geometry lives entirely in the Gram matrix of that basis.  Non-reduced (BC)
-systems are supported throughout.
+systems are supported throughout.  `cartan` is the one Cartan pairing, behind
+`reflect`; the Weyl group is a closure of integer reflection matrices.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GramMatrix, inner, solve_exact
+from .exact import GramMatrix, dual_basis, inner, pairing
 
 FAMILIES = ("A", "B", "BC", "C", "D", "G")
 
@@ -109,12 +110,17 @@ def reference_gram(label: CartanLabel) -> GramMatrix:
     return GramMatrix(tuple(tuple(row) for row in g))
 
 
-def reflect(v, alpha, gram: GramMatrix):
-    """Image of v under the reflection fixing the hyperplane of alpha."""
-    c = Fraction(2) * inner(alpha, v, gram) / inner(alpha, alpha, gram)
+def cartan(v, alpha, gram: GramMatrix) -> int:
+    """The Cartan integer 2(alpha, v)/(alpha, alpha); ValueError if not integral."""
+    c = 2 * inner(alpha, v, gram) / inner(alpha, alpha, gram)
     if c.denominator != 1:
         raise ValueError(f"non-integral Cartan pairing of {alpha} with {v}")
-    k = c.numerator
+    return c.numerator
+
+
+def reflect(v, alpha, gram: GramMatrix):
+    """Image of v under the reflection fixing the hyperplane of alpha."""
+    k = cartan(v, alpha, gram)
     return tuple(x - k * a for x, a in zip(v, alpha))
 
 
@@ -169,31 +175,17 @@ def verify_axioms(rs: RootSystem) -> bool:
         if any(x < 0 for x in v):
             return False
     for a in roots:
-        na = inner(a, a, gram)
         for b in roots:
-            c = Fraction(2) * inner(a, b, gram) / na
-            if c.denominator != 1:
-                return False
-            if reflect(b, a, gram) not in roots:
+            try:
+                if reflect(b, a, gram) not in roots:
+                    return False
+            except ValueError:
                 return False
     for v in roots:
         mults = [k for k in (-3, -2, 2, 3) if tuple(k * x for x in v) in roots]
         if any(abs(k) > 2 for k in mults):
             return False
     return True
-
-
-def _reflection_matrix(rs: RootSystem, j: int):
-    g = rs.gram.entries
-    r = rs.rank
-    rows = []
-    for i in range(r):
-        if i != j:
-            rows.append(tuple(Fraction(1) if k == i else Fraction(0) for k in range(r)))
-        else:
-            rows.append(tuple((Fraction(1) if k == j else Fraction(0))
-                              - Fraction(2) * g[j][k] / g[j][j] for k in range(r)))
-    return tuple(rows)
 
 
 def _mat_mul(a, b):
@@ -204,9 +196,9 @@ def _mat_mul(a, b):
 
 def weyl_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
     r = rs.rank
-    ident = tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(r))
-                  for i in range(r))
-    gens = tuple(_reflection_matrix(rs, j) for j in range(r))
+    ident = tuple(_unit(i, r) for i in range(r))
+    gens = tuple(tuple(zip(*(reflect(e, s, rs.gram) for e in ident)))
+                 for s in ident)
     elements = {ident}
     frontier = [ident]
     while frontier:
@@ -225,9 +217,7 @@ def contains_minus_identity(w: WeylGroup) -> bool:
     if not w.generators:
         return False
     r = len(w.generators[0])
-    minus = tuple(tuple(Fraction(-1) if i == j else Fraction(0) for j in range(r))
-                  for i in range(r))
-    return minus in w.elements
+    return tuple(tuple(-x for x in _unit(i, r)) for i in range(r)) in w.elements
 
 
 def tits_minus_identity(labels) -> bool:
@@ -241,17 +231,10 @@ def tits_minus_identity(labels) -> bool:
 
 
 def _cartan_matrix(simples, gram: GramMatrix):
-    norms = [inner(s, s, gram) for s in simples]
-    out = []
-    for a in simples:
-        row = []
-        for b, nb in zip(simples, norms):
-            c = Fraction(2) * inner(a, b, gram) / nb
-            if c.denominator != 1:
-                raise UnrecognizedType(f"non-integral Cartan entry for {a}, {b}")
-            row.append(c.numerator)
-        out.append(tuple(row))
-    return tuple(out)
+    try:
+        return tuple(tuple(cartan(a, b, gram) for b in simples) for a in simples)
+    except ValueError as exc:
+        raise UnrecognizedType(str(exc)) from exc
 
 
 def _permutation_equal(c1, c2) -> bool:
@@ -291,11 +274,11 @@ def _classify_component(simples, members, gram: GramMatrix) -> CartanLabel:
     rank = len(simples)
     member_set = set(members)
     nonreduced = any(tuple(2 * x for x in v) in member_set for v in members)
-    cartan = _cartan_matrix(simples, gram)
+    cmat = _cartan_matrix(simples, gram)
     if nonreduced:
         ref = _cartan_matrix(build_root_system(CartanLabel("B", rank)).simple_roots,
                              reference_gram(CartanLabel("B", rank)))
-        if _permutation_equal(cartan, ref):
+        if _permutation_equal(cmat, ref):
             return CartanLabel("BC", rank)
         raise UnrecognizedType(f"non-reduced component of rank {rank} is not BC")
     candidates = [CartanLabel("A", rank)]
@@ -310,9 +293,9 @@ def _classify_component(simples, members, gram: GramMatrix) -> CartanLabel:
     for lab in candidates:
         ref_simples = tuple(_unit(i, rank) for i in range(rank))
         ref = _cartan_matrix(ref_simples, reference_gram(lab))
-        if _permutation_equal(cartan, ref):
+        if _permutation_equal(cmat, ref):
             return lab
-    raise UnrecognizedType(f"component with Cartan matrix {cartan} not recognized")
+    raise UnrecognizedType(f"component with Cartan matrix {cmat} not recognized")
 
 
 def decompose_and_classify(rs: RootSystem):
@@ -323,13 +306,7 @@ def decompose_and_classify(rs: RootSystem):
     """
     if not rs.roots:
         return ()
-    pos = sorted(rs.positive_roots)
-    posset = set(pos)
-    indec = []
-    for v in pos:
-        if not any(tuple(x - y for x, y in zip(v, b)) in posset
-                   for b in pos if b != v):
-            indec.append(v)
+    indec = _simple_roots(rs.positive_roots)
     # connected components of the orthogonality graph on the simple roots
     comp_of = {}
     for s in indec:
@@ -354,6 +331,14 @@ def decompose_and_classify(rs: RootSystem):
     return tuple(sorted(out, key=lambda c: (c.label, c.simple_roots)))
 
 
+def _simple_roots(positives):
+    """Indecomposable positive roots, sorted: no difference with another is positive."""
+    pos = sorted(positives)
+    posset = set(pos)
+    return tuple(v for v in pos
+                 if not any(tuple(x - y for x, y in zip(v, b)) in posset for b in pos))
+
+
 def subsystem(vectors, gram: GramMatrix):
     """Re-coordinatize a closed set of roots in its own simple basis.
 
@@ -363,29 +348,20 @@ def subsystem(vectors, gram: GramMatrix):
     vecs = sorted(set(tuple(int(x) for x in v) for v in vectors))
     if not vecs:
         return RootSystem(0, GramMatrix(()), frozenset(), (), frozenset()), {}
-    pos = [v for v in vecs if _is_positive(v)]
-    posset = set(pos)
-    indec = [v for v in pos
-             if not any(tuple(x - y for x, y in zip(v, b)) in posset
-                        for b in pos if b != v)]
-    simples = tuple(sorted(indec))
+    posset = {v for v in vecs if _is_positive(v)}
+    simples = _simple_roots(posset)
     k = len(simples)
-    m = [[inner(a, b, gram) for b in simples] for a in simples]
-    new_gram = GramMatrix(tuple(tuple(row) for row in m))
+    new_gram = GramMatrix(tuple(tuple(inner(a, b, gram) for b in simples)
+                                for a in simples))
+    duals = dual_basis(new_gram)
     to_ambient = {}
-    new_roots = set()
-    new_pos = set()
     for v in vecs:
         rhs = [inner(s, v, gram) for s in simples]
-        sol = solve_exact(m, rhs)
-        if sol is None or any(c.denominator != 1 for c in sol):
+        sol = [pairing(h, rhs) for h in duals]
+        if any(x.denominator != 1 for x in sol):
             raise ValueError(f"{v} is not an integer combination of the simple roots")
-        c = tuple(x.numerator for x in sol)
-        new_roots.add(c)
-        to_ambient[c] = v
-        if v in posset:
-            new_pos.add(c)
+        to_ambient[tuple(x.numerator for x in sol)] = v
     new_simples = tuple(_unit(i, k) for i in range(k))
-    system = RootSystem(k, new_gram, frozenset(new_roots), new_simples,
-                        frozenset(new_pos))
+    system = RootSystem(k, new_gram, frozenset(to_ambient), new_simples,
+                        frozenset(c for c, v in to_ambient.items() if v in posset))
     return system, to_ambient

@@ -92,6 +92,21 @@ def test_active_roots_at_g2_vertices():
     assert sizes == {(0, 0): 12, (Q(1, 6), 0): 4, (0, Q(1, 3)): 6}
 
 
+@pytest.mark.parametrize("key, params", [
+    ("so8_g2", {}), ("isotropy", {"label": "BC2"}), ("su_sp", {"p": 7, "q": 5})])
+def test_active_coordinates_map_back_to_ambient_roots(key, params):
+    d = catalog(key, **params)
+    for face in faces(d):
+        act = active_roots(d, face.representative)
+        system = act.system
+        simples = [act.to_ambient[s] for s in system.simple_roots]
+        assert set(act.to_ambient) == set(system.roots)
+        assert set(act.to_ambient.values()) == set(act.union)
+        for c, v in act.to_ambient.items():
+            assert v == tuple(sum(ci * s[j] for ci, s in zip(c, simples))
+                              for j in range(d.rank))
+
+
 def test_active_roots_empty_at_interior_points():
     d = _so_even()
     act = active_roots(d, alcove_barycenter(d))

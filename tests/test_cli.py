@@ -143,7 +143,41 @@ def test_uncertified_minimal_search_exits_four(capsys):
     assert main(["find-minimal", "--triad", "isotropy:A1", "--tolerance=1e-2000"],
                 stdout=out) == 4
     assert out.getvalue() == ""
-    assert capsys.readouterr().err.startswith("not certified: ")
+    err = capsys.readouterr().err
+    assert err.startswith("not certified: ")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "1.0e-2000" in err and "6740 bits" in err and "6144 bits" in err
+
+
+def test_unsupported_root_system_type_exits_two(tmp_path, capsys):
+    from fractions import Fraction
+    from hermann.exact import GramMatrix
+    from hermann.roots import reflect
+    # F4: its 48 roots pass validation, but F is not a supported family
+    gram = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 1, "-1/2"], [0, 0, "-1/2", 1]]
+    g = GramMatrix(tuple(tuple(Fraction(x) for x in row) for row in gram))
+    simples = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    roots, frontier = set(simples), list(simples)
+    while frontier:
+        v = frontier.pop()
+        for s in simples:
+            w = reflect(v, s, g)
+            if w not in roots:
+                roots.add(w)
+                frontier.append(w)
+    assert len(roots) == 48
+    doc = {"name": "f4", "rank": 4, "gram": [[str(x) for x in row] for row in gram],
+           "order": 1, "zero_mult": 0,
+           "sectors": [{"phi": "0",
+                        "roots": [{"v": list(v), "m": 1} for v in sorted(roots)]}]}
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["faces", "--triad", f"@{path}"],
+                 ["analyze", "--triad", f"@{path}", "--point=0,0,0,0"]):
+        out = io.StringIO()
+        assert main(argv, stdout=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_validation_errors_exit_two(tmp_path):

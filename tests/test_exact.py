@@ -19,6 +19,7 @@ from hermann.exact import (
     matrix_rank,
     parse_rational,
     primitive_direction,
+    row_reduce,
     solve_exact,
     zero_interval,
 )
@@ -137,6 +138,15 @@ def test_solve_exact_and_rank():
     assert solve_exact([[1, 1], [2, 2]], [1, 2]) is None
     assert matrix_rank([(1, 0, 1), (0, 1, 1), (1, 1, 2)]) == 2
     assert matrix_rank([]) == 0
+    # rectangular: four dependent rows in the plane x = 2y
+    assert matrix_rank([(2, 1), (4, 2), (-2, -1), (0, 0)]) == 1
+    assert matrix_rank([(1, 2, 3, 4), (2, 4, 6, 9)]) == 2
+    # consistent coefficients, contradictory right-hand side
+    assert solve_exact([[1, 2], [2, 4]], [1, 3]) is None
+    rref, pivots = row_reduce([(0, 2, 4, 2), (0, 1, 2, 3), (1, 0, 1, 0)])
+    assert pivots == (0, 1, 3)
+    assert rref == [[1, 0, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+    assert all(isinstance(x, Fraction) for row in rref for x in row)
 
 
 def test_primitive_direction():

@@ -341,6 +341,23 @@ def test_orbit_report_builds_the_terms_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_orbit_report_classifies_the_active_system_once(monkeypatch):
+    import hermann.alcove as alcove
+    from hermann.roots import decompose_and_classify
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return decompose_and_classify(system)
+
+    for mod in (alcove, geometry):
+        if getattr(mod, "decompose_and_classify", None) is decompose_and_classify:
+            monkeypatch.setattr(mod, "decompose_and_classify", counting)
+    r = orbit_report(_so_even(), AlcovePoint((Q(1, 4), 0, 0)))
+    assert r.type_label == "B1+BC2" and r.weakly_reflective_sufficient
+    assert len(calls) == 1
+
+
 def test_type_label_standalone_matches_report():
     d = _so_even()
     from hermann.alcove import active_roots

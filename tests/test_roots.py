@@ -67,7 +67,10 @@ def test_axioms_hold_for_reference_systems(label):
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
 def test_weyl_group_orders(label):
-    assert weyl_group(_system(label)).order == WEYL_ORDERS[label]
+    group = weyl_group(_system(label))
+    assert group.order == WEYL_ORDERS[label]
+    # the closure runs over integer matrices
+    assert all(type(x) is int for g in group.generators for row in g for x in row)
 
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
