@@ -62,7 +62,6 @@ class Inequality:
 class ActiveRoots:
     union: tuple
     system: RootSystem
-    to_ambient: dict
     components: tuple
 
 
@@ -217,8 +216,8 @@ def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     """Roots whose wall passes through the point, their system and its components."""
     union = sorted({v for sector in d.sectors for v in sector.roots
                     if pairing_angle(d, v, point, sector.phi).coeff.denominator == 1})
-    system, to_ambient = subsystem(union, d.sigma.gram)
-    return ActiveRoots(tuple(union), system, to_ambient, decompose_and_classify(system))
+    system = subsystem(union, d.sigma.gram)
+    return ActiveRoots(tuple(union), system, decompose_and_classify(system))
 
 
 def faces(d: GradedRootDatum):

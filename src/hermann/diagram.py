@@ -217,17 +217,13 @@ def _append_wall(group, alpha, level, emb, box, rank, to_px):
         x0 = (float(level) * c[0] / nrm, float(level) * c[1] / nrm)
         direction = (-c[1], c[0])
         p0 = _apply(emb, x0)
-        dv = _apply_linear(emb, direction)
+        dv = _apply(emb, direction)
         seg = _clip_parametric(p0, dv, box)
         if seg is None:
             return
         a, b = to_px(seg[0]), to_px(seg[1])
     ET.SubElement(group, "line", {
         "x1": _fmt(a[0]), "y1": _fmt(a[1]), "x2": _fmt(b[0]), "y2": _fmt(b[1])})
-
-
-def _apply_linear(mat, vec):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in mat)
 
 
 def _order_polygon(pts):

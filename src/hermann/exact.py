@@ -18,8 +18,6 @@ from math import gcd
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-Rational = Fraction
-
 #: Escalation ladder for comparisons that are not decided by angle identities.
 DEFAULT_PRECISION_BITS = 192
 MAX_PRECISION_BITS = 1536

@@ -18,6 +18,7 @@ and no are proved, indeterminate means neither certificate was reached.
 from __future__ import annotations
 
 import enum
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
@@ -31,7 +32,7 @@ from .alcove import (ActiveRoots, AlcovePoint, active_roots, alcove_barycenter,
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RationalAngle,
                     RealInterval, cot_eval, interval_from_iv, iv_from_interval,
-                    matrix_rank, mpf_to_fraction, pairing, primitive_direction,
+                    mpf_to_fraction, pairing, primitive_direction,
                     zero_interval, _iv)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
@@ -257,7 +258,7 @@ def symmetry_flags(d: GradedRootDatum, point: AlcovePoint,
     """
     if actives is None:
         actives = active_roots(d, point)
-    if not actives.union or matrix_rank(actives.union) < d.rank:
+    if len(actives.system.simple_roots) < d.rank:
         return SymmetryFlags(False, False)
     w = weyl_group(actives.system)
     has = contains_minus_identity(w)
@@ -283,8 +284,7 @@ def type_label(d: GradedRootDatum, actives: ActiveRoots) -> str:
     for comp in actives.components:
         lab = comp.label
         if lab == CartanLabel("A", 1):
-            v = actives.to_ambient[comp.roots[-1]]
-            if tuple(2 * x for x in v) in d.sigma.roots:
+            if tuple(2 * x for x in comp.roots[-1]) in d.sigma.roots:
                 lab = CartanLabel("B", 1)
         labels.append(lab)
     return "+".join(str(lab) for lab in sorted(labels))
@@ -440,7 +440,8 @@ def scan_austere(d: GradedRootDatum, denominator: int, jobs: int = 1):
     """Austere candidates on the (1/denominator)-grid of the closed alcove.
 
     Returns (point, verdict) pairs in lexicographic point order, keeping
-    only yes and indeterminate verdicts.
+    only yes and indeterminate verdicts.  Up to `jobs` worker processes
+    share the grid, never more than one per CPU or per batch.
     """
     if denominator < 1:
         raise ValueError("denominator must be a positive integer")
@@ -458,13 +459,14 @@ def scan_austere(d: GradedRootDatum, denominator: int, jobs: int = 1):
         coeffs = tuple(Fraction(k, denominator) for k in combo)
         if point_in_alcove(d, AlcovePoint(coeffs)):
             pts.append(coeffs)
-    if jobs > 1 and len(pts) > 1:
-        chunk = max(1, len(pts) // (4 * jobs))
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and len(pts) > 1:
+        chunk = max(1, len(pts) // (4 * workers))
         batches = [(d, pts[i:i + chunk]) for i in range(0, len(pts), chunk)]
         hits = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             for part in pool.map(_scan_chunk, batches):
                 hits.extend(part)
     else:
-        hits = _scan_chunk((d, pts))[:]
+        hits = _scan_chunk((d, pts))
     return tuple((AlcovePoint(c), state) for c, state in hits)

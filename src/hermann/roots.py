@@ -2,8 +2,11 @@
 
 Roots are integer tuples of coefficients in a fixed simple-root basis; the
 geometry lives entirely in the Gram matrix of that basis.  Non-reduced (BC)
-systems are supported throughout.  `cartan` is the one Cartan pairing, behind
-`reflect`; the Weyl group is a closure of integer reflection matrices.
+systems are supported throughout.  A subsystem keeps those coordinates and
+carries its own simple roots.  `cartan` is the one Cartan pairing, behind
+`reflect`; the Weyl group is a closure of integer reflection matrices, one
+per simple root.  An irreducible component is named by its rank, its root
+count and its shortest-root count.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GramMatrix, dual_basis, inner, pairing
+from .exact import GramMatrix, inner
 
 FAMILIES = ("A", "B", "BC", "C", "D", "G")
 
@@ -174,17 +177,14 @@ def verify_axioms(rs: RootSystem) -> bool:
     for v in rs.positive_roots:
         if any(x < 0 for x in v):
             return False
-    for a in roots:
+    # s_-a = s_a; a pair v, 3v fails here too, as cartan(v, 3v) = 2/3
+    for a in rs.positive_roots:
         for b in roots:
             try:
                 if reflect(b, a, gram) not in roots:
                     return False
             except ValueError:
                 return False
-    for v in roots:
-        mults = [k for k in (-3, -2, 2, 3) if tuple(k * x for x in v) in roots]
-        if any(abs(k) > 2 for k in mults):
-            return False
     return True
 
 
@@ -198,7 +198,7 @@ def weyl_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
     r = rs.rank
     ident = tuple(_unit(i, r) for i in range(r))
     gens = tuple(tuple(zip(*(reflect(e, s, rs.gram) for e in ident)))
-                 for s in ident)
+                 for s in rs.simple_roots)
     elements = {ident}
     frontier = [ident]
     while frontier:
@@ -230,72 +230,25 @@ def tits_minus_identity(labels) -> bool:
     return True
 
 
-def _cartan_matrix(simples, gram: GramMatrix):
-    try:
-        return tuple(tuple(cartan(a, b, gram) for b in simples) for a in simples)
-    except ValueError as exc:
-        raise UnrecognizedType(str(exc)) from exc
+def _classify_component(r, members, gram: GramMatrix) -> CartanLabel:
+    """Name an irreducible component by its root count and shortest-root count.
 
-
-def _permutation_equal(c1, c2) -> bool:
-    """True if some simultaneous row/column permutation carries c1 to c2."""
-    n = len(c1)
-    if n != len(c2):
-        return False
-    sig1 = [tuple(sorted(row)) for row in c1]
-    sig2 = [tuple(sorted(row)) for row in c2]
-    cand = [[j for j in range(n) if sig1[i] == sig2[j]] for i in range(n)]
-    assign = [-1] * n
-    used = [False] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in cand[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if c1[i][k] != c2[j][assign[k]] or c1[k][i] != c2[assign[k]][j]:
-                    ok = False
-                    break
-            if ok and c1[i][i] == c2[j][j]:
-                assign[i] = j
-                used[j] = True
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return backtrack(0)
-
-
-def _classify_component(simples, members, gram: GramMatrix) -> CartanLabel:
-    rank = len(simples)
+    The first matching row wins, so D3 reports as A3 and C2 as B2.
+    """
     member_set = set(members)
-    nonreduced = any(tuple(2 * x for x in v) in member_set for v in members)
-    cmat = _cartan_matrix(simples, gram)
-    if nonreduced:
-        ref = _cartan_matrix(build_root_system(CartanLabel("B", rank)).simple_roots,
-                             reference_gram(CartanLabel("B", rank)))
-        if _permutation_equal(cmat, ref):
-            return CartanLabel("BC", rank)
-        raise UnrecognizedType(f"non-reduced component of rank {rank} is not BC")
-    candidates = [CartanLabel("A", rank)]
-    if rank >= 2:
-        candidates.append(CartanLabel("B", rank))
-    if rank >= 3:
-        candidates.append(CartanLabel("C", rank))
-    if rank >= 4:
-        candidates.append(CartanLabel("D", rank))
-    if rank == 2:
-        candidates.append(CartanLabel("G", 2))
-    for lab in candidates:
-        ref_simples = tuple(_unit(i, rank) for i in range(rank))
-        ref = _cartan_matrix(ref_simples, reference_gram(lab))
-        if _permutation_equal(cmat, ref):
-            return lab
-    raise UnrecognizedType(f"component with Cartan matrix {cmat} not recognized")
+    norms = [inner(v, v, gram) for v in members]
+    counts = (len(members), norms.count(min(norms)))
+    if any(tuple(2 * x for x in v) in member_set for v in members):
+        table = (("BC", 2 * r * (r + 1), 2 * r),)
+    else:
+        table = (("A", r * (r + 1), r * (r + 1)), ("B", 2 * r * r, 2 * r),
+                 ("C", 2 * r * r, 2 * r * (r - 1)),
+                 ("D", 2 * r * (r - 1), 2 * r * (r - 1)), ("G", 12, 6))
+    for family, n, short in table:
+        if counts == (n, short) and (family != "G" or r == 2):
+            return CartanLabel(family, r)
+    raise UnrecognizedType(f"component of rank {r} with {counts[0]} roots, "
+                           f"{counts[1]} of them shortest, is not recognized")
 
 
 def decompose_and_classify(rs: RootSystem):
@@ -306,7 +259,7 @@ def decompose_and_classify(rs: RootSystem):
     """
     if not rs.roots:
         return ()
-    indec = _simple_roots(rs.positive_roots)
+    indec = rs.simple_roots
     # connected components of the orthogonality graph on the simple roots
     comp_of = {}
     for s in indec:
@@ -326,7 +279,7 @@ def decompose_and_classify(rs: RootSystem):
         simples = tuple(sorted(g))
         members = tuple(sorted(v for v in rs.roots
                                if any(inner(v, s, rs.gram) != 0 for s in simples)))
-        label = _classify_component(simples, members, rs.gram)
+        label = _classify_component(len(simples), members, rs.gram)
         out.append(Component(label, simples, members))
     return tuple(sorted(out, key=lambda c: (c.label, c.simple_roots)))
 
@@ -339,29 +292,8 @@ def _simple_roots(positives):
                  if not any(tuple(x - y for x, y in zip(v, b)) in posset for b in pos))
 
 
-def subsystem(vectors, gram: GramMatrix):
-    """Re-coordinatize a closed set of roots in its own simple basis.
-
-    Returns (system, to_ambient) where to_ambient maps new integer
-    coordinates back to the input vectors.
-    """
-    vecs = sorted(set(tuple(int(x) for x in v) for v in vectors))
-    if not vecs:
-        return RootSystem(0, GramMatrix(()), frozenset(), (), frozenset()), {}
-    posset = {v for v in vecs if _is_positive(v)}
-    simples = _simple_roots(posset)
-    k = len(simples)
-    new_gram = GramMatrix(tuple(tuple(inner(a, b, gram) for b in simples)
-                                for a in simples))
-    duals = dual_basis(new_gram)
-    to_ambient = {}
-    for v in vecs:
-        rhs = [inner(s, v, gram) for s in simples]
-        sol = [pairing(h, rhs) for h in duals]
-        if any(x.denominator != 1 for x in sol):
-            raise ValueError(f"{v} is not an integer combination of the simple roots")
-        to_ambient[tuple(x.numerator for x in sol)] = v
-    new_simples = tuple(_unit(i, k) for i in range(k))
-    system = RootSystem(k, new_gram, frozenset(to_ambient), new_simples,
-                        frozenset(c for c, v in to_ambient.items() if v in posset))
-    return system, to_ambient
+def subsystem(vectors, gram: GramMatrix) -> RootSystem:
+    """The root system of a closed set of roots, in the same coordinates."""
+    roots = frozenset(vectors)
+    positives = frozenset(v for v in roots if _is_positive(v))
+    return RootSystem(gram.rank, gram, roots, _simple_roots(positives), positives)

@@ -17,7 +17,7 @@ from hermann.alcove import (
     reduce_to_alcove,
 )
 from hermann.datum import catalog
-from hermann.exact import RationalAngle
+from hermann.exact import RationalAngle, inner, matrix_rank, solve_exact
 
 Q = Fraction
 
@@ -85,26 +85,27 @@ def test_active_roots_at_g2_vertices():
     for v in alcove_vertices(d):
         act = active_roots(d, v)
         sizes[tuple(v.coeffs)] = len(act.union)
-        for alpha in act.union:
-            assert alpha in act.to_ambient.values() or act.to_ambient == {} \
-                or alpha in d.sigma.roots
+        assert set(act.union) == act.system.roots
     # G2 (12 roots), A1+A1 (4), A2 (6)
     assert sizes == {(0, 0): 12, (Q(1, 6), 0): 4, (0, Q(1, 3)): 6}
 
 
 @pytest.mark.parametrize("key, params", [
     ("so8_g2", {}), ("isotropy", {"label": "BC2"}), ("su_sp", {"p": 7, "q": 5})])
-def test_active_coordinates_map_back_to_ambient_roots(key, params):
+def test_active_roots_expand_in_their_simple_roots(key, params):
     d = catalog(key, **params)
     for face in faces(d):
         act = active_roots(d, face.representative)
-        system = act.system
-        simples = [act.to_ambient[s] for s in system.simple_roots]
-        assert set(act.to_ambient) == set(system.roots)
-        assert set(act.to_ambient.values()) == set(act.union)
-        for c, v in act.to_ambient.items():
-            assert v == tuple(sum(ci * s[j] for ci, s in zip(c, simples))
+        simples = act.system.simple_roots
+        # simple roots are a basis of the span, so they give the rank
+        assert len(simples) == matrix_rank(act.union)
+        gram = [[inner(a, b, d.sigma.gram) for b in simples] for a in simples]
+        for v in act.union:
+            coeffs = solve_exact(gram, [inner(s, v, d.sigma.gram) for s in simples])
+            assert all(c.denominator == 1 for c in coeffs)
+            assert v == tuple(sum(c * s[j] for c, s in zip(coeffs, simples))
                               for j in range(d.rank))
+            assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
 
 
 def test_active_roots_empty_at_interior_points():

@@ -244,6 +244,33 @@ def test_scan_austere_parallel_agrees():
     assert scan_austere(d, 18, jobs=2) == scan_austere(d, 18)
 
 
+def test_scan_austere_caps_worker_processes(monkeypatch):
+    # a fake pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            return map(fn, batches)
+
+    monkeypatch.setattr(geometry, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(geometry.os, "cpu_count", lambda: 3)
+    d = _g2()
+    assert scan_austere(d, 18, jobs=10 ** 6) == scan_austere(d, 18, jobs=1)
+    assert sizes == [3]
+    # two grid points make two batches, so two workers
+    assert scan_austere(d, 3, jobs=10 ** 6) == scan_austere(d, 3, jobs=1)
+    assert sizes == [3, 2]
+
+
 def test_find_minimal_isotropy_a1_is_half():
     orbit = find_minimal(catalog("isotropy", label="A1"), Q(1, 10 ** 30))
     assert abs(orbit.point.coeffs[0] - Q(1, 2)) < Q(1, 10 ** 30)

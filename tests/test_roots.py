@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hermann.exact import GramMatrix
 from hermann.roots import (
     CartanLabel,
+    RootSystem,
     build_root_system,
     contains_minus_identity,
     decompose_and_classify,
@@ -88,7 +89,8 @@ def test_tits_prediction_is_conjunctive():
 
 
 def test_classify_whole_reference_systems():
-    for label in sorted(WEYL_ORDERS):
+    # C3, C4, A5, B5 and D5 reach every row of the root-count table
+    for label in sorted(WEYL_ORDERS) + ["C3", "C4", "A5", "B5", "D5"]:
         comps = decompose_and_classify(_system(label))
         # reducible and aliased cases resolve to their canonical names
         if label == "D2":
@@ -97,6 +99,20 @@ def test_classify_whole_reference_systems():
             assert [str(c.label) for c in comps] == ["A3"]
         else:
             assert [str(c.label) for c in comps] == [label]
+
+
+def test_verify_axioms_rejects_broken_systems():
+    a1 = _system("A1")
+    for k in (3, 4):
+        roots = a1.roots | {(k,), (-k,)}
+        broken = RootSystem(1, a1.gram, roots, a1.simple_roots,
+                            frozenset(v for v in roots if v[0] > 0))
+        assert not verify_axioms(broken)
+    b2 = _system("B2")
+    pair = {(1, 2), (-1, -2)}
+    assert pair <= b2.roots
+    assert not verify_axioms(RootSystem(2, b2.gram, b2.roots - pair, b2.simple_roots,
+                                        b2.positive_roots - pair))
 
 
 def test_g2_gram_is_the_reference():
@@ -110,10 +126,10 @@ def test_subsystem_of_long_b2_roots_is_rank_two():
     b2 = _system("B2")
     g = b2.gram
     longs = tuple(v for v in b2.positive_roots if inner(v, v, g) == 2)
-    sub, to_ambient = subsystem(longs + tuple(tuple(-x for x in v) for v in longs), g)
+    sub = subsystem(longs + tuple(tuple(-x for x in v) for v in longs), g)
     comps = decompose_and_classify(sub)
     assert [str(c.label) for c in comps] == ["A1", "A1"]
-    assert set(to_ambient.values()) <= set(b2.roots)
+    assert sub.roots <= b2.roots
 
 
 def test_doubling_detection_picks_bc_not_b():
