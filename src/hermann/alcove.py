@@ -5,6 +5,11 @@ the dual basis, so the pairing <alpha, H>/pi of a root alpha = sum c_j a_j
 with H is the exact rational c . x.  Each (root, sector) pair confines the
 alcove to one slab n0 < c.x + t < n0 + 1; the alcove is the interior of a
 rational polytope and reduction to it is by reflections in facet walls.
+
+The polytope is built by one exact vertex enumeration (double description):
+from the box of the unit-normal slabs, cut by one slab at a time, keeping
+the slabs tight at each vertex.  A facet is a slab whose tight vertices span
+a hyperplane; the same incidences give the faces.  No LP is solved.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 from math import gcd
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import RationalAngle, inner, matrix_rank, pairing, pivot, solve_exact
+from .exact import RationalAngle, inner, matrix_rank, pairing
 from .roots import RootSystem, decompose_and_classify, subsystem
 
 
@@ -100,89 +105,74 @@ def _slab_inequalities(d: GradedRootDatum):
     return sorted(best.values(), key=lambda q: (q.normal, q.bound))
 
 
-def _simplex_max(objective, rows, bounds):
-    """Maximize objective . x over {rows . x <= bounds}, x unrestricted.
+def _affine_rank(points) -> int:
+    return matrix_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
 
-    All bounds are >= 0 so the origin is a feasible start; Bland's rule
-    keeps the exact pivoting finite.  Returns None when unbounded.
+
+def _vertex_enumeration(ineqs, rank):
+    """Vertices of {normal . x <= bound}, each with the inequalities tight at it.
+
+    Double description (Motzkin, Raiffa, Thompson & Thrall 1953): start from
+    the box of the +-e_i normals (the simple roots, whose slabs are always
+    present), then cut by one inequality at a time.  A vertex pair (u inside,
+    w beyond) spans an edge when the normals tight at both have rank r - 1;
+    the edge meets the cut in one new vertex.
     """
-    m = len(rows)
-    r = len(objective)
-    n = 2 * r
-    tab = [[Fraction(x) for x in rows[i]]
-           + [Fraction(-x) for x in rows[i]]
-           + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-           + [Fraction(bounds[i])]
-           for i in range(m)]
-    # the objective is the last row, so each pivot updates it with the rest
-    tab.append([Fraction(x) for x in objective]
-               + [Fraction(-x) for x in objective]
-               + [Fraction(0)] * (m + 1))
-    basis = [n + i for i in range(m)]
-    while True:
-        z = tab[m]
-        enter = next((j for j in range(n + m) if z[j] > 0), None)
-        if enter is None:
-            return -z[-1]
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < best[1]):
-                    best = (ratio, basis[i], i)
-        if best is None:
-            return None
-        pivot(tab, best[2], enter)
-        basis[best[2]] = enter
-
-
-def _prune_redundant(ineqs):
-    keep = list(ineqs)
-    i = 0
-    while i < len(keep):
-        probe = keep[i]
-        rows = [q.normal for k, q in enumerate(keep) if k != i]
-        bounds = [q.bound for k, q in enumerate(keep) if k != i]
-        # cap the objective so the subproblem cannot be unbounded
-        rows.append(probe.normal)
-        bounds.append(probe.bound + 1)
-        best = _simplex_max(probe.normal, rows, bounds)
-        if best is not None and best <= probe.bound:
-            keep.pop(i)
-        else:
-            i += 1
-    return keep
-
-
-def _enumerate_vertices(facets, rank):
-    verts = set()
-    for combo in combinations(facets, rank):
-        sol = solve_exact([list(q.normal) for q in combo],
-                          [q.bound for q in combo])
-        if sol is None:
+    index = {q.normal: k for k, q in enumerate(ineqs)}
+    sides = []
+    for i in range(rank):
+        e = tuple(int(i == j) for j in range(rank))
+        up, down = index[e], index[tuple(-x for x in e)]
+        sides.append(((ineqs[up].bound, up), (-ineqs[down].bound, down)))
+    # slab bounds are >= 0, and > 0 for positive normals, so lo <= 0 < hi on
+    # each axis and the 2^r corners are distinct
+    verts = [(tuple(c for c, _ in corner), frozenset(k for _, k in corner))
+             for corner in product(*sides)]
+    done = {k for pair in sides for _, k in pair}
+    for k, q in enumerate(ineqs):
+        if k in done:
             continue
-        if all(pairing(q.normal, sol) <= q.bound
-               for q in facets):
-            verts.add(tuple(sol))
-    return sorted(verts)
+        side = [pairing(q.normal, x) - q.bound for x, _ in verts]
+        beyond = [(w, tw, sw) for (w, tw), sw in zip(verts, side) if sw > 0]
+        new = []
+        for (u, tu), su in zip(verts, side):
+            if su >= 0:
+                continue
+            for w, tw, sw in beyond:
+                common = tu & tw
+                if len(common) >= rank - 1 and \
+                        matrix_rank([ineqs[j].normal for j in common]) == rank - 1:
+                    s = su / (su - sw)
+                    new.append((tuple(a + s * (b - a) for a, b in zip(u, w)), common | {k}))
+        verts = [(x, t | {k} if sx == 0 else t)
+                 for (x, t), sx in zip(verts, side) if sx <= 0] + new
+    return verts
 
 
 _ALCOVE_CACHE = weakref.WeakKeyDictionary()
 
 
 def _alcove_data(d: GradedRootDatum):
+    """(facets, vertices, facet indices tight at each vertex), built once."""
     cached = _ALCOVE_CACHE.get(d)
     if cached is not None:
         return cached
-    facets = tuple(_prune_redundant(_slab_inequalities(d)))
-    verts = _enumerate_vertices(facets, d.rank)
-    if not verts:
+    ineqs = _slab_inequalities(d)
+    pairs = sorted(_vertex_enumeration(ineqs, d.rank), key=lambda p: p[0])
+    if not pairs:
         raise EmptyAlcove("slab constraints admit no vertex")
-    if matrix_rank([tuple(v - verts[0][i] for i, v in enumerate(vv))
-                    for vv in verts[1:]]) < d.rank:
+    verts = [x for x, _ in pairs]
+    if _affine_rank(verts) < d.rank:
         raise EmptyAlcove("slab constraints have empty interior")
-    data = (facets, tuple(AlcovePoint(v) for v in verts))
+    # a facet is a slab whose tight vertices span a hyperplane
+    keep = []
+    for k in range(len(ineqs)):
+        on = [x for x, t in pairs if k in t]
+        if len(on) >= d.rank and _affine_rank(on) == d.rank - 1:
+            keep.append(k)
+    pos = {k: i for i, k in enumerate(keep)}
+    data = (tuple(ineqs[k] for k in keep), tuple(AlcovePoint(x) for x in verts),
+            tuple(frozenset(pos[k] for k in t if k in pos) for _, t in pairs))
     _ALCOVE_CACHE[d] = data
     return data
 
@@ -196,15 +186,16 @@ def alcove_vertices(d: GradedRootDatum):
     return _alcove_data(d)[1]
 
 
+def _centroid(points) -> AlcovePoint:
+    return AlcovePoint(tuple(sum(c) / len(points) for c in zip(*points)))
+
+
 def alcove_barycenter(d: GradedRootDatum) -> AlcovePoint:
-    verts = _alcove_data(d)[1]
-    r = d.rank
-    n = len(verts)
-    return AlcovePoint(tuple(sum(v.coeffs[i] for v in verts) / n for i in range(r)))
+    return _centroid([v.coeffs for v in _alcove_data(d)[1]])
 
 
 def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False) -> bool:
-    facets, _ = _alcove_data(d)
+    facets = _alcove_data(d)[0]
     for q in facets:
         val = pairing(q.normal, point.coeffs)
         if val > q.bound or (strict and val == q.bound):
@@ -227,14 +218,8 @@ def faces(d: GradedRootDatum):
     complementary (inactive) facet indices.  Faces come back sorted by
     dimension, vertices first.
     """
-    facets, verts = _alcove_data(d)
-    f = len(facets)
-    act = {}
-    for v in verts:
-        act[v] = frozenset(
-            i for i, q in enumerate(facets)
-            if pairing(q.normal, v.coeffs) == q.bound)
-    sets = set(act.values())
+    facets, verts, tight = _alcove_data(d)
+    sets = set(tight)
     frontier = list(sets)
     while frontier:
         a = frontier.pop()
@@ -243,21 +228,11 @@ def faces(d: GradedRootDatum):
             if c not in sets:
                 sets.add(c)
                 frontier.append(c)
-    canon = {}
-    for a in sets:
-        members = [v for v in verts if act[v] >= a]
-        key = frozenset.intersection(*(act[v] for v in members))
-        canon[key] = tuple(members)
     out = []
-    r = d.rank
-    for a, members in canon.items():
-        n = len(members)
-        rep = AlcovePoint(tuple(sum(v.coeffs[i] for v in members) / n for i in range(r)))
-        base = members[0]
-        dim = matrix_rank([tuple(x - y for x, y in zip(v.coeffs, base.coeffs))
-                           for v in members[1:]])
-        out.append(Face(tuple(i for i in range(f) if i not in a),
-                        tuple(sorted(a)), rep, dim))
+    for a in sets:
+        members = [v.coeffs for v, t in zip(verts, tight) if t >= a]
+        out.append(Face(tuple(i for i in range(len(facets)) if i not in a),
+                        tuple(sorted(a)), _centroid(members), _affine_rank(members)))
     return tuple(sorted(out, key=lambda fc: (fc.dimension, fc.representative.coeffs)))
 
 
@@ -268,7 +243,7 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     Each reflection lowers the number of slab walls separating the point
     from the alcove, which bounds the loop exactly.
     """
-    facets, _ = _alcove_data(d)
+    facets = _alcove_data(d)[0]
     gram = d.sigma.gram.entries
     r = d.rank
     x = list(point.coeffs)

@@ -1,10 +1,10 @@
 """Command-line front end for alcove reports, scans and diagrams.
 
-Exit codes: 0 success, 1 usage error, 2 datum parse/validation error or
-a root-system type outside A, B, BC, C, D, G, 3 internal inconsistency,
-4 not certified (find-minimal reached no certified point within its
-precision ladder).  All output is ASCII and byte-deterministic for a fixed
-command line.
+Exit codes: 0 success, 1 usage error, 2 datum parse/validation error (a
+datum file that is not UTF-8 JSON included) or a root-system type outside
+A, B, BC, C, D, G, 3 internal inconsistency, 4 not certified (find-minimal
+reached no certified point within its precision ladder).  All output is
+ASCII and byte-deterministic for a fixed command line.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from .alcove import AlcovePoint, alcove_vertices, faces, point_in_alcove, \
     reduce_to_alcove
 from .datum import BadParameters, CATALOG, ParseError, UnknownKey, \
     ValidationError, catalog, parse_datum, serialize_datum
-from .diagram import RankTooHigh, render_svg
+from .diagram import MARGIN, RankTooHigh, render_svg
 from .exact import format_interval, parse_rational
 from .geometry import InternalInconsistency, NoConvergence, TriState, \
     find_minimal, orbit_report, scan_austere, shape_spectrum
@@ -97,6 +97,8 @@ def _load_datum(args):
                 text = fh.read()
         except OSError as exc:
             raise _UsageError(f"cannot read datum file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"datum file is not UTF-8 text: {exc}") from exc
         return parse_datum(text)
     if key.startswith("isotropy:"):
         return catalog("isotropy", label=key.split(":", 1)[1])
@@ -133,6 +135,7 @@ def _cmd_catalog(args, write):
 def _cmd_analyze(args, write):
     d = _load_datum(args)
     point = _parse_point(args.point, d.rank)
+    xi = None if args.xi is None else _parse_xi(args.xi, d.rank)
     if not point_in_alcove(d, point, strict=False):
         raise _UsageError(
             "point is outside the closed alcove; run `reduce` first")
@@ -154,8 +157,7 @@ def _cmd_analyze(args, write):
     else:
         for k, v in fields:
             write(f"{k}: {v}\n")
-    if args.xi is not None:
-        xi = _parse_xi(args.xi, d.rank)
+    if xi is not None:
         spec = shape_spectrum(d, point, xi)
         write("\n")
         if args.format == "tsv":
@@ -227,12 +229,16 @@ def _cmd_reduce(args, write):
 
 
 def _cmd_diagram(args, write):
+    if args.width <= 2 * MARGIN:
+        raise _UsageError(f"--width must be above {2 * MARGIN:g}, twice the margin")
     d = _load_datum(args)
     reports = [orbit_report(d, v) for v in alcove_vertices(d)]
     try:
         path = render_svg(d, reports, args.out, width=args.width)
     except RankTooHigh as exc:
         raise _UsageError(str(exc)) from exc
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     write(f"wrote {path} ({len(reports)} markers)\n")
     return 0
 

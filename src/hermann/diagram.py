@@ -14,7 +14,7 @@ class RankTooHigh(Exception):
     """Drawing is defined for rank 1 and 2 only."""
 
 
-_MARGIN = 36.0
+MARGIN = 36.0
 _PAD = 0.18
 _WALL_STROKES = ("#7a7a7a", "#b06030", "#3a6ea5", "#6a9a58", "#9a5a9a", "#c0a030")
 _WALL_DASHES = (None, "7 4", "2 4", "9 4 2 4", "5 2 1 2", "12 4")
@@ -125,12 +125,12 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     pad = _PAD * span
     box = ((min(xs) - pad, max(xs) + pad), (min(ys) - pad, max(ys) + pad))
-    scale = (width - 2 * _MARGIN) / (box[0][1] - box[0][0])
-    height = 2 * _MARGIN + scale * (box[1][1] - box[1][0])
+    scale = (width - 2 * MARGIN) / (box[0][1] - box[0][0])
+    height = 2 * MARGIN + scale * (box[1][1] - box[1][0])
 
     def to_px(u):
-        return (_MARGIN + (u[0] - box[0][0]) * scale,
-                height - _MARGIN - (u[1] - box[1][0]) * scale)
+        return (MARGIN + (u[0] - box[0][0]) * scale,
+                height - MARGIN - (u[1] - box[1][0]) * scale)
 
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",

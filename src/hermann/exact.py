@@ -5,7 +5,7 @@ so angles are stored as the rational coefficient alone and all membership
 tests (in pi.Z, in (pi/2).Z) are exact Fraction arithmetic.  The only
 real-number evaluations are cotangent values, served as certified
 enclosures with dyadic-rational endpoints.  Every exact elimination (solves,
-ranks, the dual basis, the alcove simplex) is `row_reduce` or its `pivot`.
+ranks, the dual basis) is one `row_reduce`.
 """
 
 from __future__ import annotations
@@ -195,16 +195,6 @@ def inner(u, v, g: "GramMatrix") -> Fraction:
     return Fraction(total)
 
 
-def pivot(m, r, c):
-    """Scale row r so that m[r][c] = 1, then clear column c from every other row."""
-    inv = 1 / m[r][c]
-    m[r] = [x * inv for x in m[r]]
-    for i, row in enumerate(m):
-        if i != r and row[c] != 0:
-            f = row[c]
-            m[i] = [x - f * y for x, y in zip(row, m[r])]
-
-
 def row_reduce(rows):
     """Reduced row-echelon form over Fraction and its pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -212,10 +202,16 @@ def row_reduce(rows):
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if p is not None:
-            m[r], m[p] = m[p], m[r]
-            pivot(m, r, c)
-            pivots.append(c)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f != 0:
+                m[i] = [x - f * y for x, y in zip(row, m[r])]
+        pivots.append(c)
     return m, tuple(pivots)
 
 

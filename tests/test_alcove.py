@@ -1,5 +1,8 @@
+import importlib.util
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,8 @@ from hermann.alcove import (
     point_in_alcove,
     reduce_to_alcove,
 )
-from hermann.datum import catalog
-from hermann.exact import RationalAngle, inner, matrix_rank, solve_exact
+from hermann.datum import catalog, parse_datum
+from hermann.exact import RationalAngle, inner, matrix_rank, pairing, solve_exact
 
 Q = Fraction
 
@@ -160,3 +163,73 @@ def test_faces_cover_all_vertex_points():
     vertex_reps = {tuple(f.representative.coeffs)
                    for f in faces(d) if f.vertex}
     assert vertex_reps == {tuple(v.coeffs) for v in alcove_vertices(d)}
+
+
+def _oracles():
+    path = Path(__file__).resolve().parents[1] / "tools" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("key, params, sectors, args", [
+    ("so_even", {"p": 7, "q": 5}, "sectors_so_even", (7, 5)),
+    ("so_even", {"p": 9, "q": 7}, "sectors_so_even", (9, 7)),
+    ("su_sp", {"p": 7, "q": 5}, "sectors_su_sp", (7, 5)),
+    ("su_sp", {"p": 9, "q": 7}, "sectors_su_sp", (9, 7)),
+    ("so8_g2", {}, "sectors_g2", ()),
+])
+def test_alcove_matches_independent_oracle(key, params, sectors, args):
+    oracles = _oracles()
+    simple, by_phase = getattr(oracles, sectors)(*args)
+    # G2 sits in the plane x + y + z = 0 of its ambient space
+    plane = (Q(1), Q(1), Q(1)) if key == "so8_g2" else None
+    facets, verts = oracles.alcove_facets(by_phase, simple, plane)
+    d = catalog(key, **params)
+    assert [(q.normal, q.bound) for q in fundamental_alcove(d)] == facets
+    assert [v.coeffs for v in alcove_vertices(d)] == verts
+
+
+def _reducible(rank, gram, order, sectors):
+    doc = {"name": "reducible", "rank": rank, "gram": gram, "order": order,
+           "sectors": [{"phi": phi, "roots": [{"v": list(v), "m": 1} for v in roots]}
+                       for phi, roots in sectors]}
+    return parse_datum(json.dumps(doc))
+
+
+def _with_negatives(*roots):
+    return [v for u in roots for v in (u, tuple(-x for x in u))]
+
+
+A1_A1 = _reducible(2, [[2, 0], [0, 2]], 1,
+                   [("0", _with_negatives((1, 0), (0, 1)))])
+A1_A2 = _reducible(3, [[2, 0, 0], [0, 2, -1], [0, -1, 2]], 1,
+                   [("0", _with_negatives((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)))])
+# B2 (long a1, short a2) + A2, with the long simple root of B2 at phase pi/4
+B2_A2 = _reducible(4, [[2, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], 4,
+                   [("1/4", [(1, 0, 0, 0)]),
+                    ("0", _with_negatives((0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0),
+                                          (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)))])
+
+
+@pytest.mark.parametrize("d, n_facets, n_vertices, n_faces", [
+    (A1_A1, 4, 4, 3 * 3),     # square
+    (A1_A2, 5, 6, 3 * 7),     # segment x triangle
+    (B2_A2, 8, 15, 11 * 7),   # pentagon x triangle
+], ids=["A1+A1", "A1+A2", "B2+A2"])
+def test_first_non_simplex_alcoves(d, n_facets, n_vertices, n_faces):
+    facets = fundamental_alcove(d)
+    assert (len(facets), len(alcove_vertices(d))) == (n_facets, n_vertices)
+    # the faces of a product are the products of faces
+    assert len(faces(d)) == n_faces
+    for f in faces(d):
+        tight = tuple(i for i, q in enumerate(facets)
+                      if pairing(q.normal, f.representative.coeffs) == q.bound)
+        assert tight == f.active_facets
+    assert point_in_alcove(d, alcove_barycenter(d), strict=True)
+
+
+def test_square_alcove_vertices():
+    verts = {tuple(v.coeffs) for v in alcove_vertices(A1_A1)}
+    assert verts == {(0, 0), (1, 0), (0, 1), (1, 1)}

@@ -122,7 +122,7 @@ def test_reduce_reports_walls():
     assert "reflections: 1" in out
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["analyze", "--triad", "so8_g2", "--point", "1/2"],
                 stdout=io.StringIO()) == 1
     assert main(["analyze", "--triad", "missing", "--point", "0,0"],
@@ -135,6 +135,36 @@ def test_usage_errors_exit_one():
     for tol in ("0", "-1", "0/7"):
         assert main(["find-minimal", "--triad", "isotropy:A1", f"--tolerance={tol}"],
                     stdout=io.StringIO()) == 1
+    capsys.readouterr()
+    missing_dir = tmp_path / "missing" / "x.svg"
+    assert main(["diagram", "--triad", "so8_g2", "--out", str(missing_dir)],
+                stdout=io.StringIO()) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing_dir}")
+    # the scale is (width - 72) / span, so a width of 72 or less draws nothing
+    for width in ("-5", "0", "72"):
+        svg = tmp_path / f"w{width}.svg"
+        assert main(["diagram", "--triad", "so8_g2", "--out", str(svg),
+                     f"--width={width}"], stdout=io.StringIO()) == 1
+        assert not svg.exists()
+        assert capsys.readouterr().err.startswith("error: --width")
+
+
+def test_bad_xi_writes_nothing(capsys):
+    out = io.StringIO()
+    assert main(["analyze", "--triad", "so8_g2", "--point=0,0", "--xi=1/0"],
+                stdout=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_datum_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe\x7b")
+    out = io.StringIO()
+    assert main(["faces", "--triad", f"@{path}"], stdout=out) == 2
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_uncertified_minimal_search_exits_four(capsys):
@@ -231,3 +261,33 @@ def test_diagram_bytes_stable(tmp_path):
     _run(["diagram", "--triad", "so8_g2", "--out", str(a)])
     _run(["diagram", "--triad", "so8_g2", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+SU_SP_RANK_6 = ["--triad", "su_sp", "--p", "15", "--q", "13"]
+
+
+def test_analyze_rank_six_generic_point():
+    code, out = _run(["analyze", *SU_SP_RANK_6, "--point=1/40,1/48,1/56,1/64,1/72,1/80"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:8] == [
+        "datum: su_sp(p=15,q=13)", "point: (1/40, 1/48, 1/56, 1/64, 1/72, 1/80)",
+        "type: (none)", "totally_geodesic: no", "austere: no", "minimal: no",
+        "arid*: no", "WR*: no"]
+    # minimal is a certified no, so the norm is certainly positive
+    assert lines[8].startswith("norm: ") and not lines[8].startswith("norm: <=")
+
+
+def test_reduce_rank_six_lands_in_closed_alcove():
+    from fractions import Fraction
+    from hermann.alcove import AlcovePoint, point_in_alcove
+    from hermann.datum import catalog
+    code, out = _run(["reduce", *SU_SP_RANK_6, "--point=1/2,-1/3,1/5,0,3/4,-1/7"])
+    assert code == 0
+    lines = out.splitlines()
+    reduced = lines[1].removeprefix("reduced: (").removesuffix(")")
+    point = AlcovePoint(tuple(Fraction(c) for c in reduced.split(", ")))
+    assert point_in_alcove(catalog("su_sp", p=15, q=13), point)
+    assert int(lines[2].removeprefix("reflections: ")) > 0
+    again = _run(["reduce", *SU_SP_RANK_6, f"--point={','.join(reduced.split(', '))}"])
+    assert again[0] == 0 and "reflections: 0" in again[1]
