@@ -4,8 +4,11 @@ Locating the minimal orbit inside the alcove
 
 Every datum here has exactly one interior point where the mean curvature
 vector vanishes.  The vector field is a sum of cotangent terms, so the
-zero is irrational in general; the solver brackets it with interval
-Newton steps and certifies the norm bound at the returned rational point.
+zero is irrational in general.  The solver runs a damped Newton ascent of
+the orbit volume in mpmath floating point, rounds the last iterate to a
+point with dyadic coordinates, and certifies the mean-curvature norm at
+that one point with interval arithmetic.  The search itself carries no
+enclosure.
 """
 
 from fractions import Fraction

@@ -4,12 +4,15 @@ Points are tuples of rational coefficients x with H = pi * sum x_i H_i in
 the dual basis, so the pairing <alpha, H>/pi of a root alpha = sum c_j a_j
 with H is the exact rational c . x.  Each (root, sector) pair confines the
 alcove to one slab n0 < c.x + t < n0 + 1; the alcove is the interior of a
-rational polytope and reduction to it is by reflections in facet walls.
+rational polytope and reduction to it is by reflections in facet walls,
+x -> x - (c.x + t - n) coroot(c), with the one coroot row of `roots`.
 
 The polytope is built by one exact vertex enumeration (double description):
 from the box of the unit-normal slabs, cut by one slab at a time, keeping
-the slabs tight at each vertex.  A facet is a slab whose tight vertices span
-a hyperplane; the same incidences give the faces.  No LP is solved.
+the slabs tight at each vertex.  Two vertices span an edge when no third
+vertex's tight set contains theirs in common.  A facet is a slab whose
+tight vertices span a hyperplane; the same incidences give the faces.  No
+LP is solved.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from itertools import product
 from math import gcd
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import RationalAngle, inner, matrix_rank, pairing
-from .roots import RootSystem, decompose_and_classify, subsystem
+from .exact import RationalAngle, matrix_rank, pairing
+from .roots import RootSystem, coroot, decompose_and_classify, subsystem
 
 
 class EmptyAlcove(ValueError):
@@ -115,8 +118,9 @@ def _vertex_enumeration(ineqs, rank):
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953): start from
     the box of the +-e_i normals (the simple roots, whose slabs are always
     present), then cut by one inequality at a time.  A vertex pair (u inside,
-    w beyond) spans an edge when the normals tight at both have rank r - 1;
-    the edge meets the cut in one new vertex.
+    w beyond) spans an edge when no third vertex is tight on every inequality
+    tight at both (the combinatorial test of Fukuda & Prodon 1996); the edge
+    meets the cut in one new vertex.
     """
     index = {q.normal: k for k, q in enumerate(ineqs)}
     sides = []
@@ -140,8 +144,7 @@ def _vertex_enumeration(ineqs, rank):
                 continue
             for w, tw, sw in beyond:
                 common = tu & tw
-                if len(common) >= rank - 1 and \
-                        matrix_rank([ineqs[j].normal for j in common]) == rank - 1:
+                if not any(common <= t for _, t in verts if t is not tu and t is not tw):
                     s = su / (su - sw)
                     new.append((tuple(a + s * (b - a) for a, b in zip(u, w)), common | {k}))
         verts = [(x, t | {k} if sx == 0 else t)
@@ -244,8 +247,6 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     from the alcove, which bounds the loop exactly.
     """
     facets = _alcove_data(d)[0]
-    gram = d.sigma.gram.entries
-    r = d.rank
     x = list(point.coeffs)
     budget = 8
     for alpha, t, _ in positive_sector_roots(d):
@@ -253,20 +254,10 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
         budget += 2 + abs(int(p))
     walls = []
     for _ in range(budget):
-        hit = None
-        for q in facets:
-            if pairing(q.normal, x) > q.bound:
-                hit = q
-                break
+        hit = next((q.wall for q in facets if pairing(q.normal, x) > q.bound), None)
         if hit is None:
             return AlcovePoint(tuple(x)), tuple(walls)
-        c = hit.wall.alpha
-        t = hit.wall.phi.coeff
-        n = hit.wall.n
-        norm2 = inner(c, c, d.sigma.gram)
-        p = pairing(c, x) + t
-        factor = 2 * (p - n) / norm2
-        gc = [pairing(gram[i], c) for i in range(r)]
-        x = [y - factor * g for y, g in zip(x, gc)]
-        walls.append(hit.wall)
+        p = pairing(hit.alpha, x) + hit.phi.coeff - hit.n
+        x = [y - p * c for y, c in zip(x, coroot(hit.alpha, d.sigma.gram))]
+        walls.append(hit)
     raise NonTermination(f"folding did not settle within {budget} reflections")

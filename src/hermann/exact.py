@@ -177,8 +177,8 @@ def cot_eval(a: RationalAngle, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
 
 
 def pairing(alpha, x):
-    """Exact pairing alpha . x of root coefficients with rational coordinates."""
-    return sum(a * y for a, y in zip(alpha, x))
+    """Exact pairing alpha . x of root coefficients with coordinates; zero terms are skipped."""
+    return sum(a * y for a, y in zip(alpha, x) if a)
 
 
 def inner(u, v, g: "GramMatrix") -> Fraction:

@@ -3,10 +3,12 @@
 Roots are integer tuples of coefficients in a fixed simple-root basis; the
 geometry lives entirely in the Gram matrix of that basis.  Non-reduced (BC)
 systems are supported throughout.  A subsystem keeps those coordinates and
-carries its own simple roots.  `cartan` is the one Cartan pairing, behind
-`reflect`; the Weyl group is a closure of integer reflection matrices, one
-per simple root.  An irreducible component is named by its rank, its root
-count and its shortest-root count.
+carries its own simple roots.  Every reflection pairs with one kernel, the
+coroot row 2 G alpha / (alpha, alpha): s_alpha(v) = v - (row . v) alpha.
+A loop that reflects in one root computes its row once.  The Weyl group is
+a closure of integer reflection matrices, one per simple root.  An
+irreducible component is named by its rank, its root count and its
+shortest-root count.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GramMatrix, inner
+from .exact import GramMatrix, inner, pairing
 
 FAMILIES = ("A", "B", "BC", "C", "D", "G")
 
@@ -113,12 +115,23 @@ def reference_gram(label: CartanLabel) -> GramMatrix:
     return GramMatrix(tuple(tuple(row) for row in g))
 
 
+def coroot(alpha, gram: GramMatrix):
+    """The coroot row 2 G alpha / (alpha, alpha), whole entries as int.
+
+    Its pairing with v is the Cartan number <v, alpha^vee>.
+    """
+    g_alpha = [pairing(alpha, row) for row in gram.entries]
+    half = pairing(alpha, g_alpha) / 2
+    row = [x / half for x in g_alpha]
+    return tuple(x.numerator if x.denominator == 1 else x for x in row)
+
+
 def cartan(v, alpha, gram: GramMatrix) -> int:
     """The Cartan integer 2(alpha, v)/(alpha, alpha); ValueError if not integral."""
-    c = 2 * inner(alpha, v, gram) / inner(alpha, alpha, gram)
-    if c.denominator != 1:
+    k = pairing(coroot(alpha, gram), v)
+    if k.denominator != 1:
         raise ValueError(f"non-integral Cartan pairing of {alpha} with {v}")
-    return c.numerator
+    return k.numerator
 
 
 def reflect(v, alpha, gram: GramMatrix):
@@ -140,12 +153,14 @@ def build_root_system(label: CartanLabel, budget: int = DEFAULT_BUDGET) -> RootS
     gram = reference_gram(label)
     r = label.rank
     simples = tuple(_unit(i, r) for i in range(r))
+    rows = [coroot(s, gram) for s in simples]
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         v = frontier.pop()
-        for s in simples:
-            w = reflect(v, s, gram)
+        for s, row in zip(simples, rows):
+            k = pairing(row, v)
+            w = tuple(x - k * a for x, a in zip(v, s))
             if w not in roots:
                 if len(roots) >= budget:
                     raise ClosureBudgetExceeded(f"root closure exceeded {budget}")
@@ -179,11 +194,10 @@ def verify_axioms(rs: RootSystem) -> bool:
             return False
     # s_-a = s_a; a pair v, 3v fails here too, as cartan(v, 3v) = 2/3
     for a in rs.positive_roots:
+        row = coroot(a, gram)
         for b in roots:
-            try:
-                if reflect(b, a, gram) not in roots:
-                    return False
-            except ValueError:
+            k = pairing(row, b)
+            if k.denominator != 1 or tuple(x - k * y for x, y in zip(b, a)) not in roots:
                 return False
     return True
 
@@ -197,8 +211,11 @@ def _mat_mul(a, b):
 def weyl_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
     r = rs.rank
     ident = tuple(_unit(i, r) for i in range(r))
-    gens = tuple(tuple(zip(*(reflect(e, s, rs.gram) for e in ident)))
-                 for s in rs.simple_roots)
+    # generator j is s_j = I - s (x) row_j: its column k is s_j(e_k)
+    rows = [coroot(s, rs.gram) for s in rs.simple_roots]
+    gens = tuple(tuple(tuple(int(i == k) - s[i] * c for k, c in enumerate(row))
+                       for i in range(r))
+                 for s, row in zip(rs.simple_roots, rows))
     elements = {ident}
     frontier = [ident]
     while frontier:
@@ -257,30 +274,20 @@ def decompose_and_classify(rs: RootSystem):
     Isomorphic presentations collapse to a canonical label (D3 reports as A3,
     rank-2 C as B2).  Components come back sorted by label then simple roots.
     """
-    if not rs.roots:
-        return ()
-    indec = rs.simple_roots
-    # connected components of the orthogonality graph on the simple roots
-    comp_of = {}
-    for s in indec:
-        comp_of[s] = {s}
-    for i, a in enumerate(indec):
-        for b in indec[i + 1:]:
-            if inner(a, b, rs.gram) != 0 and comp_of[a] is not comp_of[b]:
-                merged = comp_of[a] | comp_of[b]
-                for s in merged:
-                    comp_of[s] = merged
+    simples = rs.simple_roots
+    rows = [coroot(s, rs.gram) for s in simples]
+    # connected components of the non-orthogonality graph on the simple roots
     groups = []
-    for s in indec:
-        if all(comp_of[s] is not g for g in groups):
-            groups.append(comp_of[s])
+    for i, row in enumerate(rows):
+        linked = [g for g in groups if any(pairing(row, simples[j]) != 0 for j in g)]
+        merged = [i] + [j for g in linked for j in g]
+        groups = [g for g in groups if g not in linked] + [merged]
     out = []
     for g in groups:
-        simples = tuple(sorted(g))
         members = tuple(sorted(v for v in rs.roots
-                               if any(inner(v, s, rs.gram) != 0 for s in simples)))
-        label = _classify_component(len(simples), members, rs.gram)
-        out.append(Component(label, simples, members))
+                               if any(pairing(rows[j], v) != 0 for j in g)))
+        label = _classify_component(len(g), members, rs.gram)
+        out.append(Component(label, tuple(sorted(simples[j] for j in g)), members))
     return tuple(sorted(out, key=lambda c: (c.label, c.simple_roots)))
 
 

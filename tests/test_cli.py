@@ -1,6 +1,7 @@
 import io
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,28 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: --width")
 
 
+def test_diagram_rejects_high_rank_before_any_report(tmp_path, capsys, monkeypatch):
+    import hermann.cli as cli
+    calls = []
+    report = cli.orbit_report
+    monkeypatch.setattr(cli, "orbit_report", lambda *a: calls.append(a) or report(*a))
+    svg = tmp_path / "b3.svg"
+    assert main(["diagram", "--triad", "isotropy:B3", "--out", str(svg)],
+                stdout=io.StringIO()) == 1
+    assert calls == [] and not svg.exists()
+    assert capsys.readouterr().err == "error: diagram supports rank <= 2, datum has rank 3\n"
+
+
+def test_stored_benchmark_outputs_replay_byte_for_byte():
+    # every stored `hermann ...` command of the benchmark, replayed in-process
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    keys = [k for k in expected if k.startswith("hermann ")]
+    assert len(keys) >= 50
+    for key in keys:
+        assert _run(key.split()[1:]) == (0, expected[key]), key
+
+
 def test_bad_xi_writes_nothing(capsys):
     out = io.StringIO()
     assert main(["analyze", "--triad", "so8_g2", "--point=0,0", "--xi=1/0"],
@@ -264,30 +287,37 @@ def test_diagram_bytes_stable(tmp_path):
 
 
 SU_SP_RANK_6 = ["--triad", "su_sp", "--p", "15", "--q", "13"]
+SU_SP_RANK_8 = ["--triad", "su_sp", "--p", "19", "--q", "17"]
 
 
 def test_analyze_rank_six_generic_point():
-    code, out = _run(["analyze", *SU_SP_RANK_6, "--point=1/40,1/48,1/56,1/64,1/72,1/80"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[:8] == [
-        "datum: su_sp(p=15,q=13)", "point: (1/40, 1/48, 1/56, 1/64, 1/72, 1/80)",
-        "type: (none)", "totally_geodesic: no", "austere: no", "minimal: no",
-        "arid*: no", "WR*: no"]
-    # minimal is a certified no, so the norm is certainly positive
-    assert lines[8].startswith("norm: ") and not lines[8].startswith("norm: <=")
+    # also at rank 8, the largest su_sp datum under test
+    for triad, point in ((SU_SP_RANK_6, "1/40,1/48,1/56,1/64,1/72,1/80"),
+                         (SU_SP_RANK_8, "1/40,1/48,1/56,1/64,1/72,1/80,1/88,1/96")):
+        code, out = _run(["analyze", *triad, f"--point={point}"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:8] == [
+            f"datum: su_sp(p={triad[3]},q={triad[5]})",
+            f"point: ({point.replace(',', ', ')})",
+            "type: (none)", "totally_geodesic: no", "austere: no", "minimal: no",
+            "arid*: no", "WR*: no"]
+        # minimal is a certified no, so the norm is certainly positive
+        assert lines[8].startswith("norm: ") and not lines[8].startswith("norm: <=")
 
 
 def test_reduce_rank_six_lands_in_closed_alcove():
     from fractions import Fraction
     from hermann.alcove import AlcovePoint, point_in_alcove
     from hermann.datum import catalog
-    code, out = _run(["reduce", *SU_SP_RANK_6, "--point=1/2,-1/3,1/5,0,3/4,-1/7"])
-    assert code == 0
-    lines = out.splitlines()
-    reduced = lines[1].removeprefix("reduced: (").removesuffix(")")
-    point = AlcovePoint(tuple(Fraction(c) for c in reduced.split(", ")))
-    assert point_in_alcove(catalog("su_sp", p=15, q=13), point)
-    assert int(lines[2].removeprefix("reflections: ")) > 0
-    again = _run(["reduce", *SU_SP_RANK_6, f"--point={','.join(reduced.split(', '))}"])
+    for triad, start in ((SU_SP_RANK_6, "1/2,-1/3,1/5,0,3/4,-1/7"),
+                         (SU_SP_RANK_8, "1/2,-1/3,1/5,0,3/4,-1/7,2/9,-5/11")):
+        code, out = _run(["reduce", *triad, f"--point={start}"])
+        assert code == 0
+        lines = out.splitlines()
+        reduced = lines[1].removeprefix("reduced: (").removesuffix(")")
+        point = AlcovePoint(tuple(Fraction(c) for c in reduced.split(", ")))
+        assert point_in_alcove(catalog("su_sp", p=int(triad[3]), q=int(triad[5])), point)
+        assert int(lines[2].removeprefix("reflections: ")) > 0
+        again = _run(["reduce", *triad, f"--point={','.join(reduced.split(', '))}"])
     assert again[0] == 0 and "reflections: 0" in again[1]

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermann.exact import GramMatrix
+from hermann.exact import GramMatrix, inner, pairing
 from hermann.roots import (
     CartanLabel,
     RootSystem,
     build_root_system,
+    cartan,
     contains_minus_identity,
+    coroot,
     decompose_and_classify,
     reference_gram,
     subsystem,
@@ -63,7 +65,13 @@ def test_positive_root_counts(label):
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
 def test_axioms_hold_for_reference_systems(label):
-    assert verify_axioms(_system(label))
+    system = _system(label)
+    assert verify_axioms(system)
+    # the coroot row pairs every root b with a to its Cartan number on a
+    for a in system.roots:
+        row = coroot(a, system.gram)
+        for b in system.roots:
+            assert pairing(b, row) == 2 * inner(a, b, system.gram) / inner(a, a, system.gram)
 
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
@@ -113,6 +121,13 @@ def test_verify_axioms_rejects_broken_systems():
     assert pair <= b2.roots
     assert not verify_axioms(RootSystem(2, b2.gram, b2.roots - pair, b2.simple_roots,
                                         b2.positive_roots - pair))
+    # A2's roots under a Gram matrix where 2(a1, a2)/(a2, a2) = -1/2
+    a2 = _system("A2")
+    skew = GramMatrix(((2, -1), (-1, 4)))
+    with pytest.raises(ValueError):
+        cartan((1, 0), (0, 1), skew)
+    assert not verify_axioms(RootSystem(2, skew, a2.roots, a2.simple_roots,
+                                        a2.positive_roots))
 
 
 def test_g2_gram_is_the_reference():
