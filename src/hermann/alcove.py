@@ -118,9 +118,9 @@ def _vertex_enumeration(ineqs, rank):
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953): start from
     the box of the +-e_i normals (the simple roots, whose slabs are always
     present), then cut by one inequality at a time.  A vertex pair (u inside,
-    w beyond) spans an edge when no third vertex is tight on every inequality
-    tight at both (the combinatorial test of Fukuda & Prodon 1996); the edge
-    meets the cut in one new vertex.
+    w beyond) with at least rank - 1 common tight inequalities spans an edge
+    when no third vertex is tight on all of them (Fukuda & Prodon 1996); the
+    edge meets the cut in one new vertex.
     """
     index = {q.normal: k for k, q in enumerate(ineqs)}
     sides = []
@@ -144,7 +144,8 @@ def _vertex_enumeration(ineqs, rank):
                 continue
             for w, tw, sw in beyond:
                 common = tu & tw
-                if not any(common <= t for _, t in verts if t is not tu and t is not tw):
+                if len(common) >= rank - 1 and not any(
+                        common <= t for _, t in verts if t is not tu and t is not tw):
                     s = su / (su - sw)
                     new.append((tuple(a + s * (b - a) for a, b in zip(u, w)), common | {k}))
         verts = [(x, t | {k} if sx == 0 else t)

@@ -15,7 +15,7 @@ from .alcove import AlcovePoint, alcove_vertices, faces, point_in_alcove, \
     reduce_to_alcove
 from .datum import BadParameters, CATALOG, ParseError, UnknownKey, \
     ValidationError, catalog, parse_datum, serialize_datum
-from .diagram import MARGIN, render_svg
+from .diagram import MARGIN, RankTooHigh, render_svg
 from .exact import format_interval, parse_rational
 from .geometry import InternalInconsistency, NoConvergence, TriState, \
     find_minimal, orbit_report, scan_austere, shape_spectrum
@@ -232,14 +232,13 @@ def _cmd_diagram(args, write):
     if args.width <= 2 * MARGIN:
         raise _UsageError(f"--width must be above {2 * MARGIN:g}, twice the margin")
     d = _load_datum(args)
-    if d.rank > 2:
-        raise _UsageError(f"diagram supports rank <= 2, datum has rank {d.rank}")
-    reports = [orbit_report(d, v) for v in alcove_vertices(d)]
+    # lazy, so render_svg rejects a rank above 2 before any report is built
+    reports = (orbit_report(d, v) for v in alcove_vertices(d))
     try:
         path = render_svg(d, reports, args.out, width=args.width)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
-    write(f"wrote {path} ({len(reports)} markers)\n")
+    write(f"wrote {path} ({len(alcove_vertices(d))} markers)\n")
     return 0
 
 
@@ -306,10 +305,7 @@ def main(argv=None, stdout=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, out.write)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnknownKey, BadParameters) as exc:
+    except (_UsageError, UnknownKey, BadParameters, RankTooHigh) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValidationError, UnrecognizedType) as exc:

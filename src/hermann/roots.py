@@ -134,10 +134,14 @@ def cartan(v, alpha, gram: GramMatrix) -> int:
     return k.numerator
 
 
+def _reflect_by(v, alpha, k):
+    """v - k alpha: the reflection of v in alpha when k = <v, alpha^vee>."""
+    return tuple(x - k * a for x, a in zip(v, alpha))
+
+
 def reflect(v, alpha, gram: GramMatrix):
     """Image of v under the reflection fixing the hyperplane of alpha."""
-    k = cartan(v, alpha, gram)
-    return tuple(x - k * a for x, a in zip(v, alpha))
+    return _reflect_by(v, alpha, cartan(v, alpha, gram))
 
 
 def _unit(i, r):
@@ -159,8 +163,7 @@ def build_root_system(label: CartanLabel, budget: int = DEFAULT_BUDGET) -> RootS
     while frontier:
         v = frontier.pop()
         for s, row in zip(simples, rows):
-            k = pairing(row, v)
-            w = tuple(x - k * a for x, a in zip(v, s))
+            w = _reflect_by(v, s, pairing(row, v))
             if w not in roots:
                 if len(roots) >= budget:
                     raise ClosureBudgetExceeded(f"root closure exceeded {budget}")
@@ -197,7 +200,7 @@ def verify_axioms(rs: RootSystem) -> bool:
         row = coroot(a, gram)
         for b in roots:
             k = pairing(row, b)
-            if k.denominator != 1 or tuple(x - k * y for x, y in zip(b, a)) not in roots:
+            if k.denominator != 1 or _reflect_by(b, a, k) not in roots:
                 return False
     return True
 

@@ -320,4 +320,4 @@ def test_reduce_rank_six_lands_in_closed_alcove():
         assert point_in_alcove(catalog("su_sp", p=int(triad[3]), q=int(triad[5])), point)
         assert int(lines[2].removeprefix("reflections: ")) > 0
         again = _run(["reduce", *triad, f"--point={','.join(reduced.split(', '))}"])
-    assert again[0] == 0 and "reflections: 0" in again[1]
+        assert again[0] == 0 and "reflections: 0" in again[1]
