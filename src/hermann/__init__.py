@@ -17,7 +17,6 @@ from .alcove import (
     alcove_vertices,
     faces,
     fundamental_alcove,
-    pairing_angle,
     point_in_alcove,
     reduce_to_alcove,
 )
@@ -40,7 +39,6 @@ from .exact import (
     DimensionMismatch,
     GramMatrix,
     PoleError,
-    RationalAngle,
     RealInterval,
     SingularGram,
     cot_eval,

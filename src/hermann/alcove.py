@@ -2,9 +2,10 @@
 
 Points are tuples of rational coefficients x with H = pi * sum x_i H_i in
 the dual basis, so the pairing <alpha, H>/pi of a root alpha = sum c_j a_j
-with H is the exact rational c . x.  Each (root, sector) pair confines the
-alcove to one slab n0 < c.x + t < n0 + 1; the alcove is the interior of a
-rational polytope and reduction to it is by reflections in facet walls,
+with H is the exact rational c . x, and a phase is its coefficient of pi,
+the Fraction t.  Each (root, sector) pair confines the alcove to one slab
+n0 < c.x + t < n0 + 1; the alcove is the interior of a rational polytope
+and reduction to it is by reflections in facet walls,
 x -> x - (c.x + t - n) coroot(c), with the one coroot row of `roots`.
 
 The polytope is built by one exact vertex enumeration (double description):
@@ -24,8 +25,9 @@ from itertools import product
 from math import gcd
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import RationalAngle, matrix_rank, pairing
-from .roots import RootSystem, coroot, decompose_and_classify, subsystem
+from .exact import matrix_rank, pairing
+from .roots import (RootSystem, UnrecognizedType, coroot, decompose_and_classify,
+                    subsystem, verify_axioms)
 
 
 class EmptyAlcove(ValueError):
@@ -50,10 +52,10 @@ class AlcovePoint:
 
 @dataclass(frozen=True)
 class Wall:
-    """Affine hyperplane <alpha, H> + phi = n*pi."""
+    """Affine hyperplane <alpha, H> + phi*pi = n*pi."""
 
     alpha: tuple
-    phi: RationalAngle
+    phi: Fraction
     n: int
 
 
@@ -85,19 +87,12 @@ class Face:
         return self.dimension == 0
 
 
-def pairing_angle(d: GradedRootDatum, alpha, point: AlcovePoint,
-                  phi: RationalAngle) -> RationalAngle:
-    """The angle <alpha, H> + phi as a rational multiple of pi."""
-    return RationalAngle(pairing(alpha, point.coeffs) + phi.coeff)
-
-
 def _slab_inequalities(d: GradedRootDatum):
     best = {}
     for alpha, t, _ in positive_sector_roots(d):
         n0 = 0 if t >= 0 else -1
-        upper = (alpha, Fraction(n0 + 1) - t, Wall(alpha, RationalAngle(t), n0 + 1))
-        lower = (tuple(-x for x in alpha), t - Fraction(n0),
-                 Wall(alpha, RationalAngle(t), n0))
+        upper = (alpha, Fraction(n0 + 1) - t, Wall(alpha, t, n0 + 1))
+        lower = (tuple(-x for x in alpha), t - Fraction(n0), Wall(alpha, t, n0))
         for vec, bound, wall in (upper, lower):
             g = gcd(*vec)
             nvec = tuple(x // g for x in vec)
@@ -210,9 +205,16 @@ def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False
 def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     """Roots whose wall passes through the point, their system and its components."""
     union = sorted({v for sector in d.sectors for v in sector.roots
-                    if pairing_angle(d, v, point, sector.phi).coeff.denominator == 1})
+                    if (pairing(v, point.coeffs) + sector.phi).denominator == 1})
     system = subsystem(union, d.sigma.gram)
-    return ActiveRoots(tuple(union), system, decompose_and_classify(system))
+    try:
+        components = decompose_and_classify(system)
+    except UnrecognizedType:
+        if verify_axioms(system):
+            raise
+        raise UnrecognizedType(f"the active roots at {point} are not closed under "
+                               "their reflections, so they form no root system") from None
+    return ActiveRoots(tuple(union), system, components)
 
 
 def faces(d: GradedRootDatum):
@@ -258,7 +260,7 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
         hit = next((q.wall for q in facets if pairing(q.normal, x) > q.bound), None)
         if hit is None:
             return AlcovePoint(tuple(x)), tuple(walls)
-        p = pairing(hit.alpha, x) + hit.phi.coeff - hit.n
+        p = pairing(hit.alpha, x) + hit.phi - hit.n
         x = [y - p * c for y, c in zip(x, coroot(hit.alpha, d.sigma.gram))]
         walls.append(hit)
     raise NonTermination(f"folding did not settle within {budget} reflections")

@@ -1,10 +1,11 @@
 """Command-line front end for alcove reports, scans and diagrams.
 
 Exit codes: 0 success, 1 usage error, 2 datum parse/validation error (a
-datum file that is not UTF-8 JSON included) or a root-system type outside
-A, B, BC, C, D, G, 3 internal inconsistency, 4 not certified (find-minimal
-reached no certified point within its precision ladder).  All output is
-ASCII and byte-deterministic for a fixed command line.
+datum file that is not UTF-8 JSON included) or a root set, of the datum or
+active at the point, that is no root system of type A, B, BC, C, D, G, 3
+internal inconsistency, 4 not certified (find-minimal reached no certified
+point within its precision ladder).  All output is ASCII and
+byte-deterministic for a fixed command line.
 """
 
 import argparse
@@ -40,6 +41,10 @@ def _tri(v: TriState) -> str:
 
 def _yn(v: bool) -> str:
     return "yes" if v else "no"
+
+
+def _angle(coeff: Fraction) -> str:
+    return f"{coeff}*pi"
 
 
 def _table_row(r):
@@ -164,13 +169,13 @@ def _cmd_analyze(args, write):
             write("alpha\ttheta\tmult\teigenvalue\n")
             write(f"(zero)\t-\t{spec.zero_mult}\t0@{spec.precision_bits}b\n")
             for t in spec.terms:
-                write(f"{t.alpha}\t{t.theta}\t{t.mult}\t"
+                write(f"{t.alpha}\t{_angle(t.theta)}\t{t.mult}\t"
                       f"{format_interval(t.value)}\n")
         else:
             write(f"spectrum at xi = ({', '.join(map(str, xi))}):\n")
             write(f"  0 with multiplicity {spec.zero_mult}\n")
             for t in spec.terms:
-                write(f"  alpha={t.alpha} theta={t.theta} mult={t.mult} "
+                write(f"  alpha={t.alpha} theta={_angle(t.theta)} mult={t.mult} "
                       f"value={format_interval(t.value)}\n")
     return 0
 
@@ -224,7 +229,7 @@ def _cmd_reduce(args, write):
     write(f"reduced: {reduced}\n")
     write(f"reflections: {len(walls)}\n")
     for w in walls:
-        write(f"  alpha={w.alpha} phi={w.phi} n={w.n}\n")
+        write(f"  alpha={w.alpha} phi={_angle(w.phi)} n={w.n}\n")
     return 0
 
 

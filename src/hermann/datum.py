@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import (GramMatrix, RationalAngle, format_rational, inner,
-                    parse_rational)
+from .exact import GramMatrix, format_rational, inner, parse_rational
 from .roots import (CartanLabel, RootSystem, build_root_system,
                     decompose_and_classify, verify_axioms, _is_positive, _unit)
 
@@ -46,7 +45,7 @@ class Violation:
 
 @dataclass
 class Sector:
-    phi: RationalAngle
+    phi: Fraction
     roots: dict
 
 
@@ -63,7 +62,7 @@ class GradedRootDatum:
         return self.sigma.rank
 
     def _sector_map(self):
-        return {s.phi.coeff: dict(s.roots) for s in self.sectors}
+        return {s.phi: dict(s.roots) for s in self.sectors}
 
     def __eq__(self, other):
         if not isinstance(other, GradedRootDatum):
@@ -82,8 +81,8 @@ def inverse_phase(t: Fraction) -> Fraction:
 
 def positive_sector_roots(d: GradedRootDatum):
     """Deterministic (alpha, t, mult) stream over positive roots by sector."""
-    for sector in sorted(d.sectors, key=lambda s: s.phi.coeff):
-        t = sector.phi.coeff
+    for sector in sorted(d.sectors, key=lambda s: s.phi):
+        t = sector.phi
         for alpha in sorted(sector.roots):
             if _is_positive(alpha):
                 yield alpha, t, sector.roots[alpha]
@@ -102,7 +101,7 @@ def validate(d: GradedRootDatum):
         out.append(Violation("axioms", "root-system axioms fail"))
     seen = set()
     for s in d.sectors:
-        t = s.phi.coeff
+        t = s.phi
         if not (Fraction(-1, 2) < t <= Fraction(1, 2)):
             out.append(Violation("phase", f"phi={t}*pi outside (-1/2, 1/2]"))
         if t in seen:
@@ -121,9 +120,9 @@ def validate(d: GradedRootDatum):
     missing = d.sigma.roots - covered
     if missing:
         out.append(Violation("coverage", f"{len(missing)} roots carry no sector, e.g. {sorted(missing)[0]}"))
-    by_phase = {s.phi.coeff: s.roots for s in d.sectors}
+    by_phase = {s.phi: s.roots for s in d.sectors}
     for s in d.sectors:
-        t = s.phi.coeff
+        t = s.phi
         tinv = inverse_phase(t)
         dual = by_phase.get(tinv)
         for v, m in s.roots.items():
@@ -143,7 +142,7 @@ def _sector(rs, t, mult_by_norm) -> Sector:
     norms = _norm_classes(rs)
     roots = {v: mult_by_norm[norms[v]] for v in sorted(rs.roots)
              if norms[v] in mult_by_norm and mult_by_norm[norms[v]] > 0}
-    return Sector(RationalAngle(Fraction(t)), roots)
+    return Sector(Fraction(t), roots)
 
 
 def _check_pq(p, q):
@@ -344,8 +343,7 @@ def parse_datum(text: str) -> GradedRootDatum:
         for v, m in list(by_phase[t].items()):
             dual.setdefault(tuple(-x for x in v), m)
 
-    sectors = tuple(Sector(RationalAngle(t), by_phase[t])
-                    for t in sorted(by_phase) if by_phase[t])
+    sectors = tuple(Sector(t, by_phase[t]) for t in sorted(by_phase) if by_phase[t])
     all_roots = frozenset(v for s in sectors for v in s.roots)
     simples = tuple(_unit(i, rank) for i in range(rank))
     positives = frozenset(v for v in all_roots if _is_positive(v))
@@ -372,10 +370,10 @@ def serialize_datum(d: GradedRootDatum) -> str:
         "zero_mult": d.zero_mult,
         "sectors": [
             {
-                "phi": format_rational(s.phi.coeff),
+                "phi": format_rational(s.phi),
                 "roots": [{"v": list(v), "m": s.roots[v]} for v in sorted(s.roots)],
             }
-            for s in sorted(d.sectors, key=lambda s: s.phi.coeff)
+            for s in sorted(d.sectors, key=lambda s: s.phi)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

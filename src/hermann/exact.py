@@ -1,9 +1,9 @@
 """Exact rational-pi arithmetic, Gram inner products, certified intervals.
 
 Every angle in the orbit-geometry formulas is a rational multiple of pi,
-so angles are stored as the rational coefficient alone and all membership
-tests (in pi.Z, in (pi/2).Z) are exact Fraction arithmetic.  The only
-real-number evaluations are cotangent values, served as certified
+so an angle is its coefficient of pi, a plain Fraction, and every
+membership test (in pi.Z, in (pi/2).Z) is exact Fraction arithmetic.  The
+only real-number evaluations are cotangent values, served as certified
 enclosures with dyadic-rational endpoints.  Every exact elimination (solves,
 ranks, the dual basis) is one `row_reduce`.
 """
@@ -36,25 +36,6 @@ class SingularGram(ValueError):
 
 
 @dataclass(frozen=True)
-class RationalAngle:
-    """The angle coeff*pi."""
-
-    coeff: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-
-    def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle(self.coeff + other.coeff)
-
-    def __neg__(self) -> "RationalAngle":
-        return RationalAngle(-self.coeff)
-
-    def __str__(self) -> str:
-        return f"{self.coeff}*pi"
-
-
-@dataclass(frozen=True)
 class RealInterval:
     """Certified enclosure [lo, hi] with dyadic-rational endpoints."""
 
@@ -69,9 +50,6 @@ class RealInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
 
     @property
     def contains_zero(self) -> bool:
@@ -152,11 +130,14 @@ def iv_from_interval(ctx, r: RealInterval):
 
 
 @lru_cache(maxsize=8192)
-def cot_eval(a: RationalAngle, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealInterval:
-    """Certified enclosure of cot(a), width <= 2^(8 - precision_bits)."""
-    coeff = a.coeff % 1
+def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealInterval:
+    """Certified enclosure of cot(a*pi), width <= 2^(8 - precision_bits).
+
+    a is the angle's coefficient of pi, so the cache key is exact.
+    """
+    coeff = a % 1
     if coeff == 0:
-        raise PoleError(f"cot has a pole at {a}")
+        raise PoleError(f"cot has a pole at {a}*pi")
     target = Fraction(1, 2 ** (precision_bits - 8))
     work = precision_bits + 16
     for _ in range(16):
@@ -173,7 +154,7 @@ def cot_eval(a: RationalAngle, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
         if out.width <= target:
             return out
         work *= 2
-    raise RuntimeError(f"cot enclosure did not reach width {target} for {a}")
+    raise RuntimeError(f"cot enclosure did not reach width {target} for {a}*pi")
 
 
 def pairing(alpha, x):
@@ -331,13 +312,17 @@ def primitive_direction(vec):
     return u, g
 
 
-def format_interval(r: RealInterval, digits: int = 12) -> str:
-    """Deterministic ASCII rendering with a precision annotation."""
+def format_interval(r: RealInterval) -> str:
+    """Deterministic ASCII rendering with a precision annotation.
+
+    The midpoint to 12 significant digits when r is certainly positive,
+    else <=B with B a bound on |r|.
+    """
     with mpmath.mp.workprec(max(80, r.precision_bits)):
         if r.lo == r.hi == 0:
             return f"0@{r.precision_bits}b"
         if r.certainly_positive:
             mid = (iv_from_fraction(mpmath.mp, r.lo) + iv_from_fraction(mpmath.mp, r.hi)) / 2
-            return f"{mpmath.nstr(mid, digits)}@{r.precision_bits}b"
+            return f"{mpmath.nstr(mid, 12)}@{r.precision_bits}b"
         bound = max(abs(r.lo), abs(r.hi))
         return f"<={mpmath.nstr(iv_from_fraction(mpmath.mp, bound), 3)}@{r.precision_bits}b"

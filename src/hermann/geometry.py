@@ -30,8 +30,8 @@ import mpmath
 from .alcove import (ActiveRoots, AlcovePoint, active_roots, alcove_barycenter,
                      alcove_vertices, fundamental_alcove, point_in_alcove)
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RationalAngle,
-                    RealInterval, cot_eval, interval_from_iv, iv_from_interval,
+from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RealInterval,
+                    cot_eval, interval_from_iv, iv_from_interval,
                     mpf_to_fraction, pairing, primitive_direction,
                     zero_interval, _iv)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
@@ -60,10 +60,10 @@ class TriState(enum.Enum):
 
 @dataclass(frozen=True)
 class CotTerm:
-    """One summand -mult * cot(theta) * alpha of the mean curvature."""
+    """One summand -mult * cot(pi theta) * alpha of the mean curvature."""
 
     alpha: tuple
-    theta: RationalAngle
+    theta: Fraction
     mult: int
 
 
@@ -73,14 +73,14 @@ def cot_terms(d: GradedRootDatum, point: AlcovePoint):
     for alpha, t, m in positive_sector_roots(d):
         theta = (pairing(alpha, point.coeffs) + t) % 1
         if theta != 0:
-            out.append(CotTerm(alpha, RationalAngle(theta), m))
+            out.append(CotTerm(alpha, theta, m))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class SpectrumTerm:
     alpha: tuple
-    theta: RationalAngle
+    theta: Fraction
     mult: int
     slope: Fraction
     value: RealInterval
@@ -97,9 +97,8 @@ class SpectrumReport:
         return self.zero_mult + sum(t.mult for t in self.terms)
 
 
-def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi,
-                   precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectrumReport:
-    """Principal curvatures -<alpha, xi> cot(theta) in direction xi.
+def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport:
+    """Principal curvatures -<alpha, xi> cot(pi theta) in direction xi.
 
     xi is given by rational coefficients in the dual basis, so each slope
     <alpha, xi> is exact; only the cotangent is an interval.
@@ -108,9 +107,9 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi,
     terms = []
     for t in cot_terms(d, point):
         slope = pairing(t.alpha, xi)
-        value = cot_eval(t.theta, precision_bits).scale(-slope)
+        value = cot_eval(t.theta, DEFAULT_PRECISION_BITS).scale(-slope)
         terms.append(SpectrumTerm(t.alpha, t.theta, t.mult, slope, value))
-    return SpectrumReport(d.zero_mult, tuple(terms), precision_bits)
+    return SpectrumReport(d.zero_mult, tuple(terms), DEFAULT_PRECISION_BITS)
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
 
 
 def _totally_geodesic(terms) -> bool:
-    return all(t.theta.coeff == _HALF for t in terms)
+    return all(t.theta == _HALF for t in terms)
 
 
 def is_totally_geodesic(d: GradedRootDatum, point: AlcovePoint) -> bool:
@@ -161,8 +160,7 @@ def _certified_nonzero_sum(c1, t1, c2, t2) -> bool:
     """Certify c1*cot(pi t1) + c2*cot(pi t2) != 0, escalating precision."""
     prec = DEFAULT_PRECISION_BITS
     while prec <= MAX_PRECISION_BITS:
-        v = cot_eval(RationalAngle(t1), prec).scale(c1) \
-            + cot_eval(RationalAngle(t2), prec).scale(c2)
+        v = cot_eval(t1, prec).scale(c1) + cot_eval(t2, prec).scale(c2)
         if v.certainly_nonzero:
             return True
         prec *= 2
@@ -175,7 +173,7 @@ def _lines(terms):
     for t in terms:
         u, c = primitive_direction(t.alpha)
         bucket = lines.setdefault(u, {})
-        key = (c, t.theta.coeff)
+        key = (c, t.theta)
         bucket[key] = bucket.get(key, 0) + t.mult
     return lines.values()
 
@@ -208,7 +206,7 @@ def _folded_angle_classes(terms):
     """Group terms by cot value class: theta and 1-theta carry opposite signs."""
     classes = {}
     for t in terms:
-        theta, sign = t.theta.coeff, 1
+        theta, sign = t.theta, 1
         if theta > _HALF:
             theta, sign = 1 - theta, -1
         if theta == _HALF:
@@ -229,8 +227,7 @@ def _minimal(terms, norm: RealInterval) -> TriState:
     return TriState.INDETERMINATE
 
 
-def is_minimal(d: GradedRootDatum, point: AlcovePoint,
-               precision_bits: int = DEFAULT_PRECISION_BITS) -> TriState:
+def is_minimal(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     """Yes via exact cancellation, no via a norm bounded away from zero.
 
     The vector is a combination of cot(pi*theta) over theta in (0,1/2);
@@ -239,7 +236,7 @@ def is_minimal(d: GradedRootDatum, point: AlcovePoint,
     minimal yes.
     """
     terms = cot_terms(d, point)
-    return _minimal(terms, _mean_curvature(d, terms, precision_bits).norm)
+    return _minimal(terms, _mean_curvature(d, terms, DEFAULT_PRECISION_BITS).norm)
 
 
 @dataclass(frozen=True)
@@ -301,25 +298,23 @@ class OrbitReport:
     arid_sufficient: bool
     weakly_reflective_sufficient: bool
     mean_curvature: MeanCurvature
-    precision_bits: int
 
     @property
     def mean_curvature_norm(self) -> RealInterval:
         return self.mean_curvature.norm
 
 
-def orbit_report(d: GradedRootDatum, point: AlcovePoint,
-                 precision_bits: int = DEFAULT_PRECISION_BITS) -> OrbitReport:
+def orbit_report(d: GradedRootDatum, point: AlcovePoint) -> OrbitReport:
     """Every classification of one orbit, from a single pass over its terms."""
     terms = cot_terms(d, point)
     actives = active_roots(d, point)
-    mc = _mean_curvature(d, terms, precision_bits)
+    mc = _mean_curvature(d, terms, DEFAULT_PRECISION_BITS)
     flags = symmetry_flags(d, point, actives)
     return OrbitReport(point, actives, type_label(d, actives),
                        _totally_geodesic(terms), _austere(terms),
                        _minimal(terms, mc.norm),
                        flags.arid_sufficient, flags.weakly_reflective_sufficient,
-                       mc, precision_bits)
+                       mc)
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def _is_positive(v) -> bool:
     return lead > 0
 
 
-def build_root_system(label: CartanLabel, budget: int = DEFAULT_BUDGET) -> RootSystem:
+def build_root_system(label: CartanLabel) -> RootSystem:
     gram = reference_gram(label)
     r = label.rank
     simples = tuple(_unit(i, r) for i in range(r))
@@ -165,8 +165,8 @@ def build_root_system(label: CartanLabel, budget: int = DEFAULT_BUDGET) -> RootS
         for s, row in zip(simples, rows):
             w = _reflect_by(v, s, pairing(row, v))
             if w not in roots:
-                if len(roots) >= budget:
-                    raise ClosureBudgetExceeded(f"root closure exceeded {budget}")
+                if len(roots) >= DEFAULT_BUDGET:
+                    raise ClosureBudgetExceeded(f"root closure exceeded {DEFAULT_BUDGET}")
                 roots.add(w)
                 frontier.append(w)
     if label.family == "BC":
@@ -211,7 +211,7 @@ def _mat_mul(a, b):
                  for i in range(n))
 
 
-def weyl_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
+def weyl_group(rs: RootSystem) -> WeylGroup:
     r = rs.rank
     ident = tuple(_unit(i, r) for i in range(r))
     # generator j is s_j = I - s (x) row_j: its column k is s_j(e_k)
@@ -226,8 +226,8 @@ def weyl_group(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
         for g in gens:
             w = _mat_mul(m, g)
             if w not in elements:
-                if len(elements) >= budget:
-                    raise ClosureBudgetExceeded(f"Weyl closure exceeded {budget}")
+                if len(elements) >= DEFAULT_BUDGET:
+                    raise ClosureBudgetExceeded(f"Weyl closure exceeded {DEFAULT_BUDGET}")
                 elements.add(w)
                 frontier.append(w)
     return WeylGroup(gens, frozenset(elements))

@@ -15,12 +15,11 @@ from hermann.alcove import (
     alcove_vertices,
     faces,
     fundamental_alcove,
-    pairing_angle,
     point_in_alcove,
     reduce_to_alcove,
 )
 from hermann.datum import catalog, parse_datum
-from hermann.exact import RationalAngle, inner, matrix_rank, pairing, solve_exact
+from hermann.exact import inner, matrix_rank, pairing, solve_exact
 
 Q = Fraction
 
@@ -116,13 +115,6 @@ def test_active_roots_empty_at_interior_points():
     act = active_roots(d, alcove_barycenter(d))
     assert act.union == ()
     assert act.system.rank == 0 or len(act.system.roots) == 0
-
-
-def test_pairing_angle_exact():
-    d = _so_even()
-    angle = pairing_angle(d, (1, 1, 1), AlcovePoint((Q(1, 8), Q(1, 16), 0)),
-                          RationalAngle(Q(1, 4)))
-    assert angle.coeff == Q(1, 8) + Q(1, 16) + Q(1, 4)
 
 
 def test_reduce_fold_across_one_wall():

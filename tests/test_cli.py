@@ -94,6 +94,8 @@ def test_analyze_spectrum_at_zero_xi():
     lines = [line for line in out.splitlines() if line.startswith("(")]
     values = [line.split("\t")[-1] for line in lines]
     assert values and all(v.startswith("0@") for v in values)
+    # the tsv theta column, which no stored benchmark output covers
+    assert "(0, 0, 1)\t3/4*pi\t2\t0@192b" in lines
 
 
 def test_empty_table_is_header_only():
@@ -121,6 +123,7 @@ def test_reduce_reports_walls():
     assert code == 0
     assert "reduced: (1/8, 0, 0)" in out
     assert "reflections: 1" in out
+    assert "  alpha=(1, 1, 1) phi=-1/4*pi n=0" in out.splitlines()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -230,7 +233,29 @@ def test_unsupported_root_system_type_exits_two(tmp_path, capsys):
         out = io.StringIO()
         assert main(argv, stdout=out) == 2
         assert out.getvalue() == ""
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        # a closed root set keeps the type message
+        assert err.startswith("error: ") and err.endswith(" is not recognized\n")
+
+
+def test_active_set_that_is_no_root_system_exits_two(tmp_path, capsys):
+    # the B2+A2 datum of test_alcove.py: phase 1/4 on a1 alone is not
+    # additive on root strings, so the active roots at 0 are not closed
+    b2 = [(0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+          (0, 0, 1, 1)]
+    doc = {"name": "reducible", "rank": 4, "order": 4,
+           "gram": [[2, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+           "sectors": [{"phi": "1/4", "roots": [{"v": [1, 0, 0, 0], "m": 1}]},
+                       {"phi": "0", "roots": [{"v": list(w), "m": 1} for v in b2
+                                              for w in (v, tuple(-x for x in v))]}]}
+    path = tmp_path / "b2a2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    assert main(["analyze", "--triad", f"@{path}", "--point=0,0,0,0"], stdout=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "error: the active roots at (0, 0, 0, 0) are not closed under their "
+        "reflections, so they form no root system\n")
 
 
 def test_validation_errors_exit_two(tmp_path):
