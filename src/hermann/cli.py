@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 datum parse/validation error (a
 datum file that is not UTF-8 JSON included) or a root set, of the datum or
 active at the point, that is no root system of type A, B, BC, C, D, G, 3
 internal inconsistency, 4 not certified (find-minimal reached no certified
-point within its precision ladder).  All output is ASCII and
+point within its precision ladder, or a root or Weyl closure outgrew its
+element budget).  All output is ASCII and
 byte-deterministic for a fixed command line.
 """
 
@@ -20,7 +21,7 @@ from .diagram import MARGIN, RankTooHigh, render_svg
 from .exact import format_interval, parse_rational
 from .geometry import InternalInconsistency, NoConvergence, TriState, \
     find_minimal, orbit_report, scan_austere, shape_spectrum
-from .roots import UnrecognizedType
+from .roots import ClosureBudgetExceeded, UnrecognizedType
 
 
 class _UsageError(Exception):
@@ -319,7 +320,7 @@ def main(argv=None, stdout=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except NoConvergence as exc:
+    except (NoConvergence, ClosureBudgetExceeded) as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 4
 

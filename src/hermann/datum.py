@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import GramMatrix, format_rational, inner, parse_rational
+from .exact import GramMatrix, inner, parse_rational
 from .roots import (CartanLabel, RootSystem, build_root_system,
                     decompose_and_classify, verify_axioms, _is_positive, _unit)
 
@@ -365,12 +365,12 @@ def serialize_datum(d: GradedRootDatum) -> str:
     doc = {
         "name": d.name,
         "rank": d.rank,
-        "gram": [[format_rational(x) for x in row] for row in d.sigma.gram.entries],
+        "gram": [[str(x) for x in row] for row in d.sigma.gram.entries],
         "order": d.order,
         "zero_mult": d.zero_mult,
         "sectors": [
             {
-                "phi": format_rational(s.phi),
+                "phi": str(s.phi),
                 "roots": [{"v": list(v), "m": s.roots[v]} for v in sorted(s.roots)],
             }
             for s in sorted(d.sectors, key=lambda s: s.phi)

@@ -63,9 +63,6 @@ class RealInterval:
     def certainly_nonzero(self) -> bool:
         return self.lo > 0 or self.hi < 0
 
-    def __neg__(self) -> "RealInterval":
-        return RealInterval(-self.hi, -self.lo, self.precision_bits)
-
     def scale(self, c) -> "RealInterval":
         c = Fraction(c)
         if c >= 0:
@@ -288,13 +285,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
-
-
-def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def primitive_direction(vec):

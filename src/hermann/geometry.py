@@ -263,7 +263,7 @@ def symmetry_flags(d: GradedRootDatum, point: AlcovePoint,
     predicted = tits_minus_identity(labels)
     if has != predicted:
         raise InternalInconsistency(
-            f"-id in Weyl group: matrix search says {has}, "
+            f"-id in Weyl group: chamber orbit says {has}, "
             f"type table for {'+'.join(map(str, labels))} says {predicted}")
     return SymmetryFlags(True, has)
 

@@ -6,7 +6,8 @@ systems are supported throughout.  A subsystem keeps those coordinates and
 carries its own simple roots.  Every reflection pairs with one kernel, the
 coroot row 2 G alpha / (alpha, alpha): s_alpha(v) = v - (row . v) alpha.
 A loop that reflects in one root computes its row once.  The Weyl group is
-a closure of integer reflection matrices, one per simple root.  An
+the orbit of one regular chamber point in coroot coordinates, closed under
+the simple reflections read off the integer Cartan matrix.  An
 irreducible component is named by its rank, its root count and its
 shortest-root count.
 """
@@ -205,26 +206,22 @@ def verify_axioms(rs: RootSystem) -> bool:
     return True
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
 def weyl_group(rs: RootSystem) -> WeylGroup:
-    r = rs.rank
-    ident = tuple(_unit(i, r) for i in range(r))
-    # generator j is s_j = I - s (x) row_j: its column k is s_j(e_k)
+    """W as the orbit of the chamber point c0 = (1, ..., k) in coroot coordinates.
+
+    c_j = <v, s_j^vee> on the span of the k simple roots, and s_i sends c to
+    c - c_i A_i, A_i being row i of the integer Cartan matrix (the generators).
+    c0 is regular, so the orbit has one point per element.
+    """
     rows = [coroot(s, rs.gram) for s in rs.simple_roots]
-    gens = tuple(tuple(tuple(int(i == k) - s[i] * c for k, c in enumerate(row))
-                       for i in range(r))
-                 for s, row in zip(rs.simple_roots, rows))
-    elements = {ident}
-    frontier = [ident]
+    gens = tuple(tuple(int(pairing(row, s)) for row in rows) for s in rs.simple_roots)
+    c0 = tuple(range(1, len(gens) + 1))
+    elements = {c0}
+    frontier = [c0]
     while frontier:
-        m = frontier.pop()
-        for g in gens:
-            w = _mat_mul(m, g)
+        c = frontier.pop()
+        for i, a in enumerate(gens):
+            w = tuple(x - c[i] * y for x, y in zip(c, a))
             if w not in elements:
                 if len(elements) >= DEFAULT_BUDGET:
                     raise ClosureBudgetExceeded(f"Weyl closure exceeded {DEFAULT_BUDGET}")
@@ -234,10 +231,13 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
 
 
 def contains_minus_identity(w: WeylGroup) -> bool:
-    if not w.generators:
-        return False
-    r = len(w.generators[0])
-    return tuple(tuple(-x for x in _unit(i, r)) for i in range(r)) in w.elements
+    """-id on the span of the simple roots (the ambient -id when they span).
+
+    It is the lookup of -c0: w c0 = -c0 forces w = w_0 = -sigma, and sigma = id
+    since the entries of c0 are distinct.
+    """
+    k = len(w.generators)
+    return k > 0 and tuple(range(-1, -k - 1, -1)) in w.elements
 
 
 def tits_minus_identity(labels) -> bool:

@@ -270,6 +270,16 @@ def test_validation_errors_exit_two(tmp_path):
     assert code == 2
 
 
+def test_closure_over_budget_exits_four(monkeypatch, capsys):
+    # the 20 roots of A4 fit in the budget, the 120 Weyl elements do not
+    import hermann.roots as roots
+    monkeypatch.setattr(roots, "DEFAULT_BUDGET", 50)
+    out = io.StringIO()
+    assert main(["faces", "--triad", "isotropy:A4"], stdout=out) == 4
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "not certified: Weyl closure exceeded 50\n"
+
+
 def test_internal_errors_exit_three(monkeypatch):
     import hermann.cli as cli
     from hermann.geometry import InternalInconsistency
@@ -329,6 +339,22 @@ def test_analyze_rank_six_generic_point():
             "arid*: no", "WR*: no"]
         # minimal is a certified no, so the norm is certainly positive
         assert lines[8].startswith("norm: ") and not lines[8].startswith("norm: <=")
+
+
+def test_faces_and_scan_at_rank_six():
+    # every vertex of su_sp 15,13 is austere with a spanning active system
+    # that contains -id; the denominator-8 scan finds exactly those vertices
+    rows = (("(0, 0, 0, 0, 0, 0)", "BC6", "3.33"), ("(0, 0, 0, 0, 0, 1/4)", "BC6", "3.53"),
+            ("(0, 0, 0, 0, 1/4, 0)", "BC1+BC5", "6.44"),
+            ("(0, 0, 0, 1/4, 0, 0)", "BC2+BC4", "8.71"),
+            ("(0, 0, 1/4, 0, 0, 0)", "BC3+BC3", "9.86"),
+            ("(0, 1/4, 0, 0, 0, 0)", "BC2+BC4", "9.52"),
+            ("(1/4, 0, 0, 0, 0, 0)", "BC1+BC5", "7.38"))
+    want = [[p, t, "no", "yes", "yes", "yes", f"<={n}e-60@192b"] for p, t, n in rows]
+    for argv in (["faces"], ["scan-austere", "--denominator", "8"]):
+        code, out = _run([*argv, *SU_SP_RANK_6, "--format", "tsv"])
+        assert code == 0
+        assert [line.split("\t") for line in out.splitlines()[1:]] == want
 
 
 def test_reduce_rank_six_lands_in_closed_alcove():

@@ -13,7 +13,6 @@ from hermann.exact import (
     cot_eval,
     dual_basis,
     format_interval,
-    format_rational,
     inner,
     matrix_rank,
     parse_rational,
@@ -40,7 +39,7 @@ def test_parse_rational():
 
 def test_format_rational_round_trip():
     for f in (Fraction(0), Fraction(-3, 7), Fraction(5)):
-        assert parse_rational(format_rational(f)) == f
+        assert parse_rational(str(f)) == f
 
 
 def test_cot_quarter_pi_is_one():
@@ -51,7 +50,7 @@ def test_cot_quarter_pi_is_one():
 
 def test_cot_known_signs():
     assert cot_eval(Fraction(1, 6)).certainly_positive
-    assert (-cot_eval(Fraction(2, 3))).certainly_positive
+    assert cot_eval(Fraction(2, 3)).hi < 0
     assert cot_eval(HALF).contains_zero
 
 
@@ -87,7 +86,7 @@ def test_interval_product_contains_exact_product(x, y):
 def test_interval_operations():
     a = RealInterval(Fraction(1, 3), Fraction(1, 2), 192)
     assert a.certainly_positive and a.certainly_nonzero
-    assert (-a).hi == Fraction(-1, 3)
+    assert a.scale(-1).hi == Fraction(-1, 3)
     assert a.scale(Fraction(-2)).lo == Fraction(-1)
     s = a + RealInterval(Fraction(-1), Fraction(-1), 192)
     assert s.contains_zero is False and s.hi < 0

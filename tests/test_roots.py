@@ -78,8 +78,8 @@ def test_axioms_hold_for_reference_systems(label):
 def test_weyl_group_orders(label):
     group = weyl_group(_system(label))
     assert group.order == WEYL_ORDERS[label]
-    # the closure runs over integer matrices
-    assert all(type(x) is int for g in group.generators for row in g for x in row)
+    # the generators are the integer Cartan rows
+    assert all(type(x) is int for row in group.generators for x in row)
 
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
@@ -157,12 +157,10 @@ def test_doubling_detection_picks_bc_not_b():
 
 @given(st.sampled_from(sorted(WEYL_ORDERS)))
 @settings(max_examples=15, deadline=None)
-def test_weyl_action_permutes_roots(label):
-    system = _system(label)
-    group = weyl_group(system)
-    roots = set(system.roots)
-    for mat in list(group.elements)[:12]:
-        for v in system.simple_roots:
-            image = tuple(sum(mat[i][j] * v[j] for j in range(len(v)))
-                          for i in range(len(v)))
-            assert image in roots
+def test_weyl_orbit_of_chamber_point_is_regular(label):
+    group = weyl_group(_system(label))
+    k = len(group.generators)
+    assert len(group.elements) == WEYL_ORDERS[label]
+    # every orbit point lies in an open chamber, and only c0 in the fundamental one
+    assert all(0 not in c for c in group.elements)
+    assert [c for c in group.elements if min(c) > 0] == [tuple(range(1, k + 1))]
