@@ -39,6 +39,7 @@ from .exact import (
     DimensionMismatch,
     GramMatrix,
     PoleError,
+    PrecisionExhausted,
     RealInterval,
     SingularGram,
     cot_eval,

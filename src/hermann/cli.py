@@ -1,24 +1,26 @@
 """Command-line front end for alcove reports, scans and diagrams.
 
 Exit codes: 0 success, 1 usage error, 2 datum parse/validation error (a
-datum file that is not UTF-8 JSON included) or a root set, of the datum or
-active at the point, that is no root system of type A, B, BC, C, D, G, 3
-internal inconsistency, 4 not certified (find-minimal reached no certified
-point within its precision ladder, or a root or Weyl closure outgrew its
-element budget).  All output is ASCII and
-byte-deterministic for a fixed command line.
+datum file that is not UTF-8 JSON included), a datum whose alcove is empty,
+or a root set, of the datum or active at the point, that is no root system
+of type A, B, BC, C, D, G, 3 internal inconsistency (folding that outran its
+proven reflection budget included), 4 not certified (find-minimal reached no
+certified point within its precision ladder, a cotangent enclosure missed
+its width after 16 precision doublings, or a root or Weyl closure outgrew
+its element budget).  All output is ASCII and byte-deterministic for a
+fixed command line.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
-from .alcove import AlcovePoint, alcove_vertices, faces, point_in_alcove, \
-    reduce_to_alcove
+from .alcove import AlcovePoint, EmptyAlcove, NonTermination, alcove_vertices, \
+    faces, point_in_alcove, reduce_to_alcove
 from .datum import BadParameters, CATALOG, ParseError, UnknownKey, \
     ValidationError, catalog, parse_datum, serialize_datum
 from .diagram import MARGIN, RankTooHigh, render_svg
-from .exact import format_interval, parse_rational
+from .exact import PrecisionExhausted, format_interval, parse_rational
 from .geometry import InternalInconsistency, NoConvergence, TriState, \
     find_minimal, orbit_report, scan_austere, shape_spectrum
 from .roots import ClosureBudgetExceeded, UnrecognizedType
@@ -314,13 +316,13 @@ def main(argv=None, stdout=None) -> int:
     except (_UsageError, UnknownKey, BadParameters, RankTooHigh) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, UnrecognizedType) as exc:
+    except (ParseError, ValidationError, UnrecognizedType, EmptyAlcove) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalInconsistency as exc:
+    except (InternalInconsistency, NonTermination) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (NoConvergence, ClosureBudgetExceeded) as exc:
+    except (NoConvergence, ClosureBudgetExceeded, PrecisionExhausted) as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 4
 

@@ -17,6 +17,7 @@ from math import gcd
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import mpi_cos_sin
 
 #: Escalation ladder for comparisons that are not decided by angle identities.
 DEFAULT_PRECISION_BITS = 192
@@ -25,6 +26,10 @@ MAX_PRECISION_BITS = 1536
 
 class PoleError(ValueError):
     """cot evaluated at a multiple of pi."""
+
+
+class PrecisionExhausted(RuntimeError):
+    """cot_eval reached no enclosure of the asked width in 16 doublings."""
 
 
 class DimensionMismatch(ValueError):
@@ -130,7 +135,8 @@ def iv_from_interval(ctx, r: RealInterval):
 def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealInterval:
     """Certified enclosure of cot(a*pi), width <= 2^(8 - precision_bits).
 
-    a is the angle's coefficient of pi, so the cache key is exact.
+    a is the angle's coefficient of pi, so the cache key is exact.  Each
+    working precision takes cos and sin from one interval evaluation.
     """
     coeff = a % 1
     if coeff == 0:
@@ -140,18 +146,18 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     for _ in range(16):
         ctx = _iv(work)
         theta = ctx.pi * coeff.numerator / coeff.denominator
-        sin = ctx.sin(theta)
+        cos, sin = mpi_cos_sin(theta._mpi_, work)
         # sin(theta) > 0 on (0, pi); an enclosure touching 0 means the
         # working precision cannot separate it yet
-        if _raw_mpf_to_fraction(sin._mpi_[0]) <= 0:
+        if _raw_mpf_to_fraction(sin[0]) <= 0:
             work *= 2
             continue
-        value = ctx.cos(theta) / sin
+        value = ctx.make_mpf(cos) / ctx.make_mpf(sin)
         out = interval_from_iv(value, precision_bits)
         if out.width <= target:
             return out
         work *= 2
-    raise RuntimeError(f"cot enclosure did not reach width {target} for {a}*pi")
+    raise PrecisionExhausted(f"cot enclosure did not reach width {target} for {a}*pi")
 
 
 def pairing(alpha, x):

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from hermann.alcove import EmptyAlcove, NonTermination
 from hermann.cli import main
+from hermann.exact import PrecisionExhausted
 
 
 def _run(argv):
@@ -203,6 +205,24 @@ def test_uncertified_minimal_search_exits_four(capsys):
     assert err.startswith("not certified: ")
     assert err.count("\n") == 1 and len(err) < 200
     assert "1.0e-2000" in err and "6740 bits" in err and "6144 bits" in err
+
+
+@pytest.mark.parametrize("module, name, exc, argv, code, prefix", [
+    ("hermann.geometry", "cot_eval", PrecisionExhausted,
+     ["analyze", "--triad", "so8_g2", "--point=1/12,1/24"], 4, "not certified: "),
+    ("hermann.cli", "faces", EmptyAlcove,
+     ["faces", "--triad", "so8_g2"], 2, "error: "),
+    ("hermann.cli", "reduce_to_alcove", NonTermination,
+     ["reduce", "--triad", "so8_g2", "--point=3,1"], 3, "internal inconsistency: "),
+], ids=["PrecisionExhausted", "EmptyAlcove", "NonTermination"])
+def test_library_errors_map_to_exit_codes(monkeypatch, capsys, module, name, exc,
+                                          argv, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc("forced")
+
+    monkeypatch.setattr(f"{module}.{name}", fail)
+    assert _run(argv) == (code, "")
+    assert capsys.readouterr().err == f"{prefix}forced\n"
 
 
 def test_unsupported_root_system_type_exits_two(tmp_path, capsys):

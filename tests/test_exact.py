@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from mpmath.ctx_iv import MPIntervalContext
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from hermann.exact import (
     dual_basis,
     format_interval,
     inner,
+    interval_from_iv,
     matrix_rank,
     parse_rational,
     primitive_direction,
@@ -28,6 +30,18 @@ angles = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
                       max_denominator=64)
 small_fractions = st.fractions(min_value=Fraction(-8), max_value=Fraction(8),
                                max_denominator=100)
+
+
+@pytest.mark.parametrize("bits", [192, 495, 990])
+def test_cot_eval_matches_interval_quotient(bits):
+    angles = sorted({Fraction(k, n) for n in range(2, 25) for k in range(1, n)})
+    for a in angles:
+        iv = MPIntervalContext()
+        iv.prec = bits + 16
+        theta = iv.pi * a.numerator / a.denominator
+        want = interval_from_iv(iv.cos(theta) / iv.sin(theta), bits)
+        got = cot_eval(a, bits)
+        assert (got.lo, got.hi, got.precision_bits) == (want.lo, want.hi, bits), a
 
 
 def test_parse_rational():

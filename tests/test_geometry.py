@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hermann.alcove import AlcovePoint, alcove_barycenter, alcove_vertices
 from hermann.datum import catalog
 import hermann.geometry as geometry
-from hermann.exact import inner
+from hermann.exact import cot_eval, format_interval, inner
 from hermann.geometry import (
     CotTerm,
     TriState,
@@ -290,6 +292,24 @@ def test_find_minimal_g2_interior():
     assert orbit.norm.hi < Q(1, 10 ** 20)
     from hermann.alcove import point_in_alcove
     assert point_in_alcove(d, orbit.point, strict=True)
+
+
+@pytest.mark.parametrize("key, datum, tolerance", [
+    # the first rung; 296 -> 592 bits; 495 -> 990 bits
+    ("su_sp:11,9", ("su_sp", {"p": 11, "q": 9}), "1e-20"),
+    ("isotropy:C3", ("isotropy", {"label": "C3"}), "1e-60"),
+    ("so_even:7,5", ("so_even", {"p": 7, "q": 5}), "1e-120"),
+], ids=["su_sp:11,9-1e-20", "isotropy:C3-1e-60", "so_even:7,5-1e-120"])
+def test_find_minimal_replays_stored_benchmark_bytes(key, datum, tolerance):
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
+    want = json.loads(path.read_text(encoding="utf-8"))[f"find_minimal({key}, {tolerance})"]
+    d = catalog(datum[0], **datum[1])
+    cot_eval.cache_clear()
+    orbit = find_minimal(d, Fraction(tolerance))
+    got = (f"datum: {d.name}\niterations: {orbit.iterations}\n"
+           f"bits: {orbit.precision_bits}\npoint: {orbit.point}\n"
+           f"norm: {format_interval(orbit.norm)}\n")
+    assert got == want
 
 
 grid_coordinate = st.integers(min_value=0, max_value=12)
