@@ -77,7 +77,6 @@ class ActiveRoots:
 
 @dataclass(frozen=True)
 class Face:
-    delta: tuple
     active_facets: tuple
     representative: AlcovePoint
     dimension: int
@@ -220,11 +219,11 @@ def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
 def faces(d: GradedRootDatum):
     """All nonempty closed faces, one exact representative each.
 
-    A face is keyed by the set of facets containing it; delta lists the
-    complementary (inactive) facet indices.  Faces come back sorted by
-    dimension, vertices first.
+    A face is keyed by the set of facets containing it, active_facets,
+    as sorted facet indices.  Faces come back sorted by dimension,
+    vertices first.
     """
-    facets, verts, tight = _alcove_data(d)
+    _, verts, tight = _alcove_data(d)
     sets = set(tight)
     frontier = list(sets)
     while frontier:
@@ -237,8 +236,7 @@ def faces(d: GradedRootDatum):
     out = []
     for a in sets:
         members = [v.coeffs for v, t in zip(verts, tight) if t >= a]
-        out.append(Face(tuple(i for i in range(len(facets)) if i not in a),
-                        tuple(sorted(a)), _centroid(members), _affine_rank(members)))
+        out.append(Face(tuple(sorted(a)), _centroid(members), _affine_rank(members)))
     return tuple(sorted(out, key=lambda fc: (fc.dimension, fc.representative.coeffs)))
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import mpi_cos_sin
 
-#: Escalation ladder for comparisons that are not decided by angle identities.
+#: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
+#: caps the precision ladder of find_minimal (four times this, at most).
 DEFAULT_PRECISION_BITS = 192
 MAX_PRECISION_BITS = 1536
 
@@ -63,10 +63,6 @@ class RealInterval:
     @property
     def certainly_positive(self) -> bool:
         return self.lo > 0
-
-    @property
-    def certainly_nonzero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
 
     def scale(self, c) -> "RealInterval":
         c = Fraction(c)
@@ -291,21 +287,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
-
-
-def primitive_direction(vec):
-    """(u, c) with vec = c*u, u primitive integer, first nonzero entry > 0."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g == 0:
-        raise ValueError("zero vector has no direction")
-    u = tuple(int(x) // g for x in vec)
-    lead = next(x for x in u if x != 0)
-    if lead < 0:
-        u = tuple(-x for x in u)
-        g = -g
-    return u, g
 
 
 def format_interval(r: RealInterval) -> str:

@@ -5,20 +5,20 @@ wall passes through the point contributes nothing.  One pass builds these
 cot terms and every classification of an orbit report is read off them.
 
 In direction xi the principal curvatures are -<alpha, xi> cot(pi theta).
-Writing alpha = c*u on its root line u, the identities cot(pi - x) = -cot x
-and cot(pi/2) = 0 make the multiset symmetric under -1 when every line is
-balanced, m(c, theta) = m(c, 1 - theta) for theta != 1/2: austere is yes.
-An excess class is no unless a cross pair c' != c on its line stays
-unseparated by certified intervals, which is the only indeterminate case.
-Minimal is yes when every angle class cancels exactly and no when the
-certified norm is positive, so both predicates are honest tri-states: yes
-and no are proved, indeterminate means neither certificate was reached.
+The identities cot(pi - x) = -cot x and cot(pi/2) = 0 make the multiset
+symmetric under -1 when every root is balanced, m(alpha, theta) =
+m(alpha, 1 - theta); no cross pair on a root line cancels an excess (see
+_austere), so austere is exactly yes or no.  Minimal is yes when every
+angle class cancels exactly and no when the certified norm is positive; it
+is an honest tri-state: yes and no are proved, indeterminate means neither
+certificate was reached.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
@@ -32,8 +32,7 @@ from .alcove import (ActiveRoots, AlcovePoint, active_roots, alcove_barycenter,
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RealInterval,
                     cot_eval, interval_from_iv, iv_from_interval,
-                    mpf_to_fraction, pairing, primitive_direction,
-                    zero_interval, _iv)
+                    mpf_to_fraction, pairing, zero_interval, _iv)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
 
@@ -156,49 +155,28 @@ def is_totally_geodesic(d: GradedRootDatum, point: AlcovePoint) -> bool:
     return _totally_geodesic(cot_terms(d, point))
 
 
-def _certified_nonzero_sum(c1, t1, c2, t2) -> bool:
-    """Certify c1*cot(pi t1) + c2*cot(pi t2) != 0, escalating precision."""
-    prec = DEFAULT_PRECISION_BITS
-    while prec <= MAX_PRECISION_BITS:
-        v = cot_eval(t1, prec).scale(c1) + cot_eval(t2, prec).scale(c2)
-        if v.certainly_nonzero:
-            return True
-        prec *= 2
-    return False
-
-
-def _lines(terms):
-    """Per root line u, the multiplicity of each class (c, theta), alpha = c*u."""
-    lines = {}
-    for t in terms:
-        u, c = primitive_direction(t.alpha)
-        bucket = lines.setdefault(u, {})
-        key = (c, t.theta)
-        bucket[key] = bucket.get(key, 0) + t.mult
-    return lines.values()
-
-
 def _austere(terms) -> TriState:
-    """Balance of every root line under theta -> 1 - theta.
+    """Yes exactly when every root alpha balances theta against 1 - theta.
 
-    An excess of (c, theta) over its mirror (c, 1 - theta) can only be
-    cancelled by a cross pair c*cot(pi theta) = -c'*cot(pi theta') with
-    c' != c; when every such pair is certified nonzero the verdict is no.
+    In a generic direction only roots on one line share a curvature, and
+    only alpha and 2*alpha share a line (verify_axioms rejects 3*alpha and
+    4*alpha).  So an unbalanced class could only be offset by a cross pair
+    cot x + 2 cot y = 0 (y -> pi - y covers an equal-sign coincidence), with
+    x, y rational multiples of pi outside (pi/2) Z.  That is a vanishing
+    rational sum of four roots of unity; by Mann's theorem (Mathematika 12,
+    1965) and the classification of Conway and Jones (Acta Arith. 30, 1976)
+    it forces x, y in (pi/6) Z, where cot x / cot y is never -2.  So the
+    verdict is exact: yes or no, never indeterminate.
     """
-    verdict = TriState.YES
-    for classes in _lines(terms):
-        for (c, theta), m in classes.items():
-            if theta == _HALF or m <= classes.get((c, 1 - theta), 0):
-                continue
-            if all(_certified_nonzero_sum(c, theta, c2, t2)
-                   for c2, t2 in classes if c2 != c and t2 != _HALF):
-                return TriState.NO
-            verdict = TriState.INDETERMINATE
-    return verdict
+    counts = Counter()
+    for t in terms:
+        counts[t.alpha, t.theta] += t.mult
+    balanced = all(m == counts[a, 1 - theta] for (a, theta), m in counts.items())
+    return TriState.YES if balanced else TriState.NO
 
 
 def is_austere(d: GradedRootDatum, point: AlcovePoint) -> TriState:
-    """Tri-state test for invariance of the curvature multiset under -1."""
+    """Exact yes/no test for invariance of the curvature multiset under -1."""
     return _austere(cot_terms(d, point))
 
 
@@ -436,17 +414,17 @@ def _scan_chunk(args):
     out = []
     for coeffs in pts:
         state = is_austere(d, AlcovePoint(coeffs))
-        if state is not TriState.NO:
+        if state is TriState.YES:
             out.append((coeffs, state))
     return out
 
 
 def scan_austere(d: GradedRootDatum, denominator: int, jobs: int = 1):
-    """Austere candidates on the (1/denominator)-grid of the closed alcove.
+    """Austere points on the (1/denominator)-grid of the closed alcove.
 
-    Returns (point, verdict) pairs in lexicographic point order, keeping
-    only yes and indeterminate verdicts.  Up to `jobs` worker processes
-    share the grid, never more than one per CPU or per batch.
+    Returns (point, verdict) pairs in lexicographic point order; every
+    verdict is yes, since austere is decided exactly.  Up to `jobs` worker
+    processes share the grid, never more than one per CPU or per batch.
     """
     if denominator < 1:
         raise ValueError("denominator must be a positive integer")

@@ -18,7 +18,6 @@ from hermann.exact import (
     interval_from_iv,
     matrix_rank,
     parse_rational,
-    primitive_direction,
     row_reduce,
     solve_exact,
     zero_interval,
@@ -42,6 +41,19 @@ def test_cot_eval_matches_interval_quotient(bits):
         want = interval_from_iv(iv.cos(theta) / iv.sin(theta), bits)
         got = cot_eval(a, bits)
         assert (got.lo, got.hi, got.precision_bits) == (want.lo, want.hi, bits), a
+
+
+def test_cot_plus_twice_cot_never_vanishes():
+    # cot x + 2 cot y = 0 at rational x/pi, y/pi outside Z/2 would be a
+    # rational relation among four roots of unity, which Mann's theorem and
+    # the Conway-Jones classification rule out; austere verdicts rest on it
+    angles = sorted({Fraction(k, n) for n in range(2, 25) for k in range(1, n)} - {HALF})
+    assert len(angles) == 178
+    cots = [cot_eval(a) for a in angles]
+    twice = [c.scale(2) for c in cots]
+    for a, x in zip(angles, cots):
+        for b, y in zip(angles, twice):
+            assert not (x + y).contains_zero, (a, b)
 
 
 def test_parse_rational():
@@ -99,7 +111,7 @@ def test_interval_product_contains_exact_product(x, y):
 
 def test_interval_operations():
     a = RealInterval(Fraction(1, 3), Fraction(1, 2), 192)
-    assert a.certainly_positive and a.certainly_nonzero
+    assert a.certainly_positive
     assert a.scale(-1).hi == Fraction(-1, 3)
     assert a.scale(Fraction(-2)).lo == Fraction(-1)
     s = a + RealInterval(Fraction(-1), Fraction(-1), 192)
@@ -152,11 +164,6 @@ def test_solve_exact_and_rank():
     assert pivots == (0, 1, 3)
     assert rref == [[1, 0, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
     assert all(isinstance(x, Fraction) for row in rref for x in row)
-
-
-def test_primitive_direction():
-    assert primitive_direction((2, 4)) == ((1, 2), 2)
-    assert primitive_direction((0, -3)) == ((0, 1), -3)
 
 
 def test_format_interval_annotations():

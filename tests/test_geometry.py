@@ -1,14 +1,17 @@
 import json
 from fractions import Fraction
 from functools import cache
+from math import ceil, floor
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermann.alcove import AlcovePoint, alcove_barycenter, alcove_vertices
-from hermann.datum import catalog
+from hermann.alcove import (AlcovePoint, alcove_barycenter, alcove_vertices,
+                            point_in_alcove)
+from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
 from hermann.exact import cot_eval, format_interval, inner
 from hermann.geometry import (
@@ -158,20 +161,82 @@ def _line(*classes):
     (_line((1, Q(1, 2), 3)), TriState.YES),
     (_line((1, Q(1, 3), 1), (2, Q(1, 4), 2), (1, Q(2, 3), 1), (2, Q(3, 4), 2)),
      TriState.YES),
+    # a mirror angle on another root, or on another root of the same line,
+    # balances nothing
+    ((CotTerm((1, 0), Q(1, 3), 1), CotTerm((0, 1), Q(2, 3), 1)), TriState.NO),
+    (_line((1, Q(1, 3), 1), (2, Q(2, 3), 1)), TriState.NO),
 ])
 def test_line_balance_rule(terms, verdict):
     assert _austere(terms) is verdict
 
 
-def test_excess_meeting_unseparated_cross_pair_is_indeterminate(monkeypatch):
-    # the excess at (1, 1/3) can only be cancelled by the c = 2 class
+def test_excess_meeting_cross_pair_is_no():
+    # the excess at (1, 1/3) could only be cancelled by the c = 2 class,
+    # and cot x + 2 cot y never vanishes at rational angles
     terms = _line((1, Q(1, 3), 1), (2, Q(3, 4), 1), (2, Q(1, 4), 1))
     assert _austere(terms) is TriState.NO
-    monkeypatch.setattr(geometry, "_certified_nonzero_sum", lambda *args: False)
-    assert _austere(terms) is TriState.INDETERMINATE
     # an exact excess on a second line still decides no
     other = CotTerm((0, 1), Q(1, 5), 1)
     assert _austere(terms + (other,)) is TriState.NO
+
+
+SPECTRUM_DATA = (
+    ("so8_g2", {}),
+    ("isotropy", {"label": "BC2"}),
+    ("isotropy", {"label": "B2"}),
+    ("so_even", {"p": 7, "q": 5}),
+    ("su_sp", {"p": 7, "q": 5}),
+    ("isotropy", {"label": "BC3"}),
+)
+
+
+def _closed_grid(d, denominator):
+    """Points of the closed alcove whose coordinates have the given denominator."""
+    verts = alcove_vertices(d)
+    axes = [range(floor(min(v.coeffs[i] for v in verts) * denominator),
+                  ceil(max(v.coeffs[i] for v in verts) * denominator) + 1)
+            for i in range(d.rank)]
+    points = [AlcovePoint((Q(k, denominator),)) for k in axes[0]]
+    for axis in axes[1:]:
+        points = [AlcovePoint(p.coeffs + (Q(k, denominator),))
+                  for p in points for k in axis]
+    return [p for p in points if point_in_alcove(d, p)]
+
+
+def _spectrum_is_symmetric(d, point, xi):
+    """Whether -<alpha, xi> cot(pi theta), mult m, is symmetric under -1.
+
+    The curvatures are built straight from the roots at mpmath's precision.
+    """
+    values = []
+    for alpha, t, m in positive_sector_roots(d):
+        theta = sum(a * x for a, x in zip(alpha, point.coeffs)) + t
+        if theta.denominator == 1:
+            continue  # the root's wall passes through the point
+        slope = mpmath.fsum(a * x for a, x in zip(alpha, xi))
+        cot = mpmath.cot(mpmath.pi * theta.numerator / theta.denominator)
+        values += [-slope * cot] * m
+    values.sort()
+    return all(abs(v + w) < mpmath.mpf(10) ** -30
+               for v, w in zip(values, reversed(values)))
+
+
+def test_austere_matches_explicit_spectra():
+    # at two irrational directions xi no accidental coincidence of
+    # curvatures hides an imbalance, so symmetry there is austerity
+    points = yes = 0
+    with mpmath.workdps(50):
+        xis = [(1, mpmath.sqrt(2), mpmath.sqrt(3)),
+               (mpmath.e, mpmath.mpf(1) / 3, mpmath.sqrt(5))]
+        for key, params in SPECTRUM_DATA:
+            d = catalog(key, **params)
+            for point in _closed_grid(d, 12):
+                symmetric = all(_spectrum_is_symmetric(d, point, xi[:d.rank])
+                                for xi in xis)
+                assert (is_austere(d, point) is TriState.YES) == symmetric, (key, point)
+                points += 1
+                yes += symmetric
+    assert (points, yes) == (190, 19)
 
 
 def test_minimal_by_exact_cancellation_without_austerity():
@@ -290,7 +355,6 @@ def test_find_minimal_g2_interior():
     d = _g2()
     orbit = find_minimal(d)
     assert orbit.norm.hi < Q(1, 10 ** 20)
-    from hermann.alcove import point_in_alcove
     assert point_in_alcove(d, orbit.point, strict=True)
 
 
@@ -318,7 +382,6 @@ grid_coordinate = st.integers(min_value=0, max_value=12)
 @given(st.tuples(grid_coordinate, grid_coordinate))
 @settings(max_examples=40, deadline=None)
 def test_flag_implications_on_grid(ij):
-    from hermann.alcove import point_in_alcove
     d = _g2()
     point = AlcovePoint((Q(ij[0], 36), Q(ij[1], 36)))
     if not point_in_alcove(d, point):
