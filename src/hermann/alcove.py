@@ -26,8 +26,9 @@ from math import gcd
 
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import matrix_rank, pairing
-from .roots import (RootSystem, UnrecognizedType, coroot, decompose_and_classify,
-                    subsystem, verify_axioms)
+from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem,
+                    UnrecognizedType, coroot, decompose_and_classify, subsystem,
+                    verify_axioms)
 
 
 class EmptyAlcove(ValueError):
@@ -245,7 +246,8 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
 
     Returns the folded point and the wall word applied, first wall first.
     Each reflection lowers the number of slab walls separating the point
-    from the alcove, which bounds the loop exactly.
+    from the alcove, which bounds the loop exactly; a point whose bound
+    exceeds roots.DEFAULT_BUDGET raises ClosureBudgetExceeded unfolded.
     """
     facets = _alcove_data(d)[0]
     x = list(point.coeffs)
@@ -253,6 +255,9 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     for alpha, t, _ in positive_sector_roots(d):
         p = pairing(alpha, point.coeffs) + t
         budget += 2 + abs(int(p))
+    if budget > DEFAULT_BUDGET:
+        raise ClosureBudgetExceeded(f"folding may need {budget} reflections, "
+                                    f"more than the budget of {DEFAULT_BUDGET}")
     walls = []
     for _ in range(budget):
         hit = next((q.wall for q in facets if pairing(q.normal, x) > q.bound), None)

@@ -6,9 +6,9 @@ or a root set, of the datum or active at the point, that is no root system
 of type A, B, BC, C, D, G, 3 internal inconsistency (folding that outran its
 proven reflection budget included), 4 not certified (find-minimal reached no
 certified point within its precision ladder, a cotangent enclosure missed
-its width after 16 precision doublings, or a root or Weyl closure outgrew
-its element budget).  All output is ASCII and byte-deterministic for a
-fixed command line.
+its width after 16 precision doublings, a root or Weyl closure outgrew its
+element budget, or reduce would need more reflections than that budget).
+All output is ASCII and byte-deterministic for a fixed command line.
 """
 
 import argparse
@@ -200,8 +200,8 @@ def _cmd_scan(args, write):
     if args.jobs < 1:
         raise _UsageError("--jobs must be a positive integer")
     d = _load_datum(args)
-    hits = scan_austere(d, args.denominator, jobs=args.jobs)
-    rows = [_table_row(orbit_report(d, p)) for p, _ in hits]
+    hits = scan_austere(d, args.denominator)
+    rows = [_table_row(orbit_report(d, p)) for p in hits]
     _emit_table(rows, args.format, write)
     return 0
 
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scan-austere", help="grid scan for austere points")
     _add_triad_options(p_sc)
     p_sc.add_argument("--denominator", type=int, required=True)
-    p_sc.add_argument("--jobs", type=int, default=1)
+    p_sc.add_argument("--jobs", type=int, default=1)  # accepted, has no effect
     p_sc.add_argument("--format", choices=("plain", "tsv"), default="plain")
     p_sc.set_defaults(func=_cmd_scan)
 

@@ -8,22 +8,23 @@ In direction xi the principal curvatures are -<alpha, xi> cot(pi theta).
 The identities cot(pi - x) = -cot x and cot(pi/2) = 0 make the multiset
 symmetric under -1 when every root is balanced, m(alpha, theta) =
 m(alpha, 1 - theta); no cross pair on a root line cancels an excess (see
-_austere), so austere is exactly yes or no.  Minimal is yes when every
-angle class cancels exactly and no when the certified norm is positive; it
-is an honest tri-state: yes and no are proved, indeterminate means neither
-certificate was reached.
+_austere), so austere is exactly yes or no.  Balance puts 2 alpha.x in
+(1/order)Z, so every austere point lies on the 1/(2*order) grid and
+scan_austere walks only the part of its grid on it.  Minimal is yes when
+every angle class cancels exactly and no when the certified norm is
+positive; it is an honest tri-state: yes and no are proved, indeterminate
+means neither certificate was reached.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor, gcd
 
 import mpmath
 
@@ -409,47 +410,28 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                         f"{bits_needed} bits, its cap is {4 * MAX_PRECISION_BITS} bits")
 
 
-def _scan_chunk(args):
-    d, pts = args
-    out = []
-    for coeffs in pts:
-        state = is_austere(d, AlcovePoint(coeffs))
-        if state is TriState.YES:
-            out.append((coeffs, state))
-    return out
-
-
-def scan_austere(d: GradedRootDatum, denominator: int, jobs: int = 1):
+def scan_austere(d: GradedRootDatum, denominator: int):
     """Austere points on the (1/denominator)-grid of the closed alcove.
 
-    Returns (point, verdict) pairs in lexicographic point order; every
-    verdict is yes, since austere is decided exactly.  Up to `jobs` worker
-    processes share the grid, never more than one per CPU or per batch.
+    Returns the points in lexicographic order.  Every austere point lies on
+    the 1/(2*order) grid: a root alpha with a sector phase t0 is balanced
+    only if -(c + t0) = c + t1 mod 1 for some phase t1, c = alpha . x, so
+    2c lies in (1/order)Z, and each simple root (a unit vector) carries a
+    sector.  So only the grid of step 1/gcd(denominator, 2*order) is walked;
+    it holds the same austere points.
     """
     if denominator < 1:
         raise ValueError("denominator must be a positive integer")
+    g = gcd(denominator, 2 * d.order)
     verts = alcove_vertices(d)
-    r = d.rank
     ranges = []
-    for i in range(r):
+    for i in range(d.rank):
         lo = min(v.coeffs[i] for v in verts)
         hi = max(v.coeffs[i] for v in verts)
-        first = -((-lo.numerator * denominator) // lo.denominator)  # ceil
-        last = (hi.numerator * denominator) // hi.denominator       # floor
-        ranges.append(range(first, last + 1))
-    pts = []
+        ranges.append(range(ceil(lo * g), floor(hi * g) + 1))
+    hits = []
     for combo in product(*ranges):
-        coeffs = tuple(Fraction(k, denominator) for k in combo)
-        if point_in_alcove(d, AlcovePoint(coeffs)):
-            pts.append(coeffs)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1 and len(pts) > 1:
-        chunk = max(1, len(pts) // (4 * workers))
-        batches = [(d, pts[i:i + chunk]) for i in range(0, len(pts), chunk)]
-        hits = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-            for part in pool.map(_scan_chunk, batches):
-                hits.extend(part)
-    else:
-        hits = _scan_chunk((d, pts))
-    return tuple((AlcovePoint(c), state) for c, state in hits)
+        point = AlcovePoint(tuple(Fraction(k, g) for k in combo))
+        if point_in_alcove(d, point) and is_austere(d, point) is TriState.YES:
+            hits.append(point)
+    return tuple(hits)

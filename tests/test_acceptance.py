@@ -252,7 +252,7 @@ def test_criterion_08_reduction_invariance():
 
 def _touched_points(d):
     pts = [f.representative for f in faces(d)]
-    pts += [p for p, _ in scan_austere(d, 12)]
+    pts += scan_austere(d, 12)
     rng = random.Random(90)
     for _ in range(10):
         coords = tuple(Q(rng.randint(-24, 24), rng.randint(1, 12))

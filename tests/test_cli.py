@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -119,6 +120,23 @@ def test_scan_austere_isotropy_endpoints():
         ("(0)", "yes", "yes"), ("(1)", "yes", "yes")]
 
 
+def test_scan_austere_walks_only_the_two_order_grid():
+    # su_sp 9,7 has order 4: 10^9 + 7 is odd, so its 1/gcd(N, 8) grid is
+    # the 1/1 grid, where a full 1/N grid would hold about 10^27 points
+    su_sp = ["scan-austere", "--triad", "su_sp", "--p", "9", "--q", "7",
+             "--format", "tsv"]
+    code, coarse = _run(su_sp + ["--denominator", "1"])
+    assert code == 0 and coarse.count("\n") == 2
+    assert _run(su_sp + ["--denominator", "1000000007"]) == (0, coarse)
+
+
+def test_scan_austere_jobs_is_accepted_and_has_no_effect():
+    su_sp = ["scan-austere", "--triad", "su_sp", "--p", "9", "--q", "7",
+             "--denominator", "24"]
+    assert _run(su_sp + ["--jobs", "3"]) == _run(su_sp + ["--jobs", "1"])
+    assert main(su_sp + ["--jobs", "0"], stdout=io.StringIO()) == 1
+
+
 def test_reduce_reports_walls():
     code, out = _run(["reduce", "--triad", "su_sp", "--p", "9", "--q", "7",
                       "--point", "3/8,0,0"])
@@ -126,6 +144,17 @@ def test_reduce_reports_walls():
     assert "reduced: (1/8, 0, 0)" in out
     assert "reflections: 1" in out
     assert "  alpha=(1, 1, 1) phi=-1/4*pi n=0" in out.splitlines()
+
+
+def test_reduce_far_point_exits_four_before_folding(capsys):
+    # the proven reflection bound is about 1.8e21, far above the budget
+    start = time.monotonic()
+    out = io.StringIO()
+    assert main(["reduce", "--triad", "so8_g2",
+                 "--point=100000000000000000000,3"], stdout=out) == 4
+    assert time.monotonic() - start < 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("not certified: folding may need ")
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import ceil, floor
 from pathlib import Path
 
@@ -294,48 +295,47 @@ def test_type_label_empty_at_interior():
 
 def test_scan_austere_so_even():
     d = _so_even()
-    hits = scan_austere(d, 24)
-    assert all(v is TriState.YES for _, v in hits)
-    assert {tuple(p.coeffs) for p, _ in hits} == \
+    assert {tuple(p.coeffs) for p in scan_austere(d, 24)} == \
         {tuple(v.coeffs) for v in alcove_vertices(d)}
 
 
 def test_scan_austere_g2():
     hits = scan_austere(_g2(), 36)
-    assert {tuple(p.coeffs) for p, _ in hits} == {(0, 0), (Q(1, 6), 0)}
-    assert all(v is TriState.YES for _, v in hits)
+    assert [tuple(p.coeffs) for p in hits] == [(0, 0), (Q(1, 6), 0)]
 
 
-def test_scan_austere_parallel_agrees():
-    d = _g2()
-    assert scan_austere(d, 18, jobs=2) == scan_austere(d, 18)
+def _austere_on_full_grid(d, n):
+    verts = alcove_vertices(d)
+    ranges = [range(ceil(min(v.coeffs[i] for v in verts) * n),
+                    floor(max(v.coeffs[i] for v in verts) * n) + 1)
+              for i in range(d.rank)]
+    out = []
+    for combo in product(*ranges):
+        p = AlcovePoint(tuple(Q(k, n) for k in combo))
+        if point_in_alcove(d, p) and is_austere(d, p) is TriState.YES:
+            out.append(p)
+    return tuple(out)
 
 
-def test_scan_austere_caps_worker_processes(monkeypatch):
-    # a fake pool records its size and maps serially, so no process starts
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, batches):
-            return map(fn, batches)
-
-    monkeypatch.setattr(geometry, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(geometry.os, "cpu_count", lambda: 3)
-    d = _g2()
-    assert scan_austere(d, 18, jobs=10 ** 6) == scan_austere(d, 18, jobs=1)
-    assert sizes == [3]
-    # two grid points make two batches, so two workers
-    assert scan_austere(d, 3, jobs=10 ** 6) == scan_austere(d, 3, jobs=1)
-    assert sizes == [3, 2]
+# N a multiple of 2*order, N coprime to it, and N = 24; rank-4 A4 at small N
+@pytest.mark.parametrize("key,params,dens", [
+    ("so8_g2", {}, (30, 19, 24)),
+    ("isotropy", {"label": "BC2"}, (10, 7, 24)),
+    ("so_even", {"p": 7, "q": 5}, (40, 25, 24)),
+    ("su_sp", {"p": 9, "q": 7}, (40, 25, 24)),
+    ("isotropy", {"label": "C3"}, (10, 7, 24)),
+    ("isotropy", {"label": "A4"}, (10, 7)),
+], ids=["so8_g2", "isotropy:BC2", "so_even:7,5", "su_sp:9,7", "isotropy:C3",
+        "isotropy:A4"])
+def test_scan_austere_walks_only_the_two_order_grid(key, params, dens):
+    # every austere point of the full 1/N grid lies on the 1/(2*order)
+    # grid, so the scan of the 1/gcd(N, 2*order) grid finds all of them
+    d = catalog(key, **params)
+    for n in dens:
+        full = _austere_on_full_grid(d, n)
+        assert scan_austere(d, n) == full
+        assert all((c * 2 * d.order).denominator == 1
+                   for p in full for c in p.coeffs)
 
 
 def test_find_minimal_isotropy_a1_is_half():
