@@ -22,7 +22,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import matrix_rank, pairing
@@ -202,10 +202,25 @@ def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False
     return True
 
 
+def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
+    """D and the numerators n of the angles (alpha . x + t) mod 1 = n/D of items.
+
+    Each item starts with a root alpha and its sector phase t.  The point is
+    scaled once to integers k over D = lcm(its denominators, d.order), and
+    order * t is whole for every phase of a valid datum, so each angle is
+    (alpha . k + t*D) mod D in integers.
+    """
+    den = lcm(d.order, *(c.denominator for c in point.coeffs))
+    k = tuple(c.numerator * (den // c.denominator) for c in point.coeffs)
+    shift = {s.phi: s.phi.numerator * (den // s.phi.denominator) for s in d.sectors}
+    return den, [(pairing(item[0], k) + shift[item[1]]) % den for item in items]
+
+
 def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     """Roots whose wall passes through the point, their system and its components."""
-    union = sorted({v for sector in d.sectors for v in sector.roots
-                    if (pairing(v, point.coeffs) + sector.phi).denominator == 1})
+    pairs = [(v, sector.phi) for sector in d.sectors for v in sector.roots]
+    _, nums = sector_angles(d, point, pairs)
+    union = sorted({v for (v, _), n in zip(pairs, nums) if n == 0})
     system = subsystem(union, d.sigma.gram)
     try:
         components = decompose_and_classify(system)

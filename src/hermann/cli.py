@@ -7,11 +7,13 @@ of type A, B, BC, C, D, G, 3 internal inconsistency (folding that outran its
 proven reflection budget included), 4 not certified (find-minimal reached no
 certified point within its precision ladder, a cotangent enclosure missed
 its width after 16 precision doublings, a root or Weyl closure outgrew its
-element budget, or reduce would need more reflections than that budget).
+element budget, or reduce would need more reflections than that budget),
+141 stdout closed by its reader before the output was written.
 All output is ASCII and byte-deterministic for a fixed command line.
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -328,4 +330,12 @@ def main(argv=None, stdout=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # cannot raise again, and exit as a process ended by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

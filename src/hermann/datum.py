@@ -138,9 +138,9 @@ def _norm_classes(rs: RootSystem):
     return {v: inner(v, v, rs.gram) for v in rs.roots}
 
 
-def _sector(rs, t, mult_by_norm) -> Sector:
-    norms = _norm_classes(rs)
-    roots = {v: mult_by_norm[norms[v]] for v in sorted(rs.roots)
+def _sector(norms, t, mult_by_norm) -> Sector:
+    """Sector at phase t over the roots of norms (root -> squared length)."""
+    roots = {v: mult_by_norm[norms[v]] for v in sorted(norms)
              if norms[v] in mult_by_norm and mult_by_norm[norms[v]] > 0}
     return Sector(Fraction(t), roots)
 
@@ -156,11 +156,12 @@ def _build_so_even(p=None, q=None):
     _check_pq(p, q)
     r = (q - 1) // 2
     rs = build_root_system(CartanLabel("BC", r))
+    norms = _norm_classes(rs)
     sectors = (
-        _sector(rs, Fraction(-1, 4), {1: 2}),
-        _sector(rs, 0, {2: 2, 1: p - q, 4: 1}),
-        _sector(rs, Fraction(1, 4), {1: 2}),
-        _sector(rs, Fraction(1, 2), {2: 2, 1: p - q}),
+        _sector(norms, Fraction(-1, 4), {1: 2}),
+        _sector(norms, 0, {2: 2, 1: p - q, 4: 1}),
+        _sector(norms, Fraction(1, 4), {1: 2}),
+        _sector(norms, Fraction(1, 2), {2: 2, 1: p - q}),
     )
     return GradedRootDatum(f"so_even(p={p},q={q})", rs, sectors, order=4)
 
@@ -169,21 +170,23 @@ def _build_su_sp(p=None, q=None):
     _check_pq(p, q)
     r = (q - 1) // 2
     rs = build_root_system(CartanLabel("BC", r))
+    norms = _norm_classes(rs)
     sectors = (
-        _sector(rs, Fraction(-1, 4), {1: 4}),
-        _sector(rs, 0, {2: 4, 1: 2 * (p - q), 4: 3}),
-        _sector(rs, Fraction(1, 4), {1: 4}),
-        _sector(rs, Fraction(1, 2), {2: 4, 1: 2 * (p - q), 4: 1}),
+        _sector(norms, Fraction(-1, 4), {1: 4}),
+        _sector(norms, 0, {2: 4, 1: 2 * (p - q), 4: 3}),
+        _sector(norms, Fraction(1, 4), {1: 4}),
+        _sector(norms, Fraction(1, 2), {2: 4, 1: 2 * (p - q), 4: 1}),
     )
     return GradedRootDatum(f"su_sp(p={p},q={q})", rs, sectors, order=4)
 
 
 def _build_so8_g2():
     rs = build_root_system(CartanLabel("G", 2))
+    norms = _norm_classes(rs)
     sectors = (
-        _sector(rs, Fraction(-1, 3), {2: 1}),
-        _sector(rs, 0, {2: 1, 6: 1}),
-        _sector(rs, Fraction(1, 3), {2: 1}),
+        _sector(norms, Fraction(-1, 3), {2: 1}),
+        _sector(norms, 0, {2: 1, 6: 1}),
+        _sector(norms, Fraction(1, 3), {2: 1}),
     )
     return GradedRootDatum("so8_g2", rs, sectors, order=3)
 
@@ -199,7 +202,8 @@ def _build_isotropy(label=None, mults=None):
         except ValueError as exc:
             raise BadParameters(str(exc)) from exc
     rs = build_root_system(lab)
-    norms = sorted(set(inner(v, v, rs.gram) for v in rs.roots))
+    norm_map = _norm_classes(rs)
+    norms = sorted(set(norm_map.values()))
     if mults is None:
         table = {n: 1 for n in norms}
     else:
@@ -209,7 +213,7 @@ def _build_isotropy(label=None, mults=None):
                 f"multiplicity table keys {sorted(table)} must be the squared lengths {norms}")
         if any(v < 1 for v in table.values()):
             raise BadParameters("multiplicities must be positive")
-    sectors = (_sector(rs, 0, table),)
+    sectors = (_sector(norm_map, 0, table),)
     return GradedRootDatum(f"isotropy:{lab}", rs, sectors, order=1)
 
 

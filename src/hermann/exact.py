@@ -5,14 +5,17 @@ so an angle is its coefficient of pi, a plain Fraction, and every
 membership test (in pi.Z, in (pi/2).Z) is exact Fraction arithmetic.  The
 only real-number evaluations are cotangent values, served as certified
 enclosures with dyadic-rational endpoints.  Every exact elimination (solves,
-ranks, the dual basis) is one `row_reduce`.
+ranks, the dual basis) is one `row_reduce`.  A Gram matrix keeps its integer
+form, integer rows over one denominator, and inner products and coroot rows
+are computed on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
@@ -69,20 +72,6 @@ class RealInterval:
         if c >= 0:
             return RealInterval(self.lo * c, self.hi * c, self.precision_bits)
         return RealInterval(self.hi * c, self.lo * c, self.precision_bits)
-
-    def __add__(self, other: "RealInterval") -> "RealInterval":
-        return RealInterval(self.lo + other.lo, self.hi + other.hi,
-                            min(self.precision_bits, other.precision_bits))
-
-    def __mul__(self, other: "RealInterval") -> "RealInterval":
-        prods = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
-        return RealInterval(min(prods), max(prods),
-                            min(self.precision_bits, other.precision_bits))
-
-
-def zero_interval(precision_bits: int = DEFAULT_PRECISION_BITS) -> RealInterval:
-    return RealInterval(Fraction(0), Fraction(0), precision_bits)
 
 
 _IV_CONTEXTS: dict[int, MPIntervalContext] = {}
@@ -162,17 +151,17 @@ def pairing(alpha, x):
 
 
 def inner(u, v, g: "GramMatrix") -> Fraction:
-    """Exact inner product u^T g v in simple-root coordinates."""
+    """Exact inner product u^T g v in simple-root coordinates, on g's integer form."""
     r = g.rank
     if len(u) != r or len(v) != r:
         raise DimensionMismatch(f"vectors of length {len(u)}, {len(v)} against rank {r}")
-    total = Fraction(0)
+    rows, den = g.form
+    total = 0
     for i in range(r):
-        if u[i] == 0:
-            continue
-        row = g.entries[i]
-        total += u[i] * sum(row[j] * v[j] for j in range(r) if v[j] != 0)
-    return Fraction(total)
+        if u[i]:
+            row = rows[i]
+            total += u[i] * sum(row[j] * v[j] for j in range(r) if v[j])
+    return Fraction(total, den)
 
 
 def row_reduce(rows):
@@ -211,9 +200,14 @@ def matrix_rank(vectors) -> int:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive definite rational matrix in a simple-root basis."""
+    """Symmetric positive definite rational matrix in a simple-root basis.
+
+    form is the same matrix as integer rows over one denominator, the lcm
+    of the entries' denominators, computed once.
+    """
 
     entries: tuple
+    form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ent = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
@@ -227,6 +221,10 @@ class GramMatrix:
                 if ent[i][j] != ent[j][i]:
                     raise SingularGram(f"not symmetric at ({i},{j})")
         ldl(ent)  # raises SingularGram unless positive definite
+        den = lcm(*(x.denominator for row in ent for x in row))
+        object.__setattr__(self, "form", (
+            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in ent),
+            den))
 
     @property
     def rank(self) -> int:

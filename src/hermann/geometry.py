@@ -29,11 +29,12 @@ from math import ceil, floor, gcd
 import mpmath
 
 from .alcove import (ActiveRoots, AlcovePoint, active_roots, alcove_barycenter,
-                     alcove_vertices, fundamental_alcove, point_in_alcove)
+                     alcove_vertices, fundamental_alcove, point_in_alcove,
+                     sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RealInterval,
                     cot_eval, interval_from_iv, iv_from_interval,
-                    mpf_to_fraction, pairing, zero_interval, _iv)
+                    mpf_to_fraction, pairing, _iv)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
 
@@ -69,12 +70,10 @@ class CotTerm:
 
 def cot_terms(d: GradedRootDatum, point: AlcovePoint):
     """Nonzero-angle terms over positive roots, sector by sector."""
-    out = []
-    for alpha, t, m in positive_sector_roots(d):
-        theta = (pairing(alpha, point.coeffs) + t) % 1
-        if theta != 0:
-            out.append(CotTerm(alpha, theta, m))
-    return tuple(out)
+    stream = tuple(positive_sector_roots(d))
+    den, nums = sector_angles(d, point, stream)
+    return tuple(CotTerm(alpha, Fraction(n, den), m)
+                 for (alpha, _, m), n in zip(stream, nums) if n)
 
 
 @dataclass(frozen=True)
@@ -120,25 +119,40 @@ class MeanCurvature:
 
 
 def _mean_curvature(d: GradedRootDatum, terms, precision_bits: int) -> MeanCurvature:
+    """The certified enclosure, summed in Python ints.
+
+    Every cot_eval endpoint is dyadic, so each coefficient interval is two
+    integers over one 2^e, and the squared norm is integers over 2^(2e)
+    times the denominator of the Gram form: the same rationals as interval
+    sums and products over Fraction, with no Fraction per operation.
+    """
     r = d.rank
-    coeffs = [zero_interval(precision_bits) for _ in range(r)]
-    for t in terms:
-        ct = cot_eval(t.theta, precision_bits)
-        for j in range(r):
-            if t.alpha[j]:
-                coeffs[j] = coeffs[j] + ct.scale(-t.mult * t.alpha[j])
-    g = d.sigma.gram.entries
-    norm2 = zero_interval(precision_bits)
-    for i in range(r):
-        for j in range(r):
-            if g[i][j]:
-                norm2 = norm2 + (coeffs[i] * coeffs[j]).scale(g[i][j])
-    lo = max(norm2.lo, Fraction(0))
-    hi = max(norm2.hi, Fraction(0))
-    ctx = _iv(precision_bits + 16)
-    root = ctx.sqrt(iv_from_interval(ctx, RealInterval(lo, hi, precision_bits)))
-    return MeanCurvature(tuple(coeffs), interval_from_iv(root, precision_bits),
+    cots = [cot_eval(t.theta, precision_bits) for t in terms]
+    e = max((q.denominator.bit_length() - 1 for c in cots for q in (c.lo, c.hi)), default=0)
+    lo, hi = [0] * r, [0] * r
+    for t, c in zip(terms, cots):
+        a, b = (q.numerator << (e + 1 - q.denominator.bit_length()) for q in (c.lo, c.hi))
+        for j, x in enumerate(t.alpha):
+            if x:
+                k = -t.mult * x
+                u, v = (a * k, b * k) if k > 0 else (b * k, a * k)
+                lo[j] += u
+                hi[j] += v
+    rows, den = d.sigma.gram.form
+    n_lo = n_hi = 0
+    for i, j in product(range(r), repeat=2):
+        if rows[i][j]:
+            p = [rows[i][j] * y * z for y in (lo[i], hi[i]) for z in (lo[j], hi[j])]
+            n_lo += min(p)
+            n_hi += max(p)
+    one, scale = 1 << e, den << 2 * e
+    coeffs = tuple(RealInterval(Fraction(x, one), Fraction(y, one), precision_bits)
+                   for x, y in zip(lo, hi))
+    norm2 = RealInterval(Fraction(max(n_lo, 0), scale), Fraction(max(n_hi, 0), scale),
                          precision_bits)
+    ctx = _iv(precision_bits + 16)
+    root = ctx.sqrt(iv_from_interval(ctx, norm2))
+    return MeanCurvature(coeffs, interval_from_iv(root, precision_bits), precision_bits)
 
 
 def mean_curvature(d: GradedRootDatum, point: AlcovePoint,

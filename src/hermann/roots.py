@@ -119,12 +119,13 @@ def reference_gram(label: CartanLabel) -> GramMatrix:
 def coroot(alpha, gram: GramMatrix):
     """The coroot row 2 G alpha / (alpha, alpha), whole entries as int.
 
-    Its pairing with v is the Cartan number <v, alpha^vee>.
+    Its pairing with v is the Cartan number <v, alpha^vee>.  It is read off
+    the integer form of G, whose one denominator cancels in the quotient.
     """
-    g_alpha = [pairing(alpha, row) for row in gram.entries]
-    half = pairing(alpha, g_alpha) / 2
-    row = [x / half for x in g_alpha]
-    return tuple(x.numerator if x.denominator == 1 else x for x in row)
+    g_alpha = [pairing(alpha, row) for row in gram.form[0]]
+    norm = pairing(alpha, g_alpha)
+    return tuple(2 * x // norm if 2 * x % norm == 0 else Fraction(2 * x, norm)
+                 for x in g_alpha)
 
 
 def cartan(v, alpha, gram: GramMatrix) -> int:

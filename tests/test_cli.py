@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -421,3 +424,20 @@ def test_reduce_rank_six_lands_in_closed_alcove():
         assert int(lines[2].removeprefix("reflections: ")) > 0
         again = _run(["reduce", *triad, f"--point={','.join(reduced.split(', '))}"])
         assert again[0] == 0 and "reflections: 0" in again[1]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader is gone before the first byte, so the first write or the
+    # final flush meets a broken pipe
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "hermann", "reduce", "--triad", "so8_g2",
+                             "--point=100,3"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermann.alcove import (AlcovePoint, alcove_barycenter, alcove_vertices,
-                            point_in_alcove)
+from hermann.alcove import (AlcovePoint, active_roots, alcove_barycenter, alcove_vertices,
+                            faces, point_in_alcove)
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
-from hermann.exact import cot_eval, format_interval, inner
+from hermann.exact import (GramMatrix, RealInterval, cot_eval, format_interval, inner,
+                           interval_from_iv, iv_from_interval, pairing, _iv)
 from hermann.geometry import (
     CotTerm,
     TriState,
@@ -473,3 +474,95 @@ def test_type_label_standalone_matches_report():
     from hermann.alcove import active_roots
     point = AlcovePoint((Q(1, 4), 0, 0))
     assert type_label(d, active_roots(d, point)) == "B1+BC2"
+
+
+# the integer kernels of cot_terms, active_roots, _mean_curvature and inner
+# against the plain Fraction formulas they replace
+KERNEL_DATA = (
+    ("isotropy", (("label", "A1"),)),
+    ("isotropy", (("label", "BC1"),)),
+    ("so8_g2", ()),
+    ("so_even", (("p", 7), ("q", 5))),
+    ("su_sp", (("p", 9), ("q", 7))),
+    ("isotropy", (("label", "C3"),)),
+    ("isotropy", (("label", "A4"),)),
+    ("su_sp", (("p", 11), ("q", 9))),
+)
+
+
+@cache
+def _kernel_datum(i):
+    key, params = KERNEL_DATA[i]
+    d = catalog(key, **dict(params))
+    return d, tuple(f.representative for f in faces(d))
+
+
+def _reference_mean_curvature(d, terms, bits):
+    """Interval sums and products over Fraction, one operation at a time."""
+    r = d.rank
+    lo, hi = [Q(0)] * r, [Q(0)] * r
+    for t in terms:
+        ct = cot_eval(t.theta, bits)
+        for j, a in enumerate(t.alpha):
+            c = -t.mult * a
+            if c > 0:
+                lo[j], hi[j] = lo[j] + ct.lo * c, hi[j] + ct.hi * c
+            elif c < 0:
+                lo[j], hi[j] = lo[j] + ct.hi * c, hi[j] + ct.lo * c
+    g = d.sigma.gram.entries
+    n_lo = n_hi = Q(0)
+    for i in range(r):
+        for j in range(r):
+            if g[i][j]:
+                p = [lo[i] * lo[j], lo[i] * hi[j], hi[i] * lo[j], hi[i] * hi[j]]
+                small, big = min(p) * g[i][j], max(p) * g[i][j]
+                n_lo, n_hi = n_lo + min(small, big), n_hi + max(small, big)
+    ctx = _iv(bits + 16)
+    norm2 = RealInterval(max(n_lo, Q(0)), max(n_hi, Q(0)), bits)
+    norm = interval_from_iv(ctx.sqrt(iv_from_interval(ctx, norm2)), bits)
+    return list(zip(lo, hi)), norm
+
+
+kernel_point = st.one_of(
+    # a face centroid of the closed alcove
+    st.tuples(st.just("face"), st.integers(min_value=0, max_value=10 ** 6)),
+    # any rational point, most of them outside the alcove
+    st.tuples(st.just("free"), st.lists(
+        st.fractions(min_value=Q(-2), max_value=Q(2), max_denominator=48),
+        min_size=4, max_size=4)),
+)
+
+
+@given(st.integers(min_value=0, max_value=len(KERNEL_DATA) - 1), kernel_point)
+@settings(max_examples=60, deadline=None)
+def test_integer_kernels_match_fraction_formulas(i, drawn):
+    d, reps = _kernel_datum(i)
+    kind, value = drawn
+    point = reps[value % len(reps)] if kind == "face" else AlcovePoint(value[:d.rank])
+    x = point.coeffs
+    want = tuple(CotTerm(alpha, theta, m) for alpha, t, m in positive_sector_roots(d)
+                 for theta in [(pairing(alpha, x) + t) % 1] if theta != 0)
+    terms = cot_terms(d, point)
+    assert terms == want
+    union = sorted({v for s in d.sectors for v in s.roots
+                    if (pairing(v, x) + s.phi) % 1 == 0})
+    assert active_roots(d, point).union == tuple(union)
+    for bits in (192, 990):
+        mc = geometry._mean_curvature(d, terms, bits)
+        coeffs, norm = _reference_mean_curvature(d, terms, bits)
+        assert [(c.lo, c.hi) for c in mc.coeffs] == coeffs
+        assert (mc.norm.lo, mc.norm.hi, mc.norm.precision_bits) == (norm.lo, norm.hi, bits)
+
+
+@given(st.lists(st.fractions(min_value=Q(-6), max_value=Q(6), max_denominator=12),
+                min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_inner_matches_fraction_formula_on_non_integral_gram(uv):
+    g = GramMatrix(((2, Q(-1, 2)), (Q(-1, 2), 1)))
+    u, v = uv[:2], uv[2:]
+    want = sum(u[i] * g.entries[i][j] * v[j] for i in range(2) for j in range(2))
+    got = inner(u, v, g)
+    assert type(got) is Fraction and got == want
+    ints = tuple(int(c) for c in u), tuple(int(c) for c in v)
+    assert inner(*ints, g) == sum(ints[0][i] * g.entries[i][j] * ints[1][j]
+                                  for i in range(2) for j in range(2))
