@@ -212,15 +212,18 @@ def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
     """
     den = lcm(d.order, *(c.denominator for c in point.coeffs))
     k = tuple(c.numerator * (den // c.denominator) for c in point.coeffs)
-    shift = {s.phi: s.phi.numerator * (den // s.phi.denominator) for s in d.sectors}
-    return den, [(pairing(item[0], k) + shift[item[1]]) % den for item in items]
+    return den, [(pairing(alpha, k) + t.numerator * (den // t.denominator)) % den
+                 for alpha, t, *_ in items]
 
 
 def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     """Roots whose wall passes through the point, their system and its components."""
-    pairs = [(v, sector.phi) for sector in d.sectors for v in sector.roots]
-    _, nums = sector_angles(d, point, pairs)
-    union = sorted({v for (v, _), n in zip(pairs, nums) if n == 0})
+    # by the duality m(-alpha, eps^-1) = m(alpha, eps), a negative root is
+    # active exactly when its negative is, at minus its angle
+    stream = tuple(positive_sector_roots(d))
+    _, nums = sector_angles(d, point, stream)
+    union = sorted({v for (alpha, _, _), n in zip(stream, nums) if n == 0
+                    for v in (alpha, tuple(-x for x in alpha))})
     system = subsystem(union, d.sigma.gram)
     try:
         components = decompose_and_classify(system)

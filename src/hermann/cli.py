@@ -187,10 +187,8 @@ def _cmd_analyze(args, write):
 
 def _cmd_faces(args, write):
     d = _load_datum(args)
-    if args.all_faces:
-        reps = [f.representative for f in faces(d)]
-    else:
-        reps = [f.representative for f in faces(d) if f.dimension == 0]
+    # the vertices, in the coordinate order of the dimension-0 faces
+    reps = [f.representative for f in faces(d)] if args.all_faces else alcove_vertices(d)
     rows = [_table_row(orbit_report(d, p)) for p in reps]
     _emit_table(rows, args.format, write)
     return 0
@@ -309,11 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # holds no per-call state, so main reuses it
+
+
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args, out.write)
     except (_UsageError, UnknownKey, BadParameters, RankTooHigh) as exc:
         print(f"error: {exc}", file=sys.stderr)

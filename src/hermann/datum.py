@@ -134,87 +134,64 @@ def validate(d: GradedRootDatum):
     return tuple(out)
 
 
-def _norm_classes(rs: RootSystem):
-    return {v: inner(v, v, rs.gram) for v in rs.roots}
+def _graded(name, rs: RootSystem, order, table) -> GradedRootDatum:
+    """The datum over rs with one sector per (phase t, mults) of table.
+
+    mults maps a squared root length to the positive multiplicity of every
+    root of that length at phase t (None: one at every length); a length it
+    omits carries no root there.  Together the tables name exactly the
+    squared lengths of rs.
+    """
+    norm = {v: inner(v, v, rs.gram) for v in rs.roots}
+    lengths = sorted(set(norm.values()))
+    table = [(t, dict.fromkeys(lengths, 1) if m is None else m) for t, m in table]
+    named = sorted({n for _, m in table for n in m})
+    if named != lengths:
+        raise BadParameters(
+            f"multiplicity table keys {named} must be the squared lengths {lengths}")
+    if any(x < 1 for _, m in table for x in m.values()):
+        raise BadParameters("multiplicities must be positive")
+    sectors = tuple(Sector(Fraction(t), {v: m[norm[v]] for v in sorted(norm) if norm[v] in m})
+                    for t, m in table)
+    return GradedRootDatum(name, rs, sectors, order)
 
 
-def _sector(norms, t, mult_by_norm) -> Sector:
-    """Sector at phase t over the roots of norms (root -> squared length)."""
-    roots = {v: mult_by_norm[norms[v]] for v in sorted(norms)
-             if norms[v] in mult_by_norm and mult_by_norm[norms[v]] > 0}
-    return Sector(Fraction(t), roots)
-
-
-def _check_pq(p, q):
+def _bc_of(p, q) -> RootSystem:
+    """The BC root system of rank (q - 1)/2, once p and q are checked."""
     if not (isinstance(p, int) and isinstance(q, int)):
         raise BadParameters(f"p, q must be integers, got {p!r}, {q!r}")
     if q < 3 or q % 2 == 0 or p <= q:
         raise BadParameters(f"need p > q >= 3 with q odd, got p={p}, q={q}")
+    return build_root_system(CartanLabel("BC", (q - 1) // 2))
 
 
 def _build_so_even(p=None, q=None):
-    _check_pq(p, q)
-    r = (q - 1) // 2
-    rs = build_root_system(CartanLabel("BC", r))
-    norms = _norm_classes(rs)
-    sectors = (
-        _sector(norms, Fraction(-1, 4), {1: 2}),
-        _sector(norms, 0, {2: 2, 1: p - q, 4: 1}),
-        _sector(norms, Fraction(1, 4), {1: 2}),
-        _sector(norms, Fraction(1, 2), {2: 2, 1: p - q}),
-    )
-    return GradedRootDatum(f"so_even(p={p},q={q})", rs, sectors, order=4)
+    return _graded(f"so_even(p={p},q={q})", _bc_of(p, q), 4, (
+        (Fraction(-1, 4), {1: 2}), (0, {2: 2, 1: p - q, 4: 1}),
+        (Fraction(1, 4), {1: 2}), (Fraction(1, 2), {2: 2, 1: p - q})))
 
 
 def _build_su_sp(p=None, q=None):
-    _check_pq(p, q)
-    r = (q - 1) // 2
-    rs = build_root_system(CartanLabel("BC", r))
-    norms = _norm_classes(rs)
-    sectors = (
-        _sector(norms, Fraction(-1, 4), {1: 4}),
-        _sector(norms, 0, {2: 4, 1: 2 * (p - q), 4: 3}),
-        _sector(norms, Fraction(1, 4), {1: 4}),
-        _sector(norms, Fraction(1, 2), {2: 4, 1: 2 * (p - q), 4: 1}),
-    )
-    return GradedRootDatum(f"su_sp(p={p},q={q})", rs, sectors, order=4)
+    return _graded(f"su_sp(p={p},q={q})", _bc_of(p, q), 4, (
+        (Fraction(-1, 4), {1: 4}), (0, {2: 4, 1: 2 * (p - q), 4: 3}),
+        (Fraction(1, 4), {1: 4}), (Fraction(1, 2), {2: 4, 1: 2 * (p - q), 4: 1})))
 
 
 def _build_so8_g2():
-    rs = build_root_system(CartanLabel("G", 2))
-    norms = _norm_classes(rs)
-    sectors = (
-        _sector(norms, Fraction(-1, 3), {2: 1}),
-        _sector(norms, 0, {2: 1, 6: 1}),
-        _sector(norms, Fraction(1, 3), {2: 1}),
-    )
-    return GradedRootDatum("so8_g2", rs, sectors, order=3)
+    return _graded("so8_g2", build_root_system(CartanLabel("G", 2)), 3, (
+        (Fraction(-1, 3), {2: 1}), (0, {2: 1, 6: 1}), (Fraction(1, 3), {2: 1})))
 
 
 def _build_isotropy(label=None, mults=None):
     if label is None:
         raise BadParameters("isotropy requires a Cartan label, e.g. isotropy:BC2")
-    if isinstance(label, CartanLabel):
-        lab = label
-    else:
-        try:
-            lab = CartanLabel.parse(str(label))
-        except ValueError as exc:
-            raise BadParameters(str(exc)) from exc
-    rs = build_root_system(lab)
-    norm_map = _norm_classes(rs)
-    norms = sorted(set(norm_map.values()))
-    if mults is None:
-        table = {n: 1 for n in norms}
-    else:
-        table = {Fraction(k): int(v) for k, v in mults.items()}
-        if sorted(table) != norms:
-            raise BadParameters(
-                f"multiplicity table keys {sorted(table)} must be the squared lengths {norms}")
-        if any(v < 1 for v in table.values()):
-            raise BadParameters("multiplicities must be positive")
-    sectors = (_sector(norm_map, 0, table),)
-    return GradedRootDatum(f"isotropy:{lab}", rs, sectors, order=1)
+    try:
+        lab = CartanLabel.parse(str(label))
+    except ValueError as exc:
+        raise BadParameters(str(exc)) from exc
+    if mults is not None:
+        mults = {Fraction(k): int(v) for k, v in mults.items()}
+    return _graded(f"isotropy:{lab}", build_root_system(lab), 1, ((0, mults),))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd
@@ -115,7 +114,6 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport
 class MeanCurvature:
     coeffs: tuple
     norm: RealInterval
-    precision_bits: int
 
 
 def _mean_curvature(d: GradedRootDatum, terms, precision_bits: int) -> MeanCurvature:
@@ -152,7 +150,7 @@ def _mean_curvature(d: GradedRootDatum, terms, precision_bits: int) -> MeanCurva
                          precision_bits)
     ctx = _iv(precision_bits + 16)
     root = ctx.sqrt(iv_from_interval(ctx, norm2))
-    return MeanCurvature(coeffs, interval_from_iv(root, precision_bits), precision_bits)
+    return MeanCurvature(coeffs, interval_from_iv(root, precision_bits))
 
 
 def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
@@ -318,14 +316,6 @@ class MinimalOrbit:
     precision_bits: int
 
 
-def _as_fraction(tol) -> Fraction:
-    if isinstance(tol, Fraction):
-        return tol
-    if isinstance(tol, int):
-        return Fraction(tol)
-    return Fraction(Decimal(str(tol)))
-
-
 def _log_volume(terms, x):
     """Log volume sum m*log|sin(pi p)| at x and each term's (cos, sin), from one
     cos_sin per term (alpha, phase, m) with p = alpha . x + phase."""
@@ -344,10 +334,11 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     Each iterate evaluates every term's sine and cosine once.  A rung that
     sees no increase in 80 halvings restarts from the barycenter at twice
     the bits.  The point has exact dyadic coordinates and a certified norm
-    below the tolerance; iterations counts every rung's iterates and
+    below the tolerance, any value Fraction() accepts (a float is its exact
+    binary value); iterations counts every rung's iterates and
     precision_bits is the rung that certified.
     """
-    tol = _as_fraction(tolerance)
+    tol = Fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     terms = tuple(positive_sector_roots(d))

@@ -151,10 +151,10 @@ def test_reduce_rank_three(coords):
 
 
 def test_faces_cover_all_vertex_points():
+    # in the same order: a plain `faces` table reads the vertex list
     d = _so_even()
-    vertex_reps = {tuple(f.representative.coeffs)
-                   for f in faces(d) if f.vertex}
-    assert vertex_reps == {tuple(v.coeffs) for v in alcove_vertices(d)}
+    vertex_reps = [f.representative for f in faces(d) if f.vertex]
+    assert vertex_reps == list(alcove_vertices(d))
 
 
 def _oracles():
@@ -215,6 +215,7 @@ def test_first_non_simplex_alcoves(d, n_facets, n_vertices, n_faces):
     assert (len(facets), len(alcove_vertices(d))) == (n_facets, n_vertices)
     # the faces of a product are the products of faces
     assert len(faces(d)) == n_faces
+    assert [f.representative for f in faces(d) if f.vertex] == list(alcove_vertices(d))
     for f in faces(d):
         tight = tuple(i for i, q in enumerate(facets)
                       if pairing(q.normal, f.representative.coeffs) == q.bound)

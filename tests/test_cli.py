@@ -51,6 +51,36 @@ def test_runs_are_byte_identical():
         assert first == second, argv
 
 
+def _src_env():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "hermann", *argv], capture_output=True,
+                          env=_src_env(), timeout=120)
+    return proc.returncode, proc.stdout.decode("ascii")
+
+
+def test_consecutive_calls_print_what_a_fresh_process_prints():
+    # one parser serves every call, so no option may carry over to the next
+    g2 = ["--triad", "so8_g2"]
+    runs = [["analyze", *g2, "--point=1/12,1/24", "--xi", "1,0"],
+            ["analyze", *g2, "--point=1/12,1/24"],
+            ["faces", *g2, "--all-faces", "--format", "tsv"],
+            ["faces", *g2],
+            ["analyze", *g2, "--point=0,1/3", "--format", "tsv", "--xi", "0"],
+            ["analyze", *g2, "--point=0,1/3"],
+            ["faces", *g2, "--format", "tsv"],
+            ["faces", *g2, "--all-faces"]]
+    got = [_run(argv) for argv in runs]
+    assert got == [_fresh_process(argv) for argv in runs]
+    assert len({out for _, out in got}) == len(runs)
+
+
 def test_faces_tsv_golden_g2():
     code, out = _run(["faces", "--triad", "so8_g2", "--format", "tsv"])
     assert code == 0
@@ -243,10 +273,12 @@ def test_uncertified_minimal_search_exits_four(capsys):
     ("hermann.geometry", "cot_eval", PrecisionExhausted,
      ["analyze", "--triad", "so8_g2", "--point=1/12,1/24"], 4, "not certified: "),
     ("hermann.cli", "faces", EmptyAlcove,
+     ["faces", "--triad", "so8_g2", "--all-faces"], 2, "error: "),
+    ("hermann.cli", "alcove_vertices", EmptyAlcove,
      ["faces", "--triad", "so8_g2"], 2, "error: "),
     ("hermann.cli", "reduce_to_alcove", NonTermination,
      ["reduce", "--triad", "so8_g2", "--point=3,1"], 3, "internal inconsistency: "),
-], ids=["PrecisionExhausted", "EmptyAlcove", "NonTermination"])
+], ids=["PrecisionExhausted", "EmptyAlcove", "EmptyAlcove-vertices", "NonTermination"])
 def test_library_errors_map_to_exit_codes(monkeypatch, capsys, module, name, exc,
                                           argv, code, prefix):
     def fail(*args, **kwargs):
@@ -429,13 +461,9 @@ def test_reduce_rank_six_lands_in_closed_alcove():
 def test_closed_stdout_exits_141_without_traceback():
     # the reader is gone before the first byte, so the first write or the
     # final flush meets a broken pipe
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                      env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "hermann", "reduce", "--triad", "so8_g2",
                              "--point=100,3"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=subprocess.PIPE, env=_src_env())
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -1,5 +1,7 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,14 @@ def test_positive_sector_roots_is_deterministic():
     assert tuple(positive_sector_roots(d)) == tuple(positive_sector_roots(d))
     for alpha, _, _ in positive_sector_roots(d):
         assert alpha in d.sigma.positive_roots
+
+
+def test_only_datum_reads_the_sector_layout():
+    # every other module reaches the sectors through positive_sector_roots,
+    # so the storage of a datum's sectors can change in datum.py alone
+    src = Path(__file__).resolve().parents[1] / "src" / "hermann"
+    readers = sorted(f"{path.name}:{node.lineno}" for path in src.glob("*.py")
+                     if path.name != "datum.py"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and node.attr == "sectors")
+    assert len(list(src.glob("*.py"))) > 5 and readers == []
