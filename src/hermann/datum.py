@@ -134,23 +134,16 @@ def validate(d: GradedRootDatum):
     return tuple(out)
 
 
-def _graded(name, rs: RootSystem, order, table) -> GradedRootDatum:
+def _graded(name, rs: RootSystem, order, table, norm=None) -> GradedRootDatum:
     """The datum over rs with one sector per (phase t, mults) of table.
 
-    mults maps a squared root length to the positive multiplicity of every
-    root of that length at phase t (None: one at every length); a length it
-    omits carries no root there.  Together the tables name exactly the
-    squared lengths of rs.
+    mults maps a squared root length to the multiplicity of every root of
+    that length at phase t; a length it omits, or that no root of rs has,
+    carries nothing there.  norm maps each root to its squared length, for a
+    caller that has computed it already.
     """
-    norm = {v: inner(v, v, rs.gram) for v in rs.roots}
-    lengths = sorted(set(norm.values()))
-    table = [(t, dict.fromkeys(lengths, 1) if m is None else m) for t, m in table]
-    named = sorted({n for _, m in table for n in m})
-    if named != lengths:
-        raise BadParameters(
-            f"multiplicity table keys {named} must be the squared lengths {lengths}")
-    if any(x < 1 for _, m in table for x in m.values()):
-        raise BadParameters("multiplicities must be positive")
+    if norm is None:
+        norm = {v: inner(v, v, rs.gram) for v in rs.roots}
     sectors = tuple(Sector(Fraction(t), {v: m[norm[v]] for v in sorted(norm) if norm[v] in m})
                     for t, m in table)
     return GradedRootDatum(name, rs, sectors, order)
@@ -189,9 +182,19 @@ def _build_isotropy(label=None, mults=None):
         lab = CartanLabel.parse(str(label))
     except ValueError as exc:
         raise BadParameters(str(exc)) from exc
-    if mults is not None:
+    rs = build_root_system(lab)
+    norm = {v: inner(v, v, rs.gram) for v in rs.roots}
+    lengths = sorted(set(norm.values()))
+    if mults is None:
+        mults = dict.fromkeys(lengths, 1)
+    else:
         mults = {Fraction(k): int(v) for k, v in mults.items()}
-    return _graded(f"isotropy:{lab}", build_root_system(lab), 1, ((0, mults),))
+        if sorted(mults) != lengths:
+            raise BadParameters(
+                f"multiplicity table keys {sorted(mults)} must be the squared lengths {lengths}")
+        if any(v < 1 for v in mults.values()):
+            raise BadParameters("multiplicities must be positive")
+    return _graded(f"isotropy:{lab}", rs, 1, ((0, mults),), norm)
 
 
 @dataclass(frozen=True)

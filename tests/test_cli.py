@@ -27,6 +27,32 @@ def test_catalog_list_mentions_every_key():
         assert key in out
 
 
+def _roots(*pairs):
+    return [{"v": [v], "m": m} for v, m in pairs]
+
+
+# At q = 3 the system is BC1: its roots have squared lengths 1 and 4 only, so
+# the length-2 entries of the family tables carry nothing.  The expected
+# documents are the bytes `catalog show` printed before the builders shared
+# one constructor.
+@pytest.mark.parametrize("key,sectors", [
+    ("so_even", [{"phi": "-1/4", "roots": _roots((-1, 2), (1, 2))},
+                 {"phi": "0", "roots": _roots((-2, 1), (-1, 2), (1, 2), (2, 1))},
+                 {"phi": "1/4", "roots": _roots((-1, 2), (1, 2))},
+                 {"phi": "1/2", "roots": _roots((-1, 2), (1, 2))}]),
+    ("su_sp", [{"phi": "-1/4", "roots": _roots((-1, 4), (1, 4))},
+               {"phi": "0", "roots": _roots((-2, 3), (-1, 4), (1, 4), (2, 3))},
+               {"phi": "1/4", "roots": _roots((-1, 4), (1, 4))},
+               {"phi": "1/2", "roots": _roots((-2, 1), (-1, 4), (1, 4), (2, 1))}]),
+])
+def test_catalog_show_rank_one_families(key, sectors):
+    code, out = _run(["catalog", "show", "--triad", key, "--p", "5", "--q", "3"])
+    assert code == 0
+    doc = {"name": f"{key}(p=5,q=3)", "rank": 1, "gram": [["1"]], "order": 4,
+           "zero_mult": 0, "sectors": sectors}
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_catalog_show_round_trips(tmp_path):
     code, out = _run(["catalog", "show", "--triad", "so8_g2"])
     assert code == 0
