@@ -220,7 +220,7 @@ def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     """Roots whose wall passes through the point, their system and its components."""
     # by the duality m(-alpha, eps^-1) = m(alpha, eps), a negative root is
     # active exactly when its negative is, at minus its angle
-    stream = tuple(positive_sector_roots(d))
+    stream = positive_sector_roots(d)
     _, nums = sector_angles(d, point, stream)
     union = sorted({v for (alpha, _, _), n in zip(stream, nums) if n == 0
                     for v in (alpha, tuple(-x for x in alpha))})

@@ -10,6 +10,7 @@ pairs and obey the duality m(-alpha, eps^-1) = m(alpha, eps).
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -79,13 +80,22 @@ def inverse_phase(t: Fraction) -> Fraction:
     return t if t == Fraction(1, 2) else -t
 
 
-def positive_sector_roots(d: GradedRootDatum):
-    """Deterministic (alpha, t, mult) stream over positive roots by sector."""
-    for sector in sorted(d.sectors, key=lambda s: s.phi):
-        t = sector.phi
-        for alpha in sorted(sector.roots):
-            if _is_positive(alpha):
-                yield alpha, t, sector.roots[alpha]
+_STREAMS = weakref.WeakKeyDictionary()
+
+
+def positive_sector_roots(d: GradedRootDatum) -> tuple:
+    """Deterministic (alpha, t, mult) tuple over positive roots by sector.
+
+    Built once per datum and kept next to it, like the alcove of
+    alcove._ALCOVE_CACHE; a datum is not changed after it is built.
+    """
+    stream = _STREAMS.get(d)
+    if stream is None:
+        stream = _STREAMS[d] = tuple(
+            (alpha, sector.phi, sector.roots[alpha])
+            for sector in sorted(d.sectors, key=lambda s: s.phi)
+            for alpha in sorted(sector.roots) if _is_positive(alpha))
+    return stream
 
 
 def validate(d: GradedRootDatum):

@@ -86,7 +86,8 @@ def _iv(prec: int) -> MPIntervalContext:
     return ctx
 
 
-def _raw_mpf_to_fraction(t) -> Fraction:
+def mpf_to_fraction(t) -> Fraction:
+    """Exact conversion of a finite raw mpf value (an mpf's _mpf_) to Fraction."""
     sign, man, exp, _ = t
     if man == 0:
         if exp == 0:
@@ -96,14 +97,9 @@ def _raw_mpf_to_fraction(t) -> Fraction:
     return -val if sign else val
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact conversion of a finite mpf (any context) to Fraction."""
-    return _raw_mpf_to_fraction(x._mpf_)
-
-
 def interval_from_iv(x, precision_bits: int) -> RealInterval:
     a, b = x._mpi_
-    return RealInterval(_raw_mpf_to_fraction(a), _raw_mpf_to_fraction(b), precision_bits)
+    return RealInterval(mpf_to_fraction(a), mpf_to_fraction(b), precision_bits)
 
 
 def iv_from_fraction(ctx, q: Fraction):
@@ -134,7 +130,7 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
         cos, sin = mpi_cos_sin(theta._mpi_, work)
         # sin(theta) > 0 on (0, pi); an enclosure touching 0 means the
         # working precision cannot separate it yet
-        if _raw_mpf_to_fraction(sin[0]) <= 0:
+        if mpf_to_fraction(sin[0]) <= 0:
             work *= 2
             continue
         value = ctx.make_mpf(cos) / ctx.make_mpf(sin)

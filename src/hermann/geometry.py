@@ -14,6 +14,12 @@ scan_austere walks only the part of its grid on it.  Minimal is yes when
 every angle class cancels exactly and no when the certified norm is
 positive; it is an honest tri-state: yes and no are proved, indeterminate
 means neither certificate was reached.
+
+find_minimal's Newton ascent is not certified, only its last point is, but
+its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
+values, each step the mpf_* call, in operand order, of the mpf operator it
+stands for, with one pairing alpha . x per root and the Newton step from
+mpmath.lu_solve.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from itertools import product
 from math import ceil, floor, gcd
 
 import mpmath
+from mpmath.libmp import (from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
+                          mpf_div, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sub, round_nearest)
 
 from .alcove import (ActiveRoots, AlcovePoint, active_roots, alcove_barycenter,
                      alcove_vertices, fundamental_alcove, point_in_alcove,
@@ -69,7 +78,7 @@ class CotTerm:
 
 def cot_terms(d: GradedRootDatum, point: AlcovePoint):
     """Nonzero-angle terms over positive roots, sector by sector."""
-    stream = tuple(positive_sector_roots(d))
+    stream = positive_sector_roots(d)
     den, nums = sector_angles(d, point, stream)
     return tuple(CotTerm(alpha, Fraction(n, den), m)
                  for (alpha, _, m), n in zip(stream, nums) if n)
@@ -316,14 +325,44 @@ class MinimalOrbit:
     precision_bits: int
 
 
-def _log_volume(terms, x):
+_RND = round_nearest
+_ONE, _TWO, _FOUR = from_int(1), from_int(2), from_int(4)
+
+
+def _ratio(q: Fraction, prec: int):
+    """mpf(q.numerator) / q.denominator at prec bits."""
+    return mpf_div(from_int(q.numerator, prec, _RND), from_int(q.denominator), prec, _RND)
+
+
+def _pairing(alpha, x, prec: int):
+    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero coefficients skipped."""
+    acc = fzero
+    for a, y in zip(alpha, x):
+        if a:
+            acc = mpf_add(acc, mpf_mul_int(y, a, prec, _RND), prec, _RND)
+    return acc
+
+
+def _rung(terms, prec: int):
+    """The distinct roots of terms, and (root index, raw phase, mult) per term."""
+    index = {}
+    rung = tuple((index.setdefault(alpha, len(index)), _ratio(t, prec), m)
+                 for alpha, t, m in terms)
+    return tuple(index), rung
+
+
+def _log_volume(roots, rung, x, prec: int):
     """Log volume sum m*log|sin(pi p)| at x and each term's (cos, sin), from one
-    cos_sin per term (alpha, phase, m) with p = alpha . x + phase."""
-    total = mpmath.mpf(0)
+    cos_sin per term with p = alpha . x + phase and one pairing per root."""
+    pi = mpf_pi(prec, _RND)
+    pairs = [_pairing(alpha, x, prec) for alpha in roots]
+    total = fzero
     trig = []
-    for alpha, phase, m in terms:
-        c, s = mpmath.cos_sin(mpmath.pi * (pairing(alpha, x) + phase))
-        total += m * mpmath.log(abs(s))
+    for k, phase, m in rung:
+        c, s = mpf_cos_sin(mpf_mul(pi, mpf_add(pairs[k], phase, prec, _RND), prec, _RND),
+                           prec, _RND)
+        log = mpf_log(mpf_abs(s, prec, _RND), prec, _RND)
+        total = mpf_add(total, mpf_mul_int(log, m, prec, _RND), prec, _RND)
         trig.append((c, s))
     return total, trig
 
@@ -331,17 +370,25 @@ def _log_volume(terms, x):
 def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> MinimalOrbit:
     """Damped Newton ascent of the orbit-volume functional, then certify.
 
-    Each iterate evaluates every term's sine and cosine once.  A rung that
-    sees no increase in 80 halvings restarts from the barycenter at twice
-    the bits.  The point has exact dyadic coordinates and a certified norm
-    below the tolerance, any value Fraction() accepts (a float is its exact
-    binary value); iterations counts every rung's iterates and
-    precision_bits is the rung that certified.
+    Each iterate evaluates every term's sine and cosine once, and every
+    root's pairing alpha . x once.  A rung that sees no increase in 80
+    halvings restarts from the barycenter at twice the bits.  The point has
+    exact dyadic coordinates and a certified norm below the tolerance, any
+    value Fraction() accepts (a float is its exact binary value); iterations
+    counts every rung's iterates and precision_bits is the rung that
+    certified.
+
+    The ascent runs on raw mpmath.libmp values at the rung's bits, rounded
+    to nearest: each step is the mpf_* call, in the operand order, that the
+    mpf operator it stands for makes (int * mpf is mpf_mul_int, a sum from 0
+    starts at fzero), so every iterate has the bits of plain mpf
+    arithmetic.  The Newton step is mpmath.lu_solve, whose LU runs 10 bits
+    above the rung.
     """
     tol = Fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    terms = tuple(positive_sector_roots(d))
+    terms = positive_sector_roots(d)
     facets = fundamental_alcove(d)
     start = alcove_barycenter(d)
     r = d.rank
@@ -350,63 +397,80 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                       (tol.denominator // max(tol.numerator, 1)).bit_length() + 96)
     prec = bits_needed
     total_iter = 0
+    make = mpmath.mp.make_mpf
     while prec <= 4 * MAX_PRECISION_BITS:
         with mpmath.mp.workprec(prec):
-            rung = [(alpha, mpmath.mpf(t.numerator) / t.denominator, m)
-                    for alpha, t, m in terms]
-            pi2 = mpmath.pi ** 2
-            x = [mpmath.mpf(c.numerator) / c.denominator for c in start.coeffs]
-            tol_mp = mpmath.mpf(tol.numerator) / tol.denominator
-            base, trig = _log_volume(rung, x)
+            pi = mpf_pi(prec, _RND)
+            pi2 = mpf_pow_int(pi, 2, prec, _RND)
+            roots, rung = _rung(terms, prec)
+            gram = [(i, j, from_int(g[i][j].numerator, prec, _RND), from_int(g[i][j].denominator))
+                    for i, j in product(range(r), repeat=2) if g[i][j]]
+            walls = [(q.normal, _ratio(q.bound, prec)) for q in facets]
+            shrink = from_str("0.99", prec, _RND)
+            quarter = mpf_div(_ratio(tol, prec), _FOUR, prec, _RND)
+            x = [_ratio(c, prec) for c in start.coeffs]
+            base, trig = _log_volume(roots, rung, x, prec)
             for _ in range(60 + 4 * prec):
                 total_iter += 1
                 cots = []
-                for (alpha, _, m), (cos, sin) in zip(rung, trig):
-                    ct = cos / sin
-                    cots.append((alpha, m * ct, m * (1 + ct * ct)))
-                grad = [mpmath.pi * sum(mct * alpha[i] for alpha, mct, _ in cots
-                                        if alpha[i])
-                        for i in range(r)]
-                mh = [-gi / mpmath.pi for gi in grad]
-                est2 = mpmath.mpf(0)
+                for (k, _, m), (cos, sin) in zip(rung, trig):
+                    ct = mpf_div(cos, sin, prec, _RND)
+                    w = mpf_add(mpf_mul(ct, ct, prec, _RND), _ONE, prec, _RND)
+                    cots.append((roots[k], mpf_mul_int(ct, m, prec, _RND),
+                                 mpf_mul_int(w, m, prec, _RND)))
+                grad = []
                 for i in range(r):
-                    for j in range(r):
-                        if g[i][j]:
-                            est2 += mh[i] * mh[j] * mpmath.mpf(g[i][j].numerator) \
-                                / g[i][j].denominator
-                est = mpmath.sqrt(abs(est2))
-                if est < tol_mp / 4:
+                    s = fzero
+                    for alpha, mct, _ in cots:
+                        if alpha[i]:
+                            s = mpf_add(s, mpf_mul_int(mct, alpha[i], prec, _RND), prec, _RND)
+                    grad.append(mpf_mul(pi, s, prec, _RND))
+                mh = [mpf_div(mpf_neg(gi, prec, _RND), pi, prec, _RND) for gi in grad]
+                est2 = fzero
+                for i, j, num, den in gram:
+                    v = mpf_mul(mpf_mul(mh[i], mh[j], prec, _RND), num, prec, _RND)
+                    est2 = mpf_add(est2, mpf_div(v, den, prec, _RND), prec, _RND)
+                est = mpf_sqrt(mpf_abs(est2, prec, _RND), prec, _RND)
+                if mpf_lt(est, quarter):
                     exact = AlcovePoint(tuple(mpf_to_fraction(v) for v in x))
                     if point_in_alcove(d, exact, strict=True):
                         mc = mean_curvature(d, exact, max(DEFAULT_PRECISION_BITS, prec))
                         if mc.norm.hi < tol:
                             return MinimalOrbit(exact, mc.norm, total_iter, prec)
                     break
+                # (w * a_i) * a_j, entry by entry: the two orders round apart
+                sums = [[fzero] * r for _ in range(r)]
+                for alpha, _, w in cots:
+                    for i, a in enumerate(alpha):
+                        if a:
+                            wa = mpf_mul_int(w, a, prec, _RND)
+                            row = sums[i]
+                            for j, b in enumerate(alpha):
+                                if b:
+                                    row[j] = mpf_add(row[j], mpf_mul_int(wa, b, prec, _RND),
+                                                     prec, _RND)
                 hess = mpmath.matrix(r, r)
-                for i in range(r):
-                    for j in range(r):
-                        s = mpmath.mpf(0)
-                        for alpha, _, w in cots:
-                            if alpha[i] and alpha[j]:
-                                s += w * alpha[i] * alpha[j]
-                        hess[i, j] = pi2 * s
-                step = mpmath.lu_solve(hess, mpmath.matrix(grad))
-                lam = mpmath.mpf(1)
-                for q in facets:
-                    ad = pairing(q.normal, step)
-                    if ad > 0:
-                        ax = pairing(q.normal, x)
-                        b = mpmath.mpf(q.bound.numerator) / q.bound.denominator
-                        room = (b - ax) / ad
-                        if room * mpmath.mpf("0.99") < lam:
-                            lam = room * mpmath.mpf("0.99")
+                for i, j in product(range(r), repeat=2):
+                    hess[i, j] = make(mpf_mul(pi2, sums[i][j], prec, _RND))
+                sol = mpmath.lu_solve(hess, mpmath.matrix([make(gi) for gi in grad]))
+                step = [sol[i]._mpf_ for i in range(r)]
+                lam = _ONE
+                for normal, bound in walls:
+                    ad = _pairing(normal, step, prec)
+                    if mpf_gt(ad, fzero):
+                        room = mpf_div(mpf_sub(bound, _pairing(normal, x, prec), prec, _RND),
+                                       ad, prec, _RND)
+                        room = mpf_mul(room, shrink, prec, _RND)
+                        if mpf_lt(room, lam):
+                            lam = room
                 for _ in range(80):
-                    trial = [xi + lam * step[i] for i, xi in enumerate(x)]
-                    value, trial_trig = _log_volume(rung, trial)
-                    if value > base:
+                    trial = [mpf_add(xi, mpf_mul(lam, si, prec, _RND), prec, _RND)
+                             for xi, si in zip(x, step)]
+                    value, trial_trig = _log_volume(roots, rung, trial, prec)
+                    if mpf_gt(value, base):
                         x, base, trig = trial, value, trial_trig
                         break
-                    lam /= 2
+                    lam = mpf_div(lam, _TWO, prec, _RND)
                 else:
                     break
         prec *= 2

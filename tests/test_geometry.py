@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 from functools import cache
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermann.alcove import (AlcovePoint, active_roots, alcove_barycenter, alcove_vertices,
                             faces, point_in_alcove)
+from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
 from hermann.exact import (GramMatrix, RealInterval, cot_eval, format_interval, inner,
@@ -359,15 +361,21 @@ def test_find_minimal_g2_interior():
     assert point_in_alcove(d, orbit.point, strict=True)
 
 
+def _stored(key):
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
+    return json.loads(path.read_text(encoding="utf-8"))[key]
+
+
 @pytest.mark.parametrize("key, datum, tolerance", [
-    # the first rung; 296 -> 592 bits; 495 -> 990 bits
+    # the first rung; 296 -> 592 bits; 495 -> 990 bits; a rank-4 climb
+    # to 592 bits over 163 log-volume evaluations
     ("su_sp:11,9", ("su_sp", {"p": 11, "q": 9}), "1e-20"),
     ("isotropy:C3", ("isotropy", {"label": "C3"}), "1e-60"),
     ("so_even:7,5", ("so_even", {"p": 7, "q": 5}), "1e-120"),
-], ids=["su_sp:11,9-1e-20", "isotropy:C3-1e-60", "so_even:7,5-1e-120"])
+    ("isotropy:D4", ("isotropy", {"label": "D4"}), "1e-60"),
+], ids=["su_sp:11,9-1e-20", "isotropy:C3-1e-60", "so_even:7,5-1e-120", "isotropy:D4-1e-60"])
 def test_find_minimal_replays_stored_benchmark_bytes(key, datum, tolerance):
-    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
-    want = json.loads(path.read_text(encoding="utf-8"))[f"find_minimal({key}, {tolerance})"]
+    want = _stored(f"find_minimal({key}, {tolerance})")
     d = catalog(datum[0], **datum[1])
     cot_eval.cache_clear()
     orbit = find_minimal(d, Fraction(tolerance))
@@ -375,6 +383,63 @@ def test_find_minimal_replays_stored_benchmark_bytes(key, datum, tolerance):
            f"bits: {orbit.precision_bits}\npoint: {orbit.point}\n"
            f"norm: {format_interval(orbit.norm)}\n")
     assert got == want
+
+
+def test_find_minimal_cli_replays_stored_benchmark_bytes():
+    # cold, as the benchmark runs it; so8_g2 is the catalog datum with a
+    # root coefficient 3, where a * y rounds in every pairing
+    key = "hermann find-minimal --triad so8_g2"
+    cot_eval.cache_clear()
+    out = io.StringIO()
+    assert main(key.split()[1:], stdout=out) == 0
+    assert out.getvalue() == _stored(key)
+
+
+def _reference_log_volume(terms, x):
+    """The log volume in plain mpf operators, at the context's precision."""
+    total = mpmath.mpf(0)
+    trig = []
+    for alpha, phase, m in terms:
+        c, s = mpmath.cos_sin(mpmath.pi * (pairing(alpha, x) + phase))
+        total += m * mpmath.log(abs(s))
+        trig.append((c, s))
+    return total, trig
+
+
+LOG_VOLUME_DATA = (("so8_g2", ()), ("isotropy", (("label", "C3"),)),
+                   ("su_sp", (("p", 7), ("q", 5))))
+
+
+@cache
+def _log_volume_datum(i):
+    key, params = LOG_VOLUME_DATA[i]
+    d = catalog(key, **dict(params))
+    return d, alcove_vertices(d)
+
+
+@given(st.integers(min_value=0, max_value=len(LOG_VOLUME_DATA) - 1),
+       st.sampled_from((192, 296, 495, 990)), st.integers(min_value=4, max_value=1100),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_log_volume_kernel_matches_mpf_operators_bit_for_bit(i, prec, bits, data):
+    d, verts = _log_volume_datum(i)
+    # a positive combination of every vertex is interior; rounding it to
+    # 2^-bits, finer or coarser than the rung, keeps most draws inside
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=60),
+                                 min_size=len(verts), max_size=len(verts)))
+    point = [sum(w * v.coeffs[j] for w, v in zip(weights, verts)) / sum(weights)
+             for j in range(d.rank)]
+    point = AlcovePoint(tuple(Q(floor(c * 2 ** bits), 2 ** bits) for c in point))
+    assume(point_in_alcove(d, point, strict=True))
+    stream = positive_sector_roots(d)
+    with mpmath.mp.workprec(prec):
+        x = [mpmath.mpf(c.numerator) / c.denominator for c in point.coeffs]
+        terms = [(alpha, mpmath.mpf(t.numerator) / t.denominator, m) for alpha, t, m in stream]
+        want, want_trig = _reference_log_volume(terms, x)
+    roots, rung = geometry._rung(stream, prec)
+    got, got_trig = geometry._log_volume(roots, rung, [v._mpf_ for v in x], prec)
+    assert got == want._mpf_
+    assert got_trig == [(c._mpf_, s._mpf_) for c, s in want_trig]
 
 
 grid_coordinate = st.integers(min_value=0, max_value=12)
