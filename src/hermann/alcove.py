@@ -14,11 +14,18 @@ the slabs tight at each vertex.  Two vertices span an edge when no third
 vertex's tight set contains theirs in common.  A facet is a slab whose
 tight vertices span a hyperplane; the same incidences give the faces.  No
 LP is solved.
+
+Slab bounds, vertices, point tests and folding compute in integers over one
+denominator: a bound is an integer over d.order * gcd(alpha), a vertex is
+integers over one positive D, and a point is scaled once to integers over
+lcm(d.order, its denominators).  Each result is made a Fraction once, at
+the end, and is the same exact rational as a Fraction computation gives.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -88,19 +95,25 @@ class Face:
 
 
 def _slab_inequalities(d: GradedRootDatum):
+    """One half-space per primitive normal: the first of strictly least bound.
+
+    A bound is an integer over d.order * gcd(alpha) (order * t is whole).
+    """
     best = {}
+    o = d.order
     for alpha, t, _ in positive_sector_roots(d):
         n0 = 0 if t >= 0 else -1
-        upper = (alpha, Fraction(n0 + 1) - t, Wall(alpha, t, n0 + 1))
-        lower = (tuple(-x for x in alpha), t - Fraction(n0), Wall(alpha, t, n0))
-        for vec, bound, wall in (upper, lower):
-            g = gcd(*vec)
-            nvec = tuple(x // g for x in vec)
-            nbound = bound / g
-            cur = best.get(nvec)
-            if cur is None or nbound < cur.bound:
-                best[nvec] = Inequality(nvec, nbound, wall)
-    return sorted(best.values(), key=lambda q: (q.normal, q.bound))
+        ot = t.numerator * (o // t.denominator)
+        g = gcd(*alpha)
+        up = tuple(x // g for x in alpha)
+        for vec, num, wall in ((up, (n0 + 1) * o - ot, Wall(alpha, t, n0 + 1)),
+                               (tuple(-x for x in up), ot - n0 * o, Wall(alpha, t, n0))):
+            cur = best.get(vec)
+            if cur is None or num * cur[1] < cur[0] * g:
+                best[vec] = (num, g, wall)
+    return sorted((Inequality(vec, Fraction(num, o * g), wall)
+                   for vec, (num, g, wall) in best.items()),
+                  key=lambda q: (q.normal, q.bound))
 
 
 def _affine_rank(points) -> int:
@@ -115,7 +128,8 @@ def _vertex_enumeration(ineqs, rank):
     present), then cut by one inequality at a time.  A vertex pair (u inside,
     w beyond) with at least rank - 1 common tight inequalities spans an edge
     when no third vertex is tight on all of them (Fukuda & Prodon 1996); the
-    edge meets the cut in one new vertex.
+    edge meets the cut in one new vertex.  A vertex is integers X over one
+    D > 0, so its side of a bound bn/bd is the integer (normal . X) * bd - bn * D.
     """
     index = {q.normal: k for k, q in enumerate(ineqs)}
     sides = []
@@ -125,27 +139,32 @@ def _vertex_enumeration(ineqs, rank):
         sides.append(((ineqs[up].bound, up), (-ineqs[down].bound, down)))
     # slab bounds are >= 0, and > 0 for positive normals, so lo <= 0 < hi on
     # each axis and the 2^r corners are distinct
-    verts = [(tuple(c for c, _ in corner), frozenset(k for _, k in corner))
-             for corner in product(*sides)]
+    verts = []
+    for corner in product(*sides):
+        den, x = _scaled([c for c, _ in corner])
+        verts.append((x, den, frozenset(k for _, k in corner)))
     done = {k for pair in sides for _, k in pair}
     for k, q in enumerate(ineqs):
         if k in done:
             continue
-        side = [pairing(q.normal, x) - q.bound for x, _ in verts]
-        beyond = [(w, tw, sw) for (w, tw), sw in zip(verts, side) if sw > 0]
+        bn, bd = q.bound.numerator, q.bound.denominator
+        side = [pairing(q.normal, x) * bd - bn * dx for x, dx, _ in verts]
+        beyond = [(w, dw, tw, sw) for (w, dw, tw), sw in zip(verts, side) if sw > 0]
         new = []
-        for (u, tu), su in zip(verts, side):
+        for (u, du, tu), su in zip(verts, side):
             if su >= 0:
                 continue
-            for w, tw, sw in beyond:
+            for w, dw, tw, sw in beyond:
                 common = tu & tw
                 if len(common) >= rank - 1 and not any(
-                        common <= t for _, t in verts if t is not tu and t is not tw):
-                    s = su / (su - sw)
-                    new.append((tuple(a + s * (b - a) for a, b in zip(u, w)), common | {k}))
-        verts = [(x, t | {k} if sx == 0 else t)
-                 for (x, t), sx in zip(verts, side) if sx <= 0] + new
-    return verts
+                        common <= t for _, _, t in verts if t is not tu and t is not tw):
+                    x = [sw * a - su * b for a, b in zip(u, w)]
+                    dx = sw * du - su * dw
+                    g = gcd(dx, *x)
+                    new.append((tuple(a // g for a in x), dx // g, common | {k}))
+        verts = [(x, dx, t | {k} if sx == 0 else t)
+                 for (x, dx, t), sx in zip(verts, side) if sx <= 0] + new
+    return [(tuple(Fraction(a, dx) for a in x), t) for x, dx, t in verts]
 
 
 _ALCOVE_CACHE = weakref.WeakKeyDictionary()
@@ -193,11 +212,18 @@ def alcove_barycenter(d: GradedRootDatum) -> AlcovePoint:
     return _centroid([v.coeffs for v in _alcove_data(d)[1]])
 
 
+def _scaled(coeffs, order: int = 1):
+    """(D, k): rational coefficients as integers k over D = lcm(order, their denominators)."""
+    den = lcm(order, *(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+
 def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False) -> bool:
-    facets = _alcove_data(d)[0]
-    for q in facets:
-        val = pairing(q.normal, point.coeffs)
-        if val > q.bound or (strict and val == q.bound):
+    """Whether the point is in the closed alcove (its interior when strict)."""
+    den, k = _scaled(point.coeffs)
+    for q in _alcove_data(d)[0]:
+        val, bound = pairing(q.normal, k) * q.bound.denominator, q.bound.numerator * den
+        if val > bound or (strict and val == bound):
             return False
     return True
 
@@ -210,20 +236,29 @@ def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
     order * t is whole for every phase of a valid datum, so each angle is
     (alpha . k + t*D) mod D in integers.
     """
-    den = lcm(d.order, *(c.denominator for c in point.coeffs))
-    k = tuple(c.numerator * (den // c.denominator) for c in point.coeffs)
+    den, k = _scaled(point.coeffs, d.order)
     return den, [(pairing(alpha, k) + t.numerator * (den // t.denominator)) % den
                  for alpha, t, *_ in items]
 
 
-def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
-    """Roots whose wall passes through the point, their system and its components."""
+def active_roots(d: GradedRootDatum, point: AlcovePoint, terms=None) -> ActiveRoots:
+    """Roots whose wall passes through the point, their system and its components.
+
+    terms, the point's geometry.cot_terms when the caller has them, spare
+    the angle pass: a positive root is active exactly when it has fewer
+    terms than positive_sector_roots(d) has entries for it.
+    """
     # by the duality m(-alpha, eps^-1) = m(alpha, eps), a negative root is
     # active exactly when its negative is, at minus its angle
     stream = positive_sector_roots(d)
-    _, nums = sector_angles(d, point, stream)
-    union = sorted({v for (alpha, _, _), n in zip(stream, nums) if n == 0
-                    for v in (alpha, tuple(-x for x in alpha))})
+    if terms is None:
+        _, nums = sector_angles(d, point, stream)
+        active = {alpha for (alpha, _, _), n in zip(stream, nums) if n == 0}
+    else:
+        left = Counter(alpha for alpha, _, _ in stream)
+        left.subtract(t.alpha for t in terms)
+        active = {alpha for alpha, n in left.items() if n}
+    union = sorted(v for alpha in active for v in (alpha, tuple(-x for x in alpha)))
     system = subsystem(union, d.sigma.gram)
     try:
         components = decompose_and_classify(system)
@@ -266,22 +301,28 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     Each reflection lowers the number of slab walls separating the point
     from the alcove, which bounds the loop exactly; a point whose bound
     exceeds roots.DEFAULT_BUDGET raises ClosureBudgetExceeded unfolded.
+    The point is integers x over D = lcm(d.order, its denominators): each
+    phase is whole over D, and a facet wall's coroot row is integral for a
+    valid datum, so each reflection stays on D.
     """
     facets = _alcove_data(d)[0]
-    x = list(point.coeffs)
+    den, x = _scaled(point.coeffs, d.order)
     budget = 8
     for alpha, t, _ in positive_sector_roots(d):
-        p = pairing(alpha, point.coeffs) + t
-        budget += 2 + abs(int(p))
+        p = pairing(alpha, x) + t.numerator * (den // t.denominator)
+        budget += 2 + abs(p) // den
     if budget > DEFAULT_BUDGET:
         raise ClosureBudgetExceeded(f"folding may need {budget} reflections, "
                                     f"more than the budget of {DEFAULT_BUDGET}")
     walls = []
     for _ in range(budget):
-        hit = next((q.wall for q in facets if pairing(q.normal, x) > q.bound), None)
+        hit = next((q.wall for q in facets
+                    if pairing(q.normal, x) * q.bound.denominator > q.bound.numerator * den),
+                   None)
         if hit is None:
-            return AlcovePoint(tuple(x)), tuple(walls)
-        p = pairing(hit.alpha, x) + hit.phi - hit.n
-        x = [y - p * c for y, c in zip(x, coroot(hit.alpha, d.sigma.gram))]
+            return AlcovePoint(tuple(Fraction(y, den) for y in x)), tuple(walls)
+        p = (pairing(hit.alpha, x) + hit.phi.numerator * (den // hit.phi.denominator)
+             - hit.n * den)
+        x = tuple(y - p * c for y, c in zip(x, coroot(hit.alpha, d.sigma.gram)))
         walls.append(hit)
     raise NonTermination(f"folding did not settle within {budget} reflections")

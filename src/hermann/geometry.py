@@ -305,9 +305,13 @@ class OrbitReport:
 
 
 def orbit_report(d: GradedRootDatum, point: AlcovePoint) -> OrbitReport:
-    """Every classification of one orbit, from a single pass over its terms."""
+    """Every classification of one orbit, from a single pass over its terms.
+
+    The terms come from the one angle pass of the point, and active_roots
+    reads the active roots off them.
+    """
     terms = cot_terms(d, point)
-    actives = active_roots(d, point)
+    actives = active_roots(d, point, terms)
     mc = _mean_curvature(d, terms, DEFAULT_PRECISION_BITS)
     flags = symmetry_flags(d, point, actives)
     return OrbitReport(point, actives, type_label(d, actives),

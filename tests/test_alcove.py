@@ -1,6 +1,8 @@
 import importlib.util
 import json
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -10,6 +12,10 @@ from hypothesis import strategies as st
 
 from hermann.alcove import (
     AlcovePoint,
+    Inequality,
+    Wall,
+    _slab_inequalities,
+    _vertex_enumeration,
     active_roots,
     alcove_barycenter,
     alcove_vertices,
@@ -18,8 +24,9 @@ from hermann.alcove import (
     point_in_alcove,
     reduce_to_alcove,
 )
-from hermann.datum import catalog, parse_datum
+from hermann.datum import catalog, parse_datum, positive_sector_roots
 from hermann.exact import inner, matrix_rank, pairing, solve_exact
+from hermann.roots import DEFAULT_BUDGET, ClosureBudgetExceeded, coroot
 
 Q = Fraction
 
@@ -226,3 +233,172 @@ def test_first_non_simplex_alcoves(d, n_facets, n_vertices, n_faces):
 def test_square_alcove_vertices():
     verts = {tuple(v.coeffs) for v in alcove_vertices(A1_A1)}
     assert verts == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+# Fraction references for the alcove kernels, which compute in integers
+# over one denominator: each is the same rule written on Fractions.
+
+def _slab_inequalities_fraction(d):
+    best = {}
+    for alpha, t, _ in positive_sector_roots(d):
+        n0 = 0 if t >= 0 else -1
+        upper = (alpha, Q(n0 + 1) - t, Wall(alpha, t, n0 + 1))
+        lower = (tuple(-x for x in alpha), t - Q(n0), Wall(alpha, t, n0))
+        for vec, bound, wall in (upper, lower):
+            g = gcd(*vec)
+            nvec = tuple(x // g for x in vec)
+            nbound = bound / g
+            cur = best.get(nvec)
+            if cur is None or nbound < cur.bound:
+                best[nvec] = Inequality(nvec, nbound, wall)
+    return sorted(best.values(), key=lambda q: (q.normal, q.bound))
+
+
+def _vertex_enumeration_fraction(ineqs, rank):
+    index = {q.normal: k for k, q in enumerate(ineqs)}
+    sides = []
+    for i in range(rank):
+        e = tuple(int(i == j) for j in range(rank))
+        up, down = index[e], index[tuple(-x for x in e)]
+        sides.append(((ineqs[up].bound, up), (-ineqs[down].bound, down)))
+    verts = [(tuple(c for c, _ in corner), frozenset(k for _, k in corner))
+             for corner in product(*sides)]
+    done = {k for pair in sides for _, k in pair}
+    for k, q in enumerate(ineqs):
+        if k in done:
+            continue
+        side = [pairing(q.normal, x) - q.bound for x, _ in verts]
+        beyond = [(w, tw, sw) for (w, tw), sw in zip(verts, side) if sw > 0]
+        new = []
+        for (u, tu), su in zip(verts, side):
+            if su >= 0:
+                continue
+            for w, tw, sw in beyond:
+                common = tu & tw
+                if len(common) >= rank - 1 and not any(
+                        common <= t for _, t in verts if t is not tu and t is not tw):
+                    s = su / (su - sw)
+                    new.append((tuple(a + s * (b - a) for a, b in zip(u, w)), common | {k}))
+        verts = [(x, t | {k} if sx == 0 else t)
+                 for (x, t), sx in zip(verts, side) if sx <= 0] + new
+    return verts
+
+
+def _point_in_alcove_fraction(d, point, strict=False):
+    for q in fundamental_alcove(d):
+        val = pairing(q.normal, point.coeffs)
+        if val > q.bound or (strict and val == q.bound):
+            return False
+    return True
+
+
+def _reduce_to_alcove_fraction(d, point):
+    facets = fundamental_alcove(d)
+    x = list(point.coeffs)
+    budget = 8
+    for alpha, t, _ in positive_sector_roots(d):
+        budget += 2 + abs(int(pairing(alpha, point.coeffs) + t))
+    if budget > DEFAULT_BUDGET:
+        raise ClosureBudgetExceeded(f"folding may need {budget} reflections, "
+                                    f"more than the budget of {DEFAULT_BUDGET}")
+    walls = []
+    for _ in range(budget):
+        hit = next((q.wall for q in facets if pairing(q.normal, x) > q.bound), None)
+        if hit is None:
+            return AlcovePoint(tuple(x)), tuple(walls)
+        p = pairing(hit.alpha, x) + hit.phi - hit.n
+        x = [y - p * c for y, c in zip(x, coroot(hit.alpha, d.sigma.gram))]
+        walls.append(hit)
+    raise AssertionError("the reference fold did not settle")
+
+
+CATALOG_TO_RANK_SIX = (
+    [("so8_g2", {})]
+    + [("isotropy", {"label": f"{family}{r}"}) for family, ranks in (
+        ("A", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)), ("D", range(2, 7)),
+        ("BC", range(1, 7)), ("G", (2,))) for r in ranks]
+    + [(key, {"p": q + 2, "q": q}) for key in ("so_even", "su_sp") for q in range(3, 14, 2)])
+
+
+@pytest.mark.parametrize("d", [catalog(key, **params) for key, params in CATALOG_TO_RANK_SIX]
+                         + [A1_A1, A1_A2, B2_A2],
+                         ids=[f"{key}{''.join(f'-{v}' for v in params.values())}"
+                              for key, params in CATALOG_TO_RANK_SIX] + ["A1+A1", "A1+A2", "B2+A2"])
+def test_integer_double_description_matches_fraction_reference(d):
+    ineqs = _slab_inequalities(d)
+    assert ineqs == _slab_inequalities_fraction(d)
+    assert all(type(q.bound) is Fraction for q in ineqs)
+    # equal lists: the same vertices, in the same order, with equal tight sets
+    verts = _vertex_enumeration(ineqs, d.rank)
+    assert verts == _vertex_enumeration_fraction(ineqs, d.rank)
+    assert all(type(c) is Fraction for x, _ in verts for c in x)
+
+
+def test_slab_tie_goes_to_the_first_root():
+    # in BC2 at phase 0 the slabs of the short simple root e2 and of 2 e2
+    # both bound -x2 by 0: the first root of the stream, e2, keeps the normal
+    ineqs = {q.normal: q for q in _slab_inequalities(catalog("isotropy", label="BC2"))}
+    assert ineqs[(0, -1)].bound == 0 and ineqs[(0, -1)].wall == Wall((0, 1), Q(0), 0)
+    # and a strictly smaller bound wins over an earlier one: 2 e2 caps x2 at 1/2
+    assert ineqs[(0, 1)].bound == Q(1, 2) and ineqs[(0, 1)].wall == Wall((0, 2), Q(0), 1)
+
+
+POINT_DATA = (("so8_g2", {}), ("so_even", {"p": 7, "q": 5}), ("su_sp", {"p": 9, "q": 7}),
+              ("isotropy", {"label": "BC2"}), ("isotropy", {"label": "C3"}),
+              ("isotropy", {"label": "G2"}))
+
+
+@cache
+def _point_datum(i):
+    key, params = POINT_DATA[i]
+    d = catalog(key, **params)
+    return d, list(alcove_vertices(d)) + [f.representative for f in faces(d)]
+
+
+@st.composite
+def datum_and_point(draw):
+    d, special = _point_datum(draw(st.integers(0, len(POINT_DATA) - 1)))
+    box = st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=24)
+    point = draw(st.one_of(st.sampled_from(special),
+                           st.tuples(*[box] * d.rank).map(AlcovePoint)))
+    return d, point
+
+
+@given(datum_and_point())
+@settings(max_examples=150, deadline=None)
+def test_integer_point_kernels_match_fraction_reference(case):
+    d, point = case
+    for strict in (False, True):
+        assert point_in_alcove(d, point, strict) == _point_in_alcove_fraction(d, point, strict)
+    reduced, walls = reduce_to_alcove(d, point)
+    assert (reduced, walls) == _reduce_to_alcove_fraction(d, point)
+    assert all(type(c) is Fraction for c in reduced.coeffs)
+
+
+def test_boundary_points_are_closed_but_not_strict():
+    for i in range(len(POINT_DATA)):
+        d, special = _point_datum(i)
+        for point in special:
+            assert point_in_alcove(d, point)
+            assert point_in_alcove(d, point, strict=True) == (point == alcove_barycenter(d))
+
+
+@pytest.mark.parametrize("key, params", POINT_DATA[:4])
+def test_far_point_names_the_same_budget(key, params):
+    d = catalog(key, **params)
+    # negative pairings that are not whole pin the budget's rounding toward 0
+    for sign in (1, -1):
+        far = AlcovePoint((Q(sign * 10 ** 9, 7),) + (Q(1, 3),) * (d.rank - 1))
+        with pytest.raises(ClosureBudgetExceeded) as reference:
+            _reduce_to_alcove_fraction(d, far)
+        with pytest.raises(ClosureBudgetExceeded) as got:
+            reduce_to_alcove(d, far)
+        assert str(got.value) == str(reference.value)
+        assert f"than the budget of {DEFAULT_BUDGET}" in str(got.value)
+
+
+def test_rank_nine_alcove():
+    d = catalog("su_sp", p=21, q=19)
+    assert d.rank == 9
+    assert (len(fundamental_alcove(d)), len(alcove_vertices(d))) == (10, 10)
+    assert point_in_alcove(d, alcove_barycenter(d), strict=True)

@@ -517,6 +517,25 @@ def test_orbit_report_builds_the_terms_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_orbit_report_makes_one_angle_pass(monkeypatch):
+    import hermann.alcove as alcove
+    calls = []
+    original = alcove.sector_angles
+
+    def counting(d, point, items):
+        calls.append(point)
+        return original(d, point, items)
+
+    for mod in (alcove, geometry):
+        monkeypatch.setattr(mod, "sector_angles", counting)
+    d = _so_even()
+    for point in (AlcovePoint((Q(1, 4), 0, 0)), alcove_barycenter(d)):
+        calls.clear()
+        r = orbit_report(d, point)
+        assert len(calls) == 1
+        assert r.actives == active_roots(d, point)
+
+
 def test_orbit_report_classifies_the_active_system_once(monkeypatch):
     import hermann.alcove as alcove
     from hermann.roots import decompose_and_classify
@@ -612,6 +631,7 @@ def test_integer_kernels_match_fraction_formulas(i, drawn):
     union = sorted({v for s in d.sectors for v in s.roots
                     if (pairing(v, x) + s.phi) % 1 == 0})
     assert active_roots(d, point).union == tuple(union)
+    assert active_roots(d, point, terms).union == tuple(union)
     for bits in (192, 990):
         mc = geometry._mean_curvature(d, terms, bits)
         coeffs, norm = _reference_mean_curvature(d, terms, bits)
