@@ -8,7 +8,6 @@ pi, and every numerical statement carries a certified interval.
 from .alcove import (
     ActiveRoots,
     AlcovePoint,
-    EmptyAlcove,
     Face,
     NonTermination,
     Wall,

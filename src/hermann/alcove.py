@@ -8,16 +8,18 @@ n0 < c.x + t < n0 + 1; the alcove is the interior of a rational polytope
 and reduction to it is by reflections in facet walls,
 x -> x - (c.x + t - n) coroot(c), with the one coroot row of `roots`.
 
-The polytope is built by one exact vertex enumeration (double description):
-from the box of the unit-normal slabs, cut by one slab at a time, keeping
-the slabs tight at each vertex.  Two vertices span an edge when no third
-vertex's tight set contains theirs in common.  A facet is a slab whose
-tight vertices span a hyperplane; the same incidences give the faces.  No
-LP is solved.
+The polytope is read off its walls.  Validation makes the pairs of a datum
+an affine root system, so its alcove is a product of simplices (Bourbaki,
+Lie groups, ch. VI, sec. 2; Macdonald 1972).  A slab is a facet when the
+reflection of one interior point in its wall breaks that slab alone;
+facets whose normals are not Gram-orthogonal bound one simplex factor.  A
+vertex is tight at every facet but one per factor, and a face is a facet
+set that misses at least one facet of each factor.  No vertex enumeration
+and no LP is run.
 
-Slab bounds, vertices, point tests and folding compute in integers over one
-denominator: a bound is an integer over d.order * gcd(alpha), a vertex is
-integers over one positive D, and a point is scaled once to integers over
+Slab bounds, the facet test, vertex solves, point tests and folding compute
+in integers: a bound is an integer over d.order * gcd(alpha), the reflected
+interior point is integral, and a point is scaled once to integers over
 lcm(d.order, its denominators).  Each result is made a Fraction once, at
 the end, and is the same exact rational as a Fraction computation gives.
 """
@@ -28,18 +30,13 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import matrix_rank, pairing
-from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem,
-                    UnrecognizedType, coroot, decompose_and_classify, subsystem,
-                    verify_axioms)
-
-
-class EmptyAlcove(ValueError):
-    """No interior point satisfies every slab constraint."""
+from .exact import inner, pairing, solve_exact
+from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, coroot,
+                    decompose_and_classify, subsystem)
 
 
 class NonTermination(RuntimeError):
@@ -116,81 +113,57 @@ def _slab_inequalities(d: GradedRootDatum):
                   key=lambda q: (q.normal, q.bound))
 
 
-def _affine_rank(points) -> int:
-    return matrix_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
-
-
-def _vertex_enumeration(ineqs, rank):
-    """Vertices of {normal . x <= bound}, each with the inequalities tight at it.
-
-    Double description (Motzkin, Raiffa, Thompson & Thrall 1953): start from
-    the box of the +-e_i normals (the simple roots, whose slabs are always
-    present), then cut by one inequality at a time.  A vertex pair (u inside,
-    w beyond) with at least rank - 1 common tight inequalities spans an edge
-    when no third vertex is tight on all of them (Fukuda & Prodon 1996); the
-    edge meets the cut in one new vertex.  A vertex is integers X over one
-    D > 0, so its side of a bound bn/bd is the integer (normal . X) * bd - bn * D.
-    """
-    index = {q.normal: k for k, q in enumerate(ineqs)}
-    sides = []
-    for i in range(rank):
-        e = tuple(int(i == j) for j in range(rank))
-        up, down = index[e], index[tuple(-x for x in e)]
-        sides.append(((ineqs[up].bound, up), (-ineqs[down].bound, down)))
-    # slab bounds are >= 0, and > 0 for positive normals, so lo <= 0 < hi on
-    # each axis and the 2^r corners are distinct
-    verts = []
-    for corner in product(*sides):
-        den, x = _scaled([c for c, _ in corner])
-        verts.append((x, den, frozenset(k for _, k in corner)))
-    done = {k for pair in sides for _, k in pair}
-    for k, q in enumerate(ineqs):
-        if k in done:
-            continue
-        bn, bd = q.bound.numerator, q.bound.denominator
-        side = [pairing(q.normal, x) * bd - bn * dx for x, dx, _ in verts]
-        beyond = [(w, dw, tw, sw) for (w, dw, tw), sw in zip(verts, side) if sw > 0]
-        new = []
-        for (u, du, tu), su in zip(verts, side):
-            if su >= 0:
-                continue
-            for w, dw, tw, sw in beyond:
-                common = tu & tw
-                if len(common) >= rank - 1 and not any(
-                        common <= t for _, _, t in verts if t is not tu and t is not tw):
-                    x = [sw * a - su * b for a, b in zip(u, w)]
-                    dx = sw * du - su * dw
-                    g = gcd(dx, *x)
-                    new.append((tuple(a // g for a in x), dx // g, common | {k}))
-        verts = [(x, dx, t | {k} if sx == 0 else t)
-                 for (x, dx, t), sx in zip(verts, side) if sx <= 0] + new
-    return [(tuple(Fraction(a, dx) for a in x), t) for x, dx, t in verts]
-
-
 _ALCOVE_CACHE = weakref.WeakKeyDictionary()
 
 
+def _facets(d: GradedRootDatum, ineqs):
+    """The slabs that the reflection of b = (1, ..., 1)/e in their wall breaks alone.
+
+    With e = d.order * (1 + the largest root height), alpha . b + t lies in
+    (t, t + 1/order) for every pair, so b is inside the alcove.  A facet wall
+    reflects it into the alcove across that facet alone, as reflections
+    permute the walls (Bourbaki, Lie groups, ch. V, sec. 1), and a point
+    that breaks one slab alone shows that slab to be a facet.
+    """
+    e = d.order * (1 + max(sum(alpha) for alpha in d.sigma.positive_roots))
+    checks = [(j, q.normal, q.bound.denominator, q.bound.numerator * e)
+              for j, q in enumerate(ineqs)]
+    found = []
+    for i, q in enumerate(ineqs):
+        alpha, t, n = q.wall.alpha, q.wall.phi, q.wall.n
+        p = sum(alpha) + t.numerator * (e // t.denominator) - n * e
+        y = tuple(1 - p * c for c in coroot(alpha, d.sigma.gram))
+        # scaled by e, the reflected point is integral, as coroot rows are;
+        # a point outside the alcove breaks a facet, so try those found first
+        if all((pairing(normal, y) * bd > be) == (j == i)
+               for j, normal, bd, be in chain(found, checks)):
+            found.append(checks[i])
+    return [ineqs[j] for j, *_ in found]
+
+
 def _alcove_data(d: GradedRootDatum):
-    """(facets, vertices, facet indices tight at each vertex), built once."""
+    """(facets, vertices, facet indices tight at each vertex, factors), built once.
+
+    A factor is the facet indices of one simplex factor, a component of the
+    facet normals under Gram orthogonality; a vertex misses one per factor.
+    """
     cached = _ALCOVE_CACHE.get(d)
     if cached is not None:
         return cached
-    ineqs = _slab_inequalities(d)
-    pairs = sorted(_vertex_enumeration(ineqs, d.rank), key=lambda p: p[0])
-    if not pairs:
-        raise EmptyAlcove("slab constraints admit no vertex")
-    verts = [x for x, _ in pairs]
-    if _affine_rank(verts) < d.rank:
-        raise EmptyAlcove("slab constraints have empty interior")
-    # a facet is a slab whose tight vertices span a hyperplane
-    keep = []
-    for k in range(len(ineqs)):
-        on = [x for x, t in pairs if k in t]
-        if len(on) >= d.rank and _affine_rank(on) == d.rank - 1:
-            keep.append(k)
-    pos = {k: i for i, k in enumerate(keep)}
-    data = (tuple(ineqs[k] for k in keep), tuple(AlcovePoint(x) for x in verts),
-            tuple(frozenset(pos[k] for k in t if k in pos) for _, t in pairs))
+    facets = _facets(d, _slab_inequalities(d))
+    factors = []
+    for i, q in enumerate(facets):
+        linked = [c for c in factors
+                  if any(inner(q.normal, facets[j].normal, d.sigma.gram) for j in c)]
+        factors = [c for c in factors if c not in linked] + [
+            [i] + [j for c in linked for j in c]]
+    pairs = []
+    for omitted in product(*factors):
+        tight = [q for k, q in enumerate(facets) if k not in omitted]
+        x = solve_exact([q.normal for q in tight], [q.bound for q in tight])
+        pairs.append((AlcovePoint(x), frozenset(range(len(facets))) - set(omitted)))
+    verts, tight = zip(*sorted(pairs, key=lambda p: p[0].coeffs))
+    data = (tuple(facets), verts, tight, tuple(frozenset(c) for c in factors))
     _ALCOVE_CACHE[d] = data
     return data
 
@@ -204,12 +177,20 @@ def alcove_vertices(d: GradedRootDatum):
     return _alcove_data(d)[1]
 
 
-def _centroid(points) -> AlcovePoint:
-    return AlcovePoint(tuple(sum(c) / len(points) for c in zip(*points)))
+def _vertex_rows(verts):
+    """(D, rows): the vertices as integer rows over one denominator D."""
+    den, flat = _scaled([c for v in verts for c in v.coeffs])
+    r = len(verts[0].coeffs)
+    return den, [flat[i:i + r] for i in range(0, len(flat), r)]
+
+
+def _centroid(den, rows) -> AlcovePoint:
+    """The mean of points given as integer rows over den."""
+    return AlcovePoint(tuple(Fraction(sum(col), den * len(rows)) for col in zip(*rows)))
 
 
 def alcove_barycenter(d: GradedRootDatum) -> AlcovePoint:
-    return _centroid([v.coeffs for v in _alcove_data(d)[1]])
+    return _centroid(*_vertex_rows(_alcove_data(d)[1]))
 
 
 def _scaled(coeffs, order: int = 1):
@@ -260,37 +241,26 @@ def active_roots(d: GradedRootDatum, point: AlcovePoint, terms=None) -> ActiveRo
         active = {alpha for alpha, n in left.items() if n}
     union = sorted(v for alpha in active for v in (alpha, tuple(-x for x in alpha)))
     system = subsystem(union, d.sigma.gram)
-    try:
-        components = decompose_and_classify(system)
-    except UnrecognizedType:
-        if verify_axioms(system):
-            raise
-        raise UnrecognizedType(f"the active roots at {point} are not closed under "
-                               "their reflections, so they form no root system") from None
-    return ActiveRoots(tuple(union), system, components)
+    return ActiveRoots(tuple(union), system, decompose_and_classify(system))
 
 
 def faces(d: GradedRootDatum):
     """All nonempty closed faces, one exact representative each.
 
     A face is keyed by the set of facets containing it, active_facets,
-    as sorted facet indices.  Faces come back sorted by dimension,
-    vertices first.
+    as sorted facet indices: a set that misses at least one facet of each
+    simplex factor of the alcove, of dimension rank minus its size.  Faces
+    come back sorted by dimension, vertices first.
     """
-    _, verts, tight = _alcove_data(d)
-    sets = set(tight)
-    frontier = list(sets)
-    while frontier:
-        a = frontier.pop()
-        for b in list(sets):
-            c = a & b
-            if c not in sets:
-                sets.add(c)
-                frontier.append(c)
+    _, verts, tight, factors = _alcove_data(d)
+    den, rows = _vertex_rows(verts)
+    proper = [[frozenset(s) for n in range(len(c)) for s in combinations(sorted(c), n)]
+              for c in factors]
     out = []
-    for a in sets:
-        members = [v.coeffs for v, t in zip(verts, tight) if t >= a]
-        out.append(Face(tuple(sorted(a)), _centroid(members), _affine_rank(members)))
+    for parts in product(*proper):
+        a = frozenset().union(*parts)
+        members = [row for row, t in zip(rows, tight) if t >= a]
+        out.append(Face(tuple(sorted(a)), _centroid(den, members), d.rank - len(a)))
     return tuple(sorted(out, key=lambda fc: (fc.dimension, fc.representative.coeffs)))
 
 

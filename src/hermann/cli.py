@@ -1,14 +1,14 @@
 """Command-line front end for alcove reports, scans and diagrams.
 
-Exit codes: 0 success, 1 usage error, 2 datum parse/validation error (a
-datum file that is not UTF-8 JSON included), a datum whose alcove is empty,
-or a root set, of the datum or active at the point, that is no root system
-of type A, B, BC, C, D, G, 3 internal inconsistency (folding that outran its
-proven reflection budget included), 4 not certified (find-minimal reached no
-certified point within its precision ladder, a cotangent enclosure missed
-its width after 16 precision doublings, a root or Weyl closure outgrew its
-element budget, or reduce would need more reflections than that budget),
-141 stdout closed by its reader before the output was written.
+Exit codes: 0 success, 1 usage error, 2 datum rejected (not UTF-8 JSON,
+failed validation, phases or multiplicities that a reflection does not
+preserve included) or a root system outside the types A, B, BC, C, D, G,
+3 internal inconsistency (folding that outran its proven reflection budget
+included), 4 not certified (find-minimal reached no certified point within
+its precision ladder, a cotangent enclosure missed its width after 16
+precision doublings, a root or Weyl closure outgrew its element budget, or
+reduce would need more reflections than that budget), 141 stdout closed by
+its reader before the output was written.
 All output is ASCII and byte-deterministic for a fixed command line.
 """
 
@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .alcove import AlcovePoint, EmptyAlcove, NonTermination, alcove_vertices, \
+from .alcove import AlcovePoint, NonTermination, alcove_vertices, \
     faces, point_in_alcove, reduce_to_alcove
 from .datum import BadParameters, CATALOG, ParseError, UnknownKey, \
     ValidationError, catalog, parse_datum, serialize_datum
@@ -318,7 +318,7 @@ def main(argv=None, stdout=None) -> int:
     except (_UsageError, UnknownKey, BadParameters, RankTooHigh) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, UnrecognizedType, EmptyAlcove) as exc:
+    except (ParseError, ValidationError, UnrecognizedType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalInconsistency, NonTermination) as exc:

@@ -14,9 +14,9 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import GramMatrix, inner, parse_rational
-from .roots import (CartanLabel, RootSystem, build_root_system,
-                    decompose_and_classify, verify_axioms, _is_positive, _unit)
+from .exact import GramMatrix, inner, pairing, parse_rational
+from .roots import (CartanLabel, RootSystem, build_root_system, coroot,
+                    decompose_and_classify, well_shaped, _is_positive, _unit)
 
 
 class UnknownKey(ValueError):
@@ -107,7 +107,7 @@ def validate(d: GradedRootDatum):
         out.append(Violation("zero_mult", f"must be >= 0, got {d.zero_mult}"))
     if not d.sectors:
         out.append(Violation("sectors", "at least one sector is required"))
-    if not verify_axioms(d.sigma):
+    if not well_shaped(d.sigma):
         out.append(Violation("axioms", "root-system axioms fail"))
     seen = set()
     for s in d.sectors:
@@ -124,24 +124,63 @@ def validate(d: GradedRootDatum):
                 out.append(Violation("support", f"{v} in sector {t}*pi is not a root"))
             if not isinstance(m, int) or m < 1:
                 out.append(Violation("multiplicity", f"m{v}@{t}*pi must be a positive integer, got {m!r}"))
-    covered = set()
-    for s in d.sectors:
-        covered |= set(s.roots)
-    missing = d.sigma.roots - covered
+    missing = d.sigma.roots.difference(*(s.roots for s in d.sectors))
     if missing:
         out.append(Violation("coverage", f"{len(missing)} roots carry no sector, e.g. {sorted(missing)[0]}"))
     by_phase = {s.phi: s.roots for s in d.sectors}
     for s in d.sectors:
         t = s.phi
         tinv = inverse_phase(t)
-        dual = by_phase.get(tinv)
+        dual = by_phase.get(tinv, {})
         for v, m in s.roots.items():
             nv = tuple(-x for x in v)
-            dm = None if dual is None else dual.get(nv)
+            dm = dual.get(nv)
             if dm != m:
                 out.append(Violation("duality",
                                      f"m({nv}, phase {tinv}*pi) = {dm} but m({v}, phase {t}*pi) = {m}"))
+    if not out:
+        out.extend(_closure_violations(d))
     return tuple(out)
+
+
+def _closure_violations(d: GradedRootDatum):
+    """The first (root, phase) pair that a reflection takes off the datum.
+
+    The pairs with m > 0 are affine roots, which the Weyl group permutes with
+    their multiplicities (Heintze, Palais, Terng & Thorbergsson 1995;
+    Macdonald 1972): the wall of (alpha, s) sends (beta, t) to (beta - k alpha,
+    t - k s mod 1), k = <beta, alpha^vee>.  Phases are integers mod d.order.
+    As s_-alpha = s_alpha and duality pairs (-beta, -t) with (beta, t), alpha
+    and beta run over the positive roots.
+    """
+    o = d.order
+    at = {}
+    for s in d.sectors:
+        for v, m in s.roots.items():
+            at.setdefault(v, {})[s.phi.numerator * (o // s.phi.denominator) % o] = m
+
+    def pair(v, p):
+        return f"({v}, {Fraction(p, o) - (2 * p > o)}*pi)"
+
+    positives = sorted(d.sigma.positive_roots)
+    for alpha in positives:
+        row = coroot(alpha, d.sigma.gram)
+        for beta in positives:
+            k = pairing(row, beta)
+            if k.denominator != 1:
+                return [Violation("axioms", f"<{beta}, {alpha}^vee> = {k} is not whole")]
+            image = tuple(b - k * a for b, a in zip(beta, alpha))
+            if image not in at:
+                return [Violation("axioms", f"the reflection of {beta} in {alpha}, "
+                                            f"{image}, is not a root")]
+            for s in at[alpha] if k else ():
+                for t, m in at[beta].items():
+                    q = (t - k * s) % o
+                    if at[image].get(q, 0) != m:
+                        return [Violation("affine", f"the reflection of {pair(beta, t)} in "
+                                                    f"{pair(alpha, s)} is {pair(image, q)}, which "
+                                                    f"carries m = {at[image].get(q, 0)}, not {m}")]
+    return []
 
 
 def _graded(name, rs: RootSystem, order, table, norm=None) -> GradedRootDatum:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
@@ -161,8 +161,15 @@ def inner(u, v, g: "GramMatrix") -> Fraction:
 
 
 def row_reduce(rows):
-    """Reduced row-echelon form over Fraction and its pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row-echelon form over Fraction and its pivot columns.
+
+    The rows are scaled to integers and eliminated in integers, each divided
+    by its gcd; each entry is made a Fraction once, at the end.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -170,14 +177,15 @@ def row_reduce(rows):
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
         for i, row in enumerate(m):
             f = row[c]
             if i != r and f != 0:
-                m[i] = [x - f * y for x, y in zip(row, m[r])]
+                new = [m[r][c] * x - f * y for x, y in zip(row, m[r])]
+                g = gcd(*new) or 1
+                m[i] = [x // g for x in new]
         pivots.append(c)
-    return m, tuple(pivots)
+    return ([[Fraction(x, m[r][c]) for x in m[r]] for r, c in enumerate(pivots)]
+            + [[Fraction(0)] * len(row) for row in m[len(pivots):]]), tuple(pivots)
 
 
 def solve_exact(rows, rhs):

@@ -181,7 +181,7 @@ def _austere(terms) -> TriState:
     """Yes exactly when every root alpha balances theta against 1 - theta.
 
     In a generic direction only roots on one line share a curvature, and
-    only alpha and 2*alpha share a line (verify_axioms rejects 3*alpha and
+    only alpha and 2*alpha share a line (validation rejects 3*alpha and
     4*alpha).  So an unbalanced class could only be offset by a cross pair
     cot x + 2 cot y = 0 (y -> pi - y covers an equal-sign coincidence), with
     x, y rational multiples of pi outside (pi/2) Z.  That is a vanishing

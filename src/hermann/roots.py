@@ -128,22 +128,9 @@ def coroot(alpha, gram: GramMatrix):
                  for x in g_alpha)
 
 
-def cartan(v, alpha, gram: GramMatrix) -> int:
-    """The Cartan integer 2(alpha, v)/(alpha, alpha); ValueError if not integral."""
-    k = pairing(coroot(alpha, gram), v)
-    if k.denominator != 1:
-        raise ValueError(f"non-integral Cartan pairing of {alpha} with {v}")
-    return k.numerator
-
-
 def _reflect_by(v, alpha, k):
     """v - k alpha: the reflection of v in alpha when k = <v, alpha^vee>."""
     return tuple(x - k * a for x, a in zip(v, alpha))
-
-
-def reflect(v, alpha, gram: GramMatrix):
-    """Image of v under the reflection fixing the hyperplane of alpha."""
-    return _reflect_by(v, alpha, cartan(v, alpha, gram))
 
 
 def _unit(i, r):
@@ -178,31 +165,26 @@ def build_root_system(label: CartanLabel) -> RootSystem:
     return RootSystem(r, gram, frozenset(roots), simples, positives)
 
 
+def well_shaped(rs: RootSystem) -> bool:
+    """Roots are nonzero integer vectors, the simple roots among them, Phi+ = -Phi- >= 0."""
+    neg = frozenset(tuple(-x for x in v) for v in rs.positive_roots)
+    return (all(len(v) == rs.rank and any(v) and all(x == int(x) for x in v)
+                for v in rs.roots)
+            and set(rs.simple_roots) <= rs.roots
+            and rs.positive_roots | neg == rs.roots and not rs.positive_roots & neg
+            and all(x >= 0 for v in rs.positive_roots for x in v))
+
+
 def verify_axioms(rs: RootSystem) -> bool:
     """Check the root-system axioms; returns False on the first failure."""
-    roots = rs.roots
-    if not roots:
-        return True
-    gram = rs.gram
-    for v in roots:
-        if len(v) != rs.rank or all(x == 0 for x in v):
-            return False
-        if any(x != int(x) for x in v):
-            return False
-    if not set(rs.simple_roots) <= roots:
+    if rs.roots and not well_shaped(rs):
         return False
-    neg = frozenset(tuple(-x for x in v) for v in rs.positive_roots)
-    if rs.positive_roots | neg != roots or rs.positive_roots & neg:
-        return False
-    for v in rs.positive_roots:
-        if any(x < 0 for x in v):
-            return False
-    # s_-a = s_a; a pair v, 3v fails here too, as cartan(v, 3v) = 2/3
+    # s_-a = s_a; a pair v, 3v fails here too, as <v, (3v)^vee> = 2/3
     for a in rs.positive_roots:
-        row = coroot(a, gram)
-        for b in roots:
+        row = coroot(a, rs.gram)
+        for b in rs.roots:
             k = pairing(row, b)
-            if k.denominator != 1 or _reflect_by(b, a, k) not in roots:
+            if k.denominator != 1 or _reflect_by(b, a, k) not in rs.roots:
                 return False
     return True
 

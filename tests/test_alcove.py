@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from hermann.alcove import (
     AlcovePoint,
+    Face,
     Inequality,
     Wall,
+    _alcove_data,
     _slab_inequalities,
-    _vertex_enumeration,
     active_roots,
     alcove_barycenter,
     alcove_vertices,
@@ -190,6 +191,21 @@ def test_alcove_matches_independent_oracle(key, params, sectors, args):
     assert [v.coeffs for v in alcove_vertices(d)] == verts
 
 
+def test_oracle_affine_closure():
+    oracles = _oracles()
+    for _, by_phase in (oracles.sectors_so_even(9, 7), oracles.sectors_su_sp(9, 7),
+                        oracles.sectors_g2()):
+        assert oracles.affine_closure_violations(by_phase) == 0
+    # B2 + A2 in R^2 + R^3, with the long simple root e1 - e2 of B2 at pi/4
+    b2 = [(1, -1), (0, 1), (1, 0), (1, 1)]
+    a2 = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
+    ambient = [tuple(Q(x) for x in v + (0, 0, 0)) for v in b2] + [
+        tuple(Q(x) for x in (0, 0) + v) for v in a2]
+    assert oracles.affine_closure_violations(
+        [(Q(1, 4), ambient[:1]), (Q(0), ambient[1:])]) > 0
+    assert oracles.affine_closure_violations([(Q(0), ambient)]) == 0
+
+
 def _reducible(rank, gram, order, sectors):
     doc = {"name": "reducible", "rank": rank, "gram": gram, "order": order,
            "sectors": [{"phi": phi, "roots": [{"v": list(v), "m": 1} for v in roots]}
@@ -205,17 +221,17 @@ A1_A1 = _reducible(2, [[2, 0], [0, 2]], 1,
                    [("0", _with_negatives((1, 0), (0, 1)))])
 A1_A2 = _reducible(3, [[2, 0, 0], [0, 2, -1], [0, -1, 2]], 1,
                    [("0", _with_negatives((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)))])
-# B2 (long a1, short a2) + A2, with the long simple root of B2 at phase pi/4
-B2_A2 = _reducible(4, [[2, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], 4,
-                   [("1/4", [(1, 0, 0, 0)]),
-                    ("0", _with_negatives((0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0),
-                                          (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)))])
+# B2 (long a1, short a2) + A2, every root at phase 0
+B2_A2 = _reducible(4, [[2, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], 1,
+                   [("0", _with_negatives((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                                          (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                                          (0, 0, 1, 1)))])
 
 
 @pytest.mark.parametrize("d, n_facets, n_vertices, n_faces", [
     (A1_A1, 4, 4, 3 * 3),     # square
     (A1_A2, 5, 6, 3 * 7),     # segment x triangle
-    (B2_A2, 8, 15, 11 * 7),   # pentagon x triangle
+    (B2_A2, 6, 9, 7 * 7),     # triangle x triangle
 ], ids=["A1+A1", "A1+A2", "B2+A2"])
 def test_first_non_simplex_alcoves(d, n_facets, n_vertices, n_faces):
     facets = fundamental_alcove(d)
@@ -255,6 +271,7 @@ def _slab_inequalities_fraction(d):
 
 
 def _vertex_enumeration_fraction(ineqs, rank):
+    """Double description (Motzkin, Raiffa, Thompson & Thrall 1953) on Fractions."""
     index = {q.normal: k for k, q in enumerate(ineqs)}
     sides = []
     for i in range(rank):
@@ -282,6 +299,43 @@ def _vertex_enumeration_fraction(ineqs, rank):
         verts = [(x, t | {k} if sx == 0 else t)
                  for (x, t), sx in zip(verts, side) if sx <= 0] + new
     return verts
+
+
+def _affine_rank(points):
+    return matrix_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
+
+
+def _alcove_data_fraction(d):
+    """Facets, vertices and tight sets by vertex enumeration: a facet is a
+    slab whose tight vertices span a hyperplane."""
+    ineqs = _slab_inequalities_fraction(d)
+    pairs = sorted(_vertex_enumeration_fraction(ineqs, d.rank), key=lambda p: p[0])
+    on = [[x for x, t in pairs if k in t] for k in range(len(ineqs))]
+    keep = [k for k in range(len(ineqs))
+            if len(on[k]) >= d.rank and _affine_rank(on[k]) == d.rank - 1]
+    pos = {k: i for i, k in enumerate(keep)}
+    return (tuple(ineqs[k] for k in keep), tuple(AlcovePoint(x) for x, _ in pairs),
+            tuple(frozenset(pos[k] for k in t if k in pos) for _, t in pairs))
+
+
+def _faces_fraction(d):
+    """Faces as the closure of the vertices' tight sets under intersection."""
+    _, verts, tight = _alcove_data_fraction(d)
+    sets = set(tight)
+    frontier = list(sets)
+    while frontier:
+        a = frontier.pop()
+        for b in list(sets):
+            c = a & b
+            if c not in sets:
+                sets.add(c)
+                frontier.append(c)
+    out = []
+    for a in sets:
+        members = [v.coeffs for v, t in zip(verts, tight) if t >= a]
+        rep = AlcovePoint(tuple(sum(c) / len(members) for c in zip(*members)))
+        out.append(Face(tuple(sorted(a)), rep, _affine_rank(members)))
+    return tuple(sorted(out, key=lambda fc: (fc.dimension, fc.representative.coeffs)))
 
 
 def _point_in_alcove_fraction(d, point, strict=False):
@@ -320,18 +374,22 @@ CATALOG_TO_RANK_SIX = (
     + [(key, {"p": q + 2, "q": q}) for key in ("so_even", "su_sp") for q in range(3, 14, 2)])
 
 
-@pytest.mark.parametrize("d", [catalog(key, **params) for key, params in CATALOG_TO_RANK_SIX]
-                         + [A1_A1, A1_A2, B2_A2],
-                         ids=[f"{key}{''.join(f'-{v}' for v in params.values())}"
-                              for key, params in CATALOG_TO_RANK_SIX] + ["A1+A1", "A1+A2", "B2+A2"])
+ALCOVE_DATA = pytest.mark.parametrize(
+    "d", [catalog(key, **params) for key, params in CATALOG_TO_RANK_SIX] + [A1_A1, A1_A2, B2_A2],
+    ids=[f"{key}{''.join(f'-{v}' for v in params.values())}"
+         for key, params in CATALOG_TO_RANK_SIX] + ["A1+A1", "A1+A2", "B2+A2"])
+
+
+@ALCOVE_DATA
 def test_integer_double_description_matches_fraction_reference(d):
     ineqs = _slab_inequalities(d)
     assert ineqs == _slab_inequalities_fraction(d)
     assert all(type(q.bound) is Fraction for q in ineqs)
-    # equal lists: the same vertices, in the same order, with equal tight sets
-    verts = _vertex_enumeration(ineqs, d.rank)
-    assert verts == _vertex_enumeration_fraction(ineqs, d.rank)
-    assert all(type(c) is Fraction for x, _ in verts for c in x)
+    # equal lists: the same facets and vertices, in the same order, with
+    # equal tight sets, and the same faces
+    assert _alcove_data(d)[:3] == _alcove_data_fraction(d)
+    assert all(type(c) is Fraction for v in alcove_vertices(d) for c in v.coeffs)
+    assert faces(d) == _faces_fraction(d)
 
 
 def test_slab_tie_goes_to_the_first_root():
@@ -402,3 +460,27 @@ def test_rank_nine_alcove():
     assert d.rank == 9
     assert (len(fundamental_alcove(d)), len(alcove_vertices(d))) == (10, 10)
     assert point_in_alcove(d, alcove_barycenter(d), strict=True)
+
+
+def test_rank_nine_faces():
+    d = catalog("su_sp", p=21, q=19)
+    table = faces(d)
+    # a 9-simplex has 2^10 - 1 faces
+    assert len(table) == 1023
+    assert [f.representative for f in table[:10]] == list(alcove_vertices(d))
+    assert [f.dimension for f in table] == sorted(f.dimension for f in table)
+
+
+def test_rank_ten_alcove():
+    d = catalog("su_sp", p=23, q=21)
+    assert d.rank == 10
+    assert (len(fundamental_alcove(d)), len(alcove_vertices(d))) == (11, 11)
+    assert point_in_alcove(d, alcove_barycenter(d), strict=True)
+
+
+@ALCOVE_DATA
+def test_small_diagonal_point_is_interior(d):
+    # b = (1, ..., 1)/e with e = order * (1 + the largest root height):
+    # alpha . b + t lies strictly between t and t + 1/order for every pair
+    e = d.order * (1 + max(sum(alpha) for alpha in d.sigma.positive_roots))
+    assert point_in_alcove(d, AlcovePoint((Q(1, e),) * d.rank), strict=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hermann.alcove import EmptyAlcove, NonTermination
+from hermann.alcove import NonTermination
 from hermann.cli import main
 from hermann.exact import PrecisionExhausted
 
@@ -298,13 +298,9 @@ def test_uncertified_minimal_search_exits_four(capsys):
 @pytest.mark.parametrize("module, name, exc, argv, code, prefix", [
     ("hermann.geometry", "cot_eval", PrecisionExhausted,
      ["analyze", "--triad", "so8_g2", "--point=1/12,1/24"], 4, "not certified: "),
-    ("hermann.cli", "faces", EmptyAlcove,
-     ["faces", "--triad", "so8_g2", "--all-faces"], 2, "error: "),
-    ("hermann.cli", "alcove_vertices", EmptyAlcove,
-     ["faces", "--triad", "so8_g2"], 2, "error: "),
     ("hermann.cli", "reduce_to_alcove", NonTermination,
      ["reduce", "--triad", "so8_g2", "--point=3,1"], 3, "internal inconsistency: "),
-], ids=["PrecisionExhausted", "EmptyAlcove", "EmptyAlcove-vertices", "NonTermination"])
+], ids=["PrecisionExhausted", "NonTermination"])
 def test_library_errors_map_to_exit_codes(monkeypatch, capsys, module, name, exc,
                                           argv, code, prefix):
     def fail(*args, **kwargs):
@@ -317,8 +313,8 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, module, name, exc
 
 def test_unsupported_root_system_type_exits_two(tmp_path, capsys):
     from fractions import Fraction
-    from hermann.exact import GramMatrix
-    from hermann.roots import reflect
+    from hermann.exact import GramMatrix, pairing
+    from hermann.roots import coroot
     # F4: its 48 roots pass validation, but F is not a supported family
     gram = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 1, "-1/2"], [0, 0, "-1/2", 1]]
     g = GramMatrix(tuple(tuple(Fraction(x) for x in row) for row in gram))
@@ -327,7 +323,7 @@ def test_unsupported_root_system_type_exits_two(tmp_path, capsys):
     while frontier:
         v = frontier.pop()
         for s in simples:
-            w = reflect(v, s, g)
+            w = tuple(x - pairing(coroot(s, g), v) * y for x, y in zip(v, s))
             if w not in roots:
                 roots.add(w)
                 frontier.append(w)
@@ -349,8 +345,8 @@ def test_unsupported_root_system_type_exits_two(tmp_path, capsys):
 
 
 def test_active_set_that_is_no_root_system_exits_two(tmp_path, capsys):
-    # the B2+A2 datum of test_alcove.py: phase 1/4 on a1 alone is not
-    # additive on root strings, so the active roots at 0 are not closed
+    # B2+A2 with phase 1/4 on a1 alone: the phases are not additive on root
+    # strings, so validation rejects the datum before any active set is built
     b2 = [(0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
           (0, 0, 1, 1)]
     doc = {"name": "reducible", "rank": 4, "order": 4,
@@ -360,12 +356,16 @@ def test_active_set_that_is_no_root_system_exits_two(tmp_path, capsys):
                                               for w in (v, tuple(-x for x in v))]}]}
     path = tmp_path / "b2a2.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out = io.StringIO()
-    assert main(["analyze", "--triad", f"@{path}", "--point=0,0,0,0"], stdout=out) == 2
-    assert out.getvalue() == ""
-    assert capsys.readouterr().err == (
-        "error: the active roots at (0, 0, 0, 0) are not closed under their "
-        "reflections, so they form no root system\n")
+    message = ("error: datum validation failed: [affine] the reflection of "
+               "((1, 0, 0, 0), 1/4*pi) in ((0, 1, 0, 0), 0*pi) is "
+               "((1, 2, 0, 0), 1/4*pi), which carries m = 0, not 1\n")
+    for argv in (["analyze", "--triad", f"@{path}", "--point=0,0,0,0"],
+                 ["faces", "--triad", f"@{path}"],
+                 ["faces", "--triad", f"@{path}", "--all-faces"]):
+        out = io.StringIO()
+        assert main(argv, stdout=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == message
 
 
 def test_validation_errors_exit_two(tmp_path):

@@ -163,6 +163,48 @@ def test_parse_rejects_non_root_vectors():
     assert any(v.kind == "axioms" for v in err.value.violations)
 
 
+def test_parse_rejects_a_reflection_outside_the_roots():
+    # A2 without a1 + a2: the reflection of a1 in a2 is not a root
+    doc = json.loads(serialize_datum(catalog("isotropy", label="A2")))
+    doc["sectors"][0]["roots"] = [r for r in doc["sectors"][0]["roots"]
+                                  if r["v"] not in ([1, 1], [-1, -1])]
+    with pytest.raises(ValidationError) as err:
+        parse_datum(json.dumps(doc))
+    assert [v.kind for v in err.value.violations] == ["axioms"]
+    assert "(1, 1), is not a root" in str(err.value)
+
+
+def test_parse_rejects_phases_not_closed_under_reflection():
+    # B2 (long a1, short a2) + A2 with a1 alone at phase 1/4: s_a2 sends
+    # (a1, 1/4) to (a1 + 2 a2, 1/4), which is at phase 0 only
+    b2a2 = [(0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+            (0, 0, 1, 1)]
+    doc = {"name": "b2a2", "rank": 4, "order": 4,
+           "gram": [[2, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+           "sectors": [{"phi": "1/4", "roots": [{"v": [1, 0, 0, 0], "m": 1}]},
+                       {"phi": "0", "roots": [{"v": list(w), "m": 1} for v in b2a2
+                                              for w in (v, tuple(-x for x in v))]}]}
+    with pytest.raises(ValidationError) as err:
+        parse_datum(json.dumps(doc))
+    assert [v.kind for v in err.value.violations] == ["affine"]
+    assert "((1, 0, 0, 0), 1/4*pi) in ((0, 1, 0, 0), 0*pi)" in str(err.value)
+    # the same roots at phase 0 alone are a valid datum
+    doc["order"] = 1
+    doc["sectors"][0]["phi"] = "0"
+    assert parse_datum(json.dumps(doc)).rank == 4
+
+
+def test_parse_rejects_a_multiplicity_that_reflection_changes():
+    doc = json.loads(serialize_datum(catalog("isotropy", label="A2")))
+    for r in doc["sectors"][0]["roots"]:
+        if r["v"] in ([1, 0], [-1, 0]):
+            r["m"] = 2
+    with pytest.raises(ValidationError) as err:
+        parse_datum(json.dumps(doc))
+    assert [v.kind for v in err.value.violations] == ["affine"]
+    assert "carries m = 1, not 2" in str(err.value)
+
+
 def test_omitted_sector_completed_through_duality():
     base = catalog("so8_g2")
     doc = json.loads(serialize_datum(base))

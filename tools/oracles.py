@@ -250,6 +250,30 @@ def _gcd(a, b):
     return gcd(a, b)
 
 
+# ---------------------------------------------------- affine closure check
+
+def affine_closure_violations(sectors):
+    """Count reflections that take a (root, phase) pair off the sectors.
+
+    sectors: list of (phase t in units of pi, [ambient positive roots]); the
+    negative of each root sits at phase -t.  Phases are compared mod 1.  The
+    reflection of (b, t) in the wall of (a, s) is (b - k a, t - k s) with
+    k = 2 a.b / a.a, and it must again be a pair of the sectors.
+    """
+    pairs = set()
+    for t, pos in sectors:
+        for a in pos:
+            pairs.add((tuple(a), Q(t) % 1))
+            pairs.add((vneg(a), Q(-t) % 1))
+    bad = 0
+    for a, s in pairs:
+        for b, t in pairs:
+            k = Q(2) * dot(a, b) / dot(a, a)
+            if k.denominator != 1 or (vsub(b, smul(k, a)), (t - k * s) % 1) not in pairs:
+                bad += 1
+    return bad
+
+
 # ------------------------------------------------------------------- main
 
 def show_weyl_table():
