@@ -12,6 +12,7 @@ from .alcove import (
     NonTermination,
     Wall,
     active_roots,
+    active_walls,
     alcove_barycenter,
     alcove_vertices,
     faces,
@@ -73,6 +74,7 @@ from .roots import (
     RootSystem,
     WeylGroup,
     build_root_system,
+    cartan_matrix,
     contains_minus_identity,
     decompose_and_classify,
     tits_minus_identity,

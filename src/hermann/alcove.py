@@ -17,6 +17,14 @@ vertex is tight at every facet but one per factor, and a face is a facet
 set that misses at least one facet of each factor.  No vertex enumeration
 and no LP is run.
 
+The facets through a point carry its active roots, the roots whose wall
+passes through it: on each facet's line the least root active on the wall,
+signed along the outward normal, and these form a base of the active
+system (Bourbaki, ch. V, sec. 3.3).  active_walls reads the type, the span
+and the Cartan matrix of the -id test off them, with the facets' roots and
+Cartan integers cached once per datum; active_roots, which pairs every
+root with the point, is the reference it is tested against.
+
 Slab bounds, the facet test, vertex solves, point tests and folding compute
 in integers: a bound is an integer over d.order * gcd(alpha), the reflected
 interior point is integral, and a point is scaled once to integers over
@@ -27,7 +35,6 @@ the end, and is the same exact rational as a Fraction computation gives.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -35,8 +42,9 @@ from math import gcd, lcm
 
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import inner, pairing, solve_exact
-from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, coroot,
-                    decompose_and_classify, subsystem)
+from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, cartan_matrix,
+                    cartan_type, coroot, decompose_and_classify, linked_components,
+                    subsystem)
 
 
 class NonTermination(RuntimeError):
@@ -77,6 +85,21 @@ class Inequality:
 class ActiveRoots:
     union: tuple
     system: RootSystem
+    components: tuple
+
+
+@dataclass(frozen=True)
+class ActiveWalls:
+    """The facet walls through a point: a base of its active root system.
+
+    roots holds, per wall, the least root on the wall's line that is active
+    there, signed along the facet's outward normal; cartan is their integer
+    Cartan matrix, and components is roots.cartan_type of it: (label,
+    indices into roots) per irreducible factor.
+    """
+
+    roots: tuple
+    cartan: tuple
     components: tuple
 
 
@@ -151,12 +174,8 @@ def _alcove_data(d: GradedRootDatum):
     if cached is not None:
         return cached
     facets = _facets(d, _slab_inequalities(d))
-    factors = []
-    for i, q in enumerate(facets):
-        linked = [c for c in factors
-                  if any(inner(q.normal, facets[j].normal, d.sigma.gram) for j in c)]
-        factors = [c for c in factors if c not in linked] + [
-            [i] + [j for c in linked for j in c]]
+    factors = linked_components(
+        len(facets), lambda i, j: inner(facets[i].normal, facets[j].normal, d.sigma.gram))
     pairs = []
     for omitted in product(*factors):
         tight = [q for k, q in enumerate(facets) if k not in omitted]
@@ -222,26 +241,80 @@ def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
                  for alpha, t, *_ in items]
 
 
-def active_roots(d: GradedRootDatum, point: AlcovePoint, terms=None) -> ActiveRoots:
+def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     """Roots whose wall passes through the point, their system and its components.
 
-    terms, the point's geometry.cot_terms when the caller has them, spare
-    the angle pass: a positive root is active exactly when it has fewer
-    terms than positive_sector_roots(d) has entries for it.
+    This pairs every root with the point; it is the reference that
+    active_walls, which reads a base off the facets, is tested against.
     """
     # by the duality m(-alpha, eps^-1) = m(alpha, eps), a negative root is
     # active exactly when its negative is, at minus its angle
     stream = positive_sector_roots(d)
-    if terms is None:
-        _, nums = sector_angles(d, point, stream)
-        active = {alpha for (alpha, _, _), n in zip(stream, nums) if n == 0}
-    else:
-        left = Counter(alpha for alpha, _, _ in stream)
-        left.subtract(t.alpha for t in terms)
-        active = {alpha for alpha, n in left.items() if n}
+    _, nums = sector_angles(d, point, stream)
+    active = {alpha for (alpha, _, _), n in zip(stream, nums) if n == 0}
     union = sorted(v for alpha in active for v in (alpha, tuple(-x for x in alpha)))
     system = subsystem(union, d.sigma.gram)
     return ActiveRoots(tuple(union), system, decompose_and_classify(system))
+
+
+_WALL_CACHE = weakref.WeakKeyDictionary()
+
+
+def _wall_roots(d: GradedRootDatum):
+    """(roots, cartan, doubled) of the facets, built once per datum.
+
+    roots[i] is the least root on facet i's line that is active on its wall,
+    signed along the outward normal, and doubled[i] says twice it is active
+    there too (a BC end).  The signs are kept: the outward normals of the
+    facets through a point are a base of its active roots (Bourbaki, Lie
+    groups, ch. V, sec. 3.3, the alcove being on one side of every wall),
+    and flipping one of them is not.
+    """
+    cached = _WALL_CACHE.get(d)
+    if cached is not None:
+        return cached
+    facets = _alcove_data(d)[0]
+    lines = {}
+    for alpha, t, _ in positive_sector_roots(d):
+        g = gcd(*alpha)
+        lines.setdefault(tuple(x // g for x in alpha), []).append((g, t))
+    roots, doubled = [], []
+    for q in facets:
+        neg = tuple(-x for x in q.normal)
+        bn, bd = q.bound.numerator, q.bound.denominator
+        # the root c * normal, c = +-g, is active on normal . x = bound when
+        # c * bound + t is whole
+        active = {abs(c) for c, t in chain(lines.get(q.normal, ()),
+                                           ((-g, t) for g, t in lines.get(neg, ())))
+                  if (c * bn * t.denominator + t.numerator * bd) % (bd * t.denominator) == 0}
+        c = min(active)
+        roots.append(tuple(c * x for x in q.normal))
+        doubled.append(2 * c in active)
+    data = (tuple(roots), cartan_matrix(roots, d.sigma.gram), tuple(doubled))
+    _WALL_CACHE[d] = data
+    return data
+
+
+def active_walls(d: GradedRootDatum, point: AlcovePoint) -> ActiveWalls:
+    """The facet walls through a point of the closed alcove, in integers.
+
+    A facet is tight when normal . x == bound, compared as point_in_alcove
+    compares; a point outside the closed alcove raises ValueError.
+    """
+    den, k = _scaled(point.coeffs)
+    tight = []
+    for i, q in enumerate(_alcove_data(d)[0]):
+        val, bound = pairing(q.normal, k) * q.bound.denominator, q.bound.numerator * den
+        if val > bound:
+            raise ValueError(f"point {point} is outside the closed alcove")
+        if val == bound:
+            tight.append(i)
+    if not tight:  # an interior point needs no facet roots
+        return ActiveWalls((), (), ())
+    roots, cartan, doubled = _wall_roots(d)
+    sub = tuple(tuple(cartan[i][j] for j in tight) for i in tight)
+    return ActiveWalls(tuple(roots[i] for i in tight), sub,
+                       cartan_type(sub, [doubled[i] for i in tight]))
 
 
 def faces(d: GradedRootDatum):

@@ -13,7 +13,10 @@ _austere), so austere is exactly yes or no.  Balance puts 2 alpha.x in
 scan_austere walks only the part of its grid on it.  Minimal is yes when
 every angle class cancels exactly and no when the certified norm is
 positive; it is an honest tri-state: yes and no are proved, indeterminate
-means neither certificate was reached.
+means neither certificate was reached.  The type, arid* and WR* are read
+off the facet walls through the point (alcove.active_walls): arid* when
+there are as many as the rank, WR* when the longest-element walk on their
+Cartan matrix also ends at -c0, which the Tits table cross-checks.
 
 find_minimal's Newton ascent is not certified, only its last point is, but
 its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
@@ -36,9 +39,9 @@ from mpmath.libmp import (from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_s
                           mpf_div, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
                           mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sub, round_nearest)
 
-from .alcove import (ActiveRoots, AlcovePoint, active_roots, alcove_barycenter,
-                     alcove_vertices, fundamental_alcove, point_in_alcove,
-                     sector_angles)
+from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, active_walls,
+                     alcove_barycenter, alcove_vertices, fundamental_alcove,
+                     point_in_alcove, sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RealInterval,
                     cot_eval, interval_from_iv, iv_from_interval,
@@ -246,51 +249,50 @@ class SymmetryFlags:
 
 
 def symmetry_flags(d: GradedRootDatum, point: AlcovePoint,
-                   actives: ActiveRoots | None = None) -> SymmetryFlags:
-    """Sufficient conditions read off the active-root system.
+                   walls: ActiveWalls | None = None) -> SymmetryFlags:
+    """Sufficient conditions read off the facet walls through the point.
 
-    arid needs the active roots to span; weakly reflective additionally
-    needs -id in their Weyl group, which is double-checked against the
-    type-based prediction.
+    arid needs the active roots to span, that is, as many walls as the
+    rank; weakly reflective additionally needs -id in their Weyl group,
+    found by the longest-element walk and double-checked against the
+    type-based prediction.  walls, the point's alcove.active_walls when
+    the caller has them, spare a second pass over the facets.
     """
-    if actives is None:
-        actives = active_roots(d, point)
-    if len(actives.system.simple_roots) < d.rank:
+    if walls is None:
+        walls = active_walls(d, point)
+    if len(walls.roots) < d.rank:
         return SymmetryFlags(False, False)
-    w = weyl_group(actives.system)
-    has = contains_minus_identity(w)
-    labels = [c.label for c in actives.components]
+    has = contains_minus_identity(weyl_group(walls.cartan))
+    labels = [lab for lab, _ in walls.components]
     predicted = tits_minus_identity(labels)
     if has != predicted:
         raise InternalInconsistency(
-            f"-id in Weyl group: chamber orbit says {has}, "
+            f"-id in Weyl group: longest-element walk says {has}, "
             f"type table for {'+'.join(map(str, labels))} says {predicted}")
     return SymmetryFlags(True, has)
 
 
-def type_label(d: GradedRootDatum, actives: ActiveRoots) -> str:
-    """Component labels of the active system, ambient-aware for rank one.
+def _type_text(d: GradedRootDatum, components) -> str:
+    """The sorted labels of (label, one root) per component, ambient-aware.
 
     A reduced rank-one component whose root has its double in the ambient
     system is reported as B1, matching the naming of short-root components
     inside a non-reduced ambient system.
     """
-    if not actives.components:
-        return "(none)"
-    labels = []
-    for comp in actives.components:
-        lab = comp.label
-        if lab == CartanLabel("A", 1):
-            if tuple(2 * x for x in comp.roots[-1]) in d.sigma.roots:
-                lab = CartanLabel("B", 1)
-        labels.append(lab)
-    return "+".join(str(lab) for lab in sorted(labels))
+    labels = sorted(CartanLabel("B", 1)
+                    if lab == CartanLabel("A", 1) and tuple(2 * x for x in root) in d.sigma.roots
+                    else lab for lab, root in components)
+    return "+".join(map(str, labels)) if labels else "(none)"
+
+
+def type_label(d: GradedRootDatum, actives: ActiveRoots) -> str:
+    """Component labels of an active-root system, as orbit reports print them."""
+    return _type_text(d, ((c.label, c.simple_roots[0]) for c in actives.components))
 
 
 @dataclass(frozen=True)
 class OrbitReport:
     point: AlcovePoint
-    actives: ActiveRoots
     type_label: str
     totally_geodesic: bool
     austere: TriState
@@ -305,16 +307,17 @@ class OrbitReport:
 
 
 def orbit_report(d: GradedRootDatum, point: AlcovePoint) -> OrbitReport:
-    """Every classification of one orbit, from a single pass over its terms.
+    """Every classification of one orbit of the closed alcove.
 
-    The terms come from the one angle pass of the point, and active_roots
-    reads the active roots off them.
+    The curvature verdicts come from the one angle pass of the point, and
+    the type, arid* and WR* from the facet walls through it.
     """
     terms = cot_terms(d, point)
-    actives = active_roots(d, point, terms)
+    walls = active_walls(d, point)
     mc = _mean_curvature(d, terms, DEFAULT_PRECISION_BITS)
-    flags = symmetry_flags(d, point, actives)
-    return OrbitReport(point, actives, type_label(d, actives),
+    flags = symmetry_flags(d, point, walls)
+    return OrbitReport(point,
+                       _type_text(d, ((lab, walls.roots[idx[0]]) for lab, idx in walls.components)),
                        _totally_geodesic(terms), _austere(terms),
                        _minimal(terms, mc.norm),
                        flags.arid_sufficient, flags.weakly_reflective_sufficient,

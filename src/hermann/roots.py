@@ -5,17 +5,22 @@ geometry lives entirely in the Gram matrix of that basis.  Non-reduced (BC)
 systems are supported throughout.  A subsystem keeps those coordinates and
 carries its own simple roots.  Every reflection pairs with one kernel, the
 coroot row 2 G alpha / (alpha, alpha): s_alpha(v) = v - (row . v) alpha.
-A loop that reflects in one root computes its row once.  The Weyl group is
-the orbit of one regular chamber point in coroot coordinates, closed under
-the simple reflections read off the integer Cartan matrix.  An
-irreducible component is named by its rank, its root count and its
-shortest-root count.
+A loop that reflects in one root computes its row once.
+
+A Weyl group is its integer Cartan matrix.  Its order is Kostant's height
+formula over the positive roots of that matrix, and -id is tested by the
+longest-element walk; the orbit of a chamber point, one point per element,
+is built only when asked for.  An irreducible component is named by its
+rank, its root count and its shortest-root count, or, from a Cartan matrix
+alone, by its Dynkin diagram.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exact import GramMatrix, inner, pairing
@@ -74,12 +79,42 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    generators: tuple
-    elements: frozenset
+    """W of an integer Cartan matrix, generators[i][j] = <a_i, a_j^vee>.
 
-    @property
+    In the coordinates c_j = <v, a_j^vee> of a point v on the span of the
+    simple roots, s_i sends c to c - c_i A_i, A_i being row i.
+    """
+
+    generators: tuple
+
+    @cached_property
     def order(self) -> int:
-        return len(self.elements)
+        """Kostant's height formula: |W| = prod (h+1)^(n_h - n_(h+1)),
+        n_h the number of positive roots of height h."""
+        heights = Counter(sum(v) for v in _root_closure(self.generators) if min(v) >= 0)
+        out = 1
+        for h, n in heights.items():
+            out *= (h + 1) ** (n - heights[h + 1])
+        return out
+
+    @cached_property
+    def elements(self) -> frozenset:
+        """The orbit of the chamber point c0 = (1, ..., k): c0 is regular, so
+        the orbit has one point per element."""
+        gens = self.generators
+        c0 = tuple(range(1, len(gens) + 1))
+        elements = {c0}
+        frontier = [c0]
+        while frontier:
+            c = frontier.pop()
+            for i, a in enumerate(gens):
+                w = tuple(x - c[i] * y for x, y in zip(c, a))
+                if w not in elements:
+                    if len(elements) >= DEFAULT_BUDGET:
+                        raise ClosureBudgetExceeded(f"Weyl closure exceeded {DEFAULT_BUDGET}")
+                    elements.add(w)
+                    frontier.append(w)
+        return frozenset(elements)
 
 
 @dataclass(frozen=True)
@@ -142,22 +177,37 @@ def _is_positive(v) -> bool:
     return lead > 0
 
 
-def build_root_system(label: CartanLabel) -> RootSystem:
-    gram = reference_gram(label)
-    r = label.rank
-    simples = tuple(_unit(i, r) for i in range(r))
-    rows = [coroot(s, gram) for s in simples]
+def cartan_matrix(simple_roots, gram: GramMatrix) -> tuple:
+    """The integer Cartan matrix A[i][j] = <a_i, a_j^vee> of roots a_i."""
+    rows = [coroot(s, gram) for s in simple_roots]
+    return tuple(tuple(int(pairing(row, s)) for row in rows) for s in simple_roots)
+
+
+def _root_closure(cartan) -> set:
+    """The roots of a Cartan matrix: the simple roots closed under the simple
+    reflections, s_i(v) = v - <v, a_i^vee> a_i in simple-root coordinates."""
+    r = len(cartan)
+    simples = [_unit(i, r) for i in range(r)]
+    cols = list(zip(*cartan))  # column i pairs v with a_i^vee
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         v = frontier.pop()
-        for s, row in zip(simples, rows):
-            w = _reflect_by(v, s, pairing(row, v))
+        for s, col in zip(simples, cols):
+            w = _reflect_by(v, s, pairing(col, v))
             if w not in roots:
                 if len(roots) >= DEFAULT_BUDGET:
                     raise ClosureBudgetExceeded(f"root closure exceeded {DEFAULT_BUDGET}")
                 roots.add(w)
                 frontier.append(w)
+    return roots
+
+
+def build_root_system(label: CartanLabel) -> RootSystem:
+    gram = reference_gram(label)
+    r = label.rank
+    simples = tuple(_unit(i, r) for i in range(r))
+    roots = _root_closure(cartan_matrix(simples, gram))
     if label.family == "BC":
         short = [v for v in roots if inner(v, v, gram) == 1]
         roots.update(tuple(2 * x for x in v) for v in short)
@@ -189,38 +239,29 @@ def verify_axioms(rs: RootSystem) -> bool:
     return True
 
 
-def weyl_group(rs: RootSystem) -> WeylGroup:
-    """W as the orbit of the chamber point c0 = (1, ..., k) in coroot coordinates.
-
-    c_j = <v, s_j^vee> on the span of the k simple roots, and s_i sends c to
-    c - c_i A_i, A_i being row i of the integer Cartan matrix (the generators).
-    c0 is regular, so the orbit has one point per element.
-    """
-    rows = [coroot(s, rs.gram) for s in rs.simple_roots]
-    gens = tuple(tuple(int(pairing(row, s)) for row in rows) for s in rs.simple_roots)
-    c0 = tuple(range(1, len(gens) + 1))
-    elements = {c0}
-    frontier = [c0]
-    while frontier:
-        c = frontier.pop()
-        for i, a in enumerate(gens):
-            w = tuple(x - c[i] * y for x, y in zip(c, a))
-            if w not in elements:
-                if len(elements) >= DEFAULT_BUDGET:
-                    raise ClosureBudgetExceeded(f"Weyl closure exceeded {DEFAULT_BUDGET}")
-                elements.add(w)
-                frontier.append(w)
-    return WeylGroup(gens, frozenset(elements))
+def weyl_group(cartan) -> WeylGroup:
+    """W of the integer Cartan matrix cartan (see cartan_matrix)."""
+    return WeylGroup(tuple(tuple(row) for row in cartan))
 
 
 def contains_minus_identity(w: WeylGroup) -> bool:
     """-id on the span of the simple roots (the ambient -id when they span).
 
-    It is the lookup of -c0: w c0 = -c0 forces w = w_0 = -sigma, and sigma = id
-    since the entries of c0 are distinct.
+    The longest-element walk (Bourbaki, Lie groups, ch. VI, sec. 1.6): from
+    c0 = (1, ..., k), reflect in any simple wall with c_j > 0 until none is
+    left, at most |Phi+| steps.  The walk ends at w_0 c0, and w_0 c0 = -c0
+    exactly when w_0 = -id, as the entries of c0 are distinct.
     """
-    k = len(w.generators)
-    return k > 0 and tuple(range(-1, -k - 1, -1)) in w.elements
+    gens = w.generators
+    c = list(range(1, len(gens) + 1))
+    j = 0
+    while j < len(c):
+        if c[j] > 0:
+            c = [x - c[j] * y for x, y in zip(c, gens[j])]
+            j = 0
+        else:
+            j += 1
+    return len(c) > 0 and c == list(range(-1, -len(c) - 1, -1))
 
 
 def tits_minus_identity(labels) -> bool:
@@ -254,6 +295,15 @@ def _classify_component(r, members, gram: GramMatrix) -> CartanLabel:
                            f"{counts[1]} of them shortest, is not recognized")
 
 
+def linked_components(n, linked):
+    """The connected components of the graph on 0..n-1 with edges linked(i, j)."""
+    groups = []
+    for i in range(n):
+        hit = [g for g in groups if any(linked(i, j) for j in g)]
+        groups = [g for g in groups if g not in hit] + [[i] + [j for g in hit for j in g]]
+    return groups
+
+
 def decompose_and_classify(rs: RootSystem):
     """Split into irreducible components and name each one.
 
@@ -262,19 +312,62 @@ def decompose_and_classify(rs: RootSystem):
     """
     simples = rs.simple_roots
     rows = [coroot(s, rs.gram) for s in simples]
-    # connected components of the non-orthogonality graph on the simple roots
-    groups = []
-    for i, row in enumerate(rows):
-        linked = [g for g in groups if any(pairing(row, simples[j]) != 0 for j in g)]
-        merged = [i] + [j for g in linked for j in g]
-        groups = [g for g in groups if g not in linked] + [merged]
     out = []
-    for g in groups:
+    for g in linked_components(len(simples),
+                               lambda i, j: pairing(rows[i], simples[j]) != 0):
         members = tuple(sorted(v for v in rs.roots
                                if any(pairing(rows[j], v) != 0 for j in g)))
         label = _classify_component(len(g), members, rs.gram)
         out.append(Component(label, tuple(sorted(simples[j] for j in g)), members))
     return tuple(sorted(out, key=lambda c: (c.label, c.simple_roots)))
+
+
+def _dynkin_label(cartan, nodes, doubled) -> CartanLabel:
+    r = len(nodes)
+    bonds = {(i, j): cartan[i][j] * cartan[j][i]
+             for i in nodes for j in nodes if i < j and cartan[i][j]}
+    degree = Counter(k for bond in bonds for k in bond)
+    twice = [i for i in nodes if doubled[i]]
+    multiple = [bond for bond, m in bonds.items() if m > 1]
+    tree = len(bonds) == r - 1
+    if r == 1:
+        return CartanLabel("BC" if twice else "A", 1)
+    if tree and not multiple and not twice:
+        if max(degree.values()) <= 2:
+            return CartanLabel("A", r)
+        forks = [k for k, n in degree.items() if n > 2]
+        if len(forks) == 1 and degree[forks[0]] == 3 and sum(
+                degree[j] == 1 for bond in bonds if forks[0] in bond for j in bond) >= 2:
+            return CartanLabel("D", r)
+    elif tree and len(multiple) == 1 and max(degree.values()) <= 2:
+        (i, j), = multiple
+        if bonds[i, j] == 3 and r == 2 and not twice:
+            return CartanLabel("G", 2)
+        # a_j is short when <a_i, a_j^vee> = -2 and <a_j, a_i^vee> = -1
+        short, long = (j, i) if abs(cartan[i][j]) > abs(cartan[j][i]) else (i, j)
+        if bonds[i, j] == 2 and degree[short] == 1 and twice in ([], [short]):
+            return CartanLabel("BC" if twice else "B", r)
+        if bonds[i, j] == 2 and degree[long] == 1 and not twice:
+            return CartanLabel("C", r)
+    raise UnrecognizedType(f"component of rank {r} with Cartan matrix "
+                           f"{[[cartan[i][j] for j in nodes] for i in nodes]} "
+                           f"is not recognized")
+
+
+def cartan_type(cartan, doubled):
+    """Split an integer Cartan matrix into irreducible components and name each.
+
+    doubled[i] says that twice simple root i is a root too.  Returns
+    (label, indices) per component, sorted.  One node is A1, or BC1 when
+    doubled; a triple bond is G2; a double bond at the end of a chain is BC
+    when its short end is doubled, B when that end is short (so rank-2 C is
+    B2) and C when it is long; a simply laced chain is A, and a tree with one
+    fork, two of whose arms are single nodes, is D.  Anything else (F4, the
+    E types) raises UnrecognizedType.
+    """
+    return tuple(sorted((_dynkin_label(cartan, g, doubled), tuple(sorted(g)))
+                        for g in linked_components(len(cartan),
+                                                   lambda i, j: cartan[i][j] != 0)))
 
 
 def _simple_roots(positives):

@@ -381,13 +381,23 @@ def test_validation_errors_exit_two(tmp_path):
 
 
 def test_closure_over_budget_exits_four(monkeypatch, capsys):
-    # the 20 roots of A4 fit in the budget, the 120 Weyl elements do not
+    # the 20 roots of A4 do not fit in a budget of 10
     import hermann.roots as roots
-    monkeypatch.setattr(roots, "DEFAULT_BUDGET", 50)
+    monkeypatch.setattr(roots, "DEFAULT_BUDGET", 10)
     out = io.StringIO()
     assert main(["faces", "--triad", "isotropy:A4"], stdout=out) == 4
     assert out.getvalue() == ""
-    assert capsys.readouterr().err == "not certified: Weyl closure exceeded 50\n"
+    assert capsys.readouterr().err == "not certified: root closure exceeded 10\n"
+
+
+def test_faces_build_no_weyl_closure(monkeypatch):
+    # the 20 roots of A4 fit in a budget of 50 and its 120 Weyl elements do
+    # not, but -id is read off a walk, so the table is the same
+    import hermann.roots as roots
+    want = _run(["faces", "--triad", "isotropy:A4"])
+    monkeypatch.setattr(roots, "DEFAULT_BUDGET", 50)
+    assert _run(["faces", "--triad", "isotropy:A4"]) == want
+    assert want[0] == 0
 
 
 def test_internal_errors_exit_three(monkeypatch):
@@ -482,6 +492,31 @@ def test_reduce_rank_six_lands_in_closed_alcove():
         assert int(lines[2].removeprefix("reflections: ")) > 0
         again = _run(["reduce", *triad, f"--point={','.join(reduced.split(', '))}"])
         assert again[0] == 0 and "reflections: 0" in again[1]
+
+
+SU_SP_RANK_7 = ["--triad", "su_sp", "--p", "17", "--q", "15"]
+
+
+def test_analyze_rank_eight_origin():
+    # the active system is all of BC8, whose Weyl group has 10,321,920 elements
+    code, out = _run(["analyze", *SU_SP_RANK_8, "--point=0,0,0,0,0,0,0,0"])
+    assert code == 0
+    assert "type: BC8" in out.splitlines() and "WR*: yes" in out.splitlines()
+
+
+def test_faces_and_scan_at_rank_seven_are_fast():
+    # every vertex of su_sp 17,15 is austere with a spanning active system
+    # that contains -id, and the denominator-8 scan finds exactly those
+    tables = []
+    for argv in (["faces"], ["scan-austere", "--denominator", "8"]):
+        start = time.monotonic()
+        code, out = _run([*argv, *SU_SP_RANK_7, "--format", "tsv"])
+        assert time.monotonic() - start < 2
+        assert code == 0
+        tables.append([line.split("\t") for line in out.splitlines()[1:]])
+    assert tables[0] == tables[1] and len(tables[0]) == 8
+    assert tables[0][0][:6] == ["(0, 0, 0, 0, 0, 0, 0)", "BC7", "no", "yes", "yes", "yes"]
+    assert all(row[3:6] == ["yes", "yes", "yes"] for row in tables[0])
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hermann.alcove import (AlcovePoint, active_roots, alcove_barycenter, alcove_vertices,
-                            faces, point_in_alcove)
+from hermann.alcove import (AlcovePoint, active_roots, active_walls, alcove_barycenter,
+                            alcove_vertices, faces, point_in_alcove)
 from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
@@ -268,6 +268,11 @@ def test_symmetry_flags():
     assert not f.arid_sufficient and not f.weakly_reflective_sufficient
 
 
+def test_orbit_report_rejects_a_point_outside_the_alcove():
+    with pytest.raises(ValueError, match="outside the closed alcove"):
+        orbit_report(_g2(), AlcovePoint((1, 1)))
+
+
 def test_type_labels_of_so_even_vertices():
     d = _so_even()
     labels = {}
@@ -292,8 +297,8 @@ def test_type_labels_of_g2_vertices():
 def test_type_label_empty_at_interior():
     d = _g2()
     r = orbit_report(d, alcove_barycenter(d))
-    assert r.type_label == "(none)"
-    assert r.actives.union == ()
+    assert r.type_label == "(none)" and not r.arid_sufficient
+    assert active_walls(d, alcove_barycenter(d)).roots == ()
 
 
 def test_scan_austere_so_even():
@@ -533,24 +538,65 @@ def test_orbit_report_makes_one_angle_pass(monkeypatch):
         calls.clear()
         r = orbit_report(d, point)
         assert len(calls) == 1
-        assert r.actives == active_roots(d, point)
+        assert r.type_label == type_label(d, active_roots(d, point))
 
 
 def test_orbit_report_classifies_the_active_system_once(monkeypatch):
+    # the type is read off the facet walls through the point: one
+    # cartan_type call when there are any, no active root system, and one
+    # Weyl group, of the walls' Cartan matrix, when they span
     import hermann.alcove as alcove
-    from hermann.roots import decompose_and_classify
-    calls = []
+    import hermann.roots as roots
+    names = ("cartan_type", "weyl_group", "active_roots", "subsystem",
+             "decompose_and_classify")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(roots, name, None) or getattr(alcove, name)
 
-    def counting(system):
-        calls.append(system)
-        return decompose_and_classify(system)
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    for mod in (alcove, geometry):
-        if getattr(mod, "decompose_and_classify", None) is decompose_and_classify:
-            monkeypatch.setattr(mod, "decompose_and_classify", counting)
-    r = orbit_report(_so_even(), AlcovePoint((Q(1, 4), 0, 0)))
-    assert r.type_label == "B1+BC2" and r.weakly_reflective_sufficient
-    assert len(calls) == 1
+        for mod in (roots, alcove, geometry):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    d = _so_even()
+    for point, spans in ((AlcovePoint((Q(1, 4), 0, 0)), 1), (alcove_barycenter(d), 0)):
+        calls.update(dict.fromkeys(names, 0))
+        r = orbit_report(d, point)
+        assert calls == {"cartan_type": spans, "weyl_group": spans, "active_roots": 0,
+                         "subsystem": 0, "decompose_and_classify": 0}
+    assert r.type_label == "(none)"
+
+
+# every catalog datum up to rank 5, each family at one p
+REFERENCE_DATA = tuple(
+    [(key, (("p", q + 2), ("q", q))) for key in ("so_even", "su_sp") for q in (3, 5, 7, 9, 11)]
+    + [("so8_g2", ())]
+    + [("isotropy", (("label", f"{family}{r}"),))
+       for family, ranks in (("A", range(1, 6)), ("B", range(2, 6)), ("BC", range(1, 6)),
+                             ("C", range(3, 6)), ("D", range(2, 6)), ("G", (2,)))
+       for r in ranks])
+
+
+@pytest.mark.parametrize("key, params", REFERENCE_DATA,
+                         ids=[":".join([key, *(str(v) for _, v in params)])
+                              for key, params in REFERENCE_DATA])
+def test_facet_walls_match_the_active_root_reference(key, params):
+    # the reference pairs every root with the point, names the components by
+    # root counts and looks -c0 up in the whole chamber orbit
+    from hermann.roots import cartan_matrix, weyl_group
+    d = catalog(key, **dict(params))
+    for face in faces(d):
+        point = face.representative
+        act = active_roots(d, point)
+        system = act.system
+        spans = len(system.simple_roots) == d.rank
+        wr = spans and tuple(range(-1, -d.rank - 1, -1)) in weyl_group(
+            cartan_matrix(system.simple_roots, system.gram)).elements
+        r = orbit_report(d, point)
+        assert (r.type_label, r.arid_sufficient, r.weakly_reflective_sufficient) == \
+            (type_label(d, act), spans, wr), point
 
 
 def test_type_label_standalone_matches_report():
@@ -631,7 +677,6 @@ def test_integer_kernels_match_fraction_formulas(i, drawn):
     union = sorted({v for s in d.sectors for v in s.roots
                     if (pairing(v, x) + s.phi) % 1 == 0})
     assert active_roots(d, point).union == tuple(union)
-    assert active_roots(d, point, terms).union == tuple(union)
     for bits in (192, 990):
         mc = geometry._mean_curvature(d, terms, bits)
         coeffs, norm = _reference_mean_curvature(d, terms, bits)

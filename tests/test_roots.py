@@ -8,7 +8,10 @@ from hermann.exact import GramMatrix, inner, pairing
 from hermann.roots import (
     CartanLabel,
     RootSystem,
+    UnrecognizedType,
     build_root_system,
+    cartan_matrix,
+    cartan_type,
     contains_minus_identity,
     coroot,
     decompose_and_classify,
@@ -44,6 +47,11 @@ def _system(text):
     return build_root_system(CartanLabel.parse(text))
 
 
+def _weyl(text):
+    rs = _system(text)
+    return weyl_group(cartan_matrix(rs.simple_roots, rs.gram))
+
+
 def test_cartan_label_parse_and_order():
     lab = CartanLabel.parse("BC3")
     assert (lab.family, lab.rank) == ("BC", 3)
@@ -75,7 +83,7 @@ def test_axioms_hold_for_reference_systems(label):
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
 def test_weyl_group_orders(label):
-    group = weyl_group(_system(label))
+    group = _weyl(label)
     assert group.order == WEYL_ORDERS[label]
     # the generators are the integer Cartan rows
     assert all(type(x) is int for row in group.generators for x in row)
@@ -83,7 +91,7 @@ def test_weyl_group_orders(label):
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
 def test_minus_identity_matches_tits_table(label):
-    got = contains_minus_identity(weyl_group(_system(label)))
+    got = contains_minus_identity(_weyl(label))
     assert got == (label not in MINUS_ID_ABSENT)
     assert tits_minus_identity([CartanLabel.parse(label)]) == got
 
@@ -156,9 +164,42 @@ def test_doubling_detection_picks_bc_not_b():
 @given(st.sampled_from(sorted(WEYL_ORDERS)))
 @settings(max_examples=15, deadline=None)
 def test_weyl_orbit_of_chamber_point_is_regular(label):
-    group = weyl_group(_system(label))
+    group = _weyl(label)
     k = len(group.generators)
     assert len(group.elements) == WEYL_ORDERS[label]
     # every orbit point lies in an open chamber, and only c0 in the fundamental one
     assert all(0 not in c for c in group.elements)
     assert [c for c in group.elements if min(c) > 0] == [tuple(range(1, k + 1))]
+
+
+@pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
+def test_kostant_order_and_walk_match_the_chamber_orbit(label):
+    group = _weyl(label)
+    assert group.order == len(group.elements)
+    k = len(group.generators)
+    assert contains_minus_identity(group) == (tuple(range(-1, -k - 1, -1)) in group.elements)
+
+
+def test_cartan_type_names_every_reference_system():
+    # C3, C4, A5, B5 and D5 reach every branch of the diagram rules
+    for label in sorted(WEYL_ORDERS) + ["C3", "C4", "A5", "B5", "D5"]:
+        rs = _system(label)
+        doubled = [tuple(2 * x for x in s) in rs.roots for s in rs.simple_roots]
+        got = [str(lab) for lab, _ in cartan_type(cartan_matrix(rs.simple_roots, rs.gram),
+                                                  doubled)]
+        want = [str(c.label) for c in decompose_and_classify(rs)]
+        assert got == want, label
+
+
+@pytest.mark.parametrize("cartan", [
+    # F4: the double bond sits inside the chain
+    ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    # E6: the fork has one single-node arm
+    ((2, -1, 0, 0, 0, 0), (-1, 2, -1, 0, 0, 0), (0, -1, 2, -1, 0, -1),
+     (0, 0, -1, 2, -1, 0), (0, 0, 0, -1, 2, 0), (0, 0, -1, 0, 0, 2)),
+    # affine A1
+    ((2, -2), (-2, 2)),
+], ids=["F4", "E6", "affine-A1"])
+def test_cartan_type_rejects_other_diagrams(cartan):
+    with pytest.raises(UnrecognizedType):
+        cartan_type(cartan, [False] * len(cartan))
