@@ -17,19 +17,19 @@ vertex is tight at every facet but one per factor, and a face is a facet
 set that misses at least one facet of each factor.  No vertex enumeration
 and no LP is run.
 
-The facets through a point carry its active roots, the roots whose wall
-passes through it: on each facet's line the least root active on the wall,
-signed along the outward normal, and these form a base of the active
-system (Bourbaki, ch. V, sec. 3.3).  active_walls reads the type, the span
-and the Cartan matrix of the -id test off them, with the facets' roots and
-Cartan integers cached once per datum; active_roots, which pairs every
-root with the point, is the reference it is tested against.
+The facets through a point carry a base of its active roots: on each
+facet's line the least root active on the wall, signed along the outward
+normal (Bourbaki, ch. V, sec. 3.3).  The slab pass finds these roots with
+the bounds, and each datum's facets are built once, into one table with
+their roots, Cartan matrix and wall coroot rows, which every query reads.
+active_roots, which pairs every root with the point, is the reference.
 
 Slab bounds, the facet test, vertex solves, point tests and folding compute
 in integers: a bound is an integer over d.order * gcd(alpha), the reflected
 interior point is integral, and a point is scaled once to integers over
-lcm(d.order, its denominators).  Each result is made a Fraction once, at
-the end, and is the same exact rational as a Fraction computation gives.
+lcm(d.order, its denominators), which one kernel compares with the facets.
+Each result is made a Fraction once, at the end, and is the same exact
+rational as a Fraction computation gives.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import inner, pairing, solve_exact
+from .exact import DimensionMismatch, pairing, solve_exact
 from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, cartan_matrix,
                     cartan_type, coroot, decompose_and_classify, linked_components,
                     subsystem)
@@ -92,10 +93,8 @@ class ActiveRoots:
 class ActiveWalls:
     """The facet walls through a point: a base of its active root system.
 
-    roots holds, per wall, the least root on the wall's line that is active
-    there, signed along the facet's outward normal; cartan is their integer
-    Cartan matrix, and components is roots.cartan_type of it: (label,
-    indices into roots) per irreducible factor.
+    roots holds each wall's root from the facet table, cartan is their
+    integer Cartan matrix, and components is roots.cartan_type of it.
     """
 
     roots: tuple
@@ -115,9 +114,12 @@ class Face:
 
 
 def _slab_inequalities(d: GradedRootDatum):
-    """One half-space per primitive normal: the first of strictly least bound.
+    """(Inequality, root, doubled) per primitive normal, sorted by normal.
 
-    A bound is an integer over d.order * gcd(alpha) (order * t is whole).
+    The Inequality has the least bound, an integer over d.order * gcd(alpha),
+    and the wall of the first root of that bound.  The alcove lies in every
+    slab, so a root c * normal, c > 0, is active on the wall exactly when its
+    bound ties: root is the least of them, and doubled says twice it ties too.
     """
     best = {}
     o = d.order
@@ -130,77 +132,109 @@ def _slab_inequalities(d: GradedRootDatum):
                                (tuple(-x for x in up), ot - n0 * o, Wall(alpha, t, n0))):
             cur = best.get(vec)
             if cur is None or num * cur[1] < cur[0] * g:
-                best[vec] = (num, g, wall)
-    return sorted((Inequality(vec, Fraction(num, o * g), wall)
-                   for vec, (num, g, wall) in best.items()),
-                  key=lambda q: (q.normal, q.bound))
+                best[vec] = (num, g, wall, {g})
+            elif num * cur[1] == cur[0] * g:
+                cur[3].add(g)
+    out = []
+    for vec, (num, g, wall, ties) in sorted(best.items()):
+        c = min(ties)
+        out.append((Inequality(vec, Fraction(num, o * g), wall),
+                    tuple(c * x for x in vec), 2 * c in ties))
+    return out
 
 
-_ALCOVE_CACHE = weakref.WeakKeyDictionary()
+def _sides(rows, den: int, k):
+    """den * bd * (normal . x - bn/bd) at x = k/den, per facet row (normal, bn, bd)."""
+    return (pairing(normal, k) * bd - bn * den for normal, bn, bd in rows)
 
 
-def _facets(d: GradedRootDatum, ineqs):
+def _facets(d: GradedRootDatum, slabs):
     """The slabs that the reflection of b = (1, ..., 1)/e in their wall breaks alone.
 
     With e = d.order * (1 + the largest root height), alpha . b + t lies in
     (t, t + 1/order) for every pair, so b is inside the alcove.  A facet wall
     reflects it into the alcove across that facet alone, as reflections
     permute the walls (Bourbaki, Lie groups, ch. V, sec. 1), and a point
-    that breaks one slab alone shows that slab to be a facet.
+    that breaks one slab alone shows that slab to be a facet.  Each facet
+    is its slab's triple, the coroot row of its wall and its row for _sides.
     """
     e = d.order * (1 + max(sum(alpha) for alpha in d.sigma.positive_roots))
-    checks = [(j, q.normal, q.bound.denominator, q.bound.numerator * e)
-              for j, q in enumerate(ineqs)]
-    found = []
-    for i, q in enumerate(ineqs):
+    rows = [(q.normal, q.bound.numerator, q.bound.denominator) for q, *_ in slabs]
+    out, coroots = [], {}  # a root's wall often bounds both sides of its line
+    for i, (q, *rest) in enumerate(slabs):
         alpha, t, n = q.wall.alpha, q.wall.phi, q.wall.n
         p = sum(alpha) + t.numerator * (e // t.denominator) - n * e
-        y = tuple(1 - p * c for c in coroot(alpha, d.sigma.gram))
-        # scaled by e, the reflected point is integral, as coroot rows are;
-        # a point outside the alcove breaks a facet, so try those found first
-        if all((pairing(normal, y) * bd > be) == (j == i)
-               for j, normal, bd, be in chain(found, checks)):
-            found.append(checks[i])
-    return [ineqs[j] for j, *_ in found]
+        row = coroots.get(alpha) or coroot(alpha, d.sigma.gram)
+        coroots[alpha] = row
+        y = tuple(1 - p * c for c in row)  # e times the image of b, integral
+        # an image outside the alcove breaks a facet, so try those found first
+        if not any(s > 0 for s in _sides((f[-1] for f in out), e, y)) and all(
+                (s > 0) == (j == i) for j, s in enumerate(_sides(rows, e, y))):
+            out.append((q, *rest, row, rows[i]))
+    return out
 
 
-def _alcove_data(d: GradedRootDatum):
-    """(facets, vertices, facet indices tight at each vertex, factors), built once.
+class _Alcove(NamedTuple):
+    """A datum's facets, the fields of _facets per facet, their Cartan matrix
+    and the facet indices of each simplex factor.  The roots keep their
+    outward signs, as a base of active roots needs."""
 
-    A factor is the facet indices of one simplex factor, a component of the
-    facet normals under Gram orthogonality; a vertex misses one per factor.
-    """
+    facets: tuple
+    vertices: tuple
+    tight: tuple
+    factors: tuple
+    roots: tuple
+    doubled: tuple
+    coroots: tuple
+    rows: tuple
+    cartan: tuple
+
+
+_ALCOVE_CACHE = weakref.WeakKeyDictionary()
+
+
+def _alcove_data(d: GradedRootDatum) -> _Alcove:
+    """The facet table of d, built once and kept next to it."""
     cached = _ALCOVE_CACHE.get(d)
     if cached is not None:
         return cached
-    facets = _facets(d, _slab_inequalities(d))
-    factors = linked_components(
-        len(facets), lambda i, j: inner(facets[i].normal, facets[j].normal, d.sigma.gram))
+    facets, roots, doubled, coroots, rows = zip(*_facets(d, _slab_inequalities(d)))
+    cartan = cartan_matrix(roots, d.sigma.gram)
+    factors = linked_components(len(facets), lambda i, j: cartan[i][j])
     pairs = []
     for omitted in product(*factors):
         tight = [q for k, q in enumerate(facets) if k not in omitted]
         x = solve_exact([q.normal for q in tight], [q.bound for q in tight])
         pairs.append((AlcovePoint(x), frozenset(range(len(facets))) - set(omitted)))
     verts, tight = zip(*sorted(pairs, key=lambda p: p[0].coeffs))
-    data = (tuple(facets), verts, tight, tuple(frozenset(c) for c in factors))
-    _ALCOVE_CACHE[d] = data
+    data = _ALCOVE_CACHE[d] = _Alcove(facets, verts, tight,
+                                      tuple(frozenset(c) for c in factors),
+                                      roots, doubled, coroots, rows, cartan)
     return data
 
 
 def fundamental_alcove(d: GradedRootDatum):
     """Facet inequalities of the alcove, redundant slabs removed."""
-    return _alcove_data(d)[0]
+    return _alcove_data(d).facets
 
 
 def alcove_vertices(d: GradedRootDatum):
-    return _alcove_data(d)[1]
+    return _alcove_data(d).vertices
 
 
-def _vertex_rows(verts):
+def _scaled(d: GradedRootDatum, point: AlcovePoint, order: int = 1):
+    """(D, k): the point as integers k over D = lcm(order, its denominators); a
+    point whose length is not the rank raises DimensionMismatch."""
+    if len(point.coeffs) != d.rank:
+        raise DimensionMismatch(f"point of length {len(point.coeffs)} against rank {d.rank}")
+    den = lcm(order, *(c.denominator for c in point.coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in point.coeffs)
+
+
+def _vertex_rows(d: GradedRootDatum, verts):
     """(D, rows): the vertices as integer rows over one denominator D."""
-    den, flat = _scaled([c for v in verts for c in v.coeffs])
-    r = len(verts[0].coeffs)
-    return den, [flat[i:i + r] for i in range(0, len(flat), r)]
+    den = lcm(*(_scaled(d, v)[0] for v in verts))
+    return den, [_scaled(d, v, den)[1] for v in verts]
 
 
 def _centroid(den, rows) -> AlcovePoint:
@@ -209,23 +243,13 @@ def _centroid(den, rows) -> AlcovePoint:
 
 
 def alcove_barycenter(d: GradedRootDatum) -> AlcovePoint:
-    return _centroid(*_vertex_rows(_alcove_data(d)[1]))
-
-
-def _scaled(coeffs, order: int = 1):
-    """(D, k): rational coefficients as integers k over D = lcm(order, their denominators)."""
-    den = lcm(order, *(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+    return _centroid(*_vertex_rows(d, _alcove_data(d).vertices))
 
 
 def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False) -> bool:
     """Whether the point is in the closed alcove (its interior when strict)."""
-    den, k = _scaled(point.coeffs)
-    for q in _alcove_data(d)[0]:
-        val, bound = pairing(q.normal, k) * q.bound.denominator, q.bound.numerator * den
-        if val > bound or (strict and val == bound):
-            return False
-    return True
+    den, k = _scaled(d, point)
+    return all(s < 0 if strict else s <= 0 for s in _sides(_alcove_data(d).rows, den, k))
 
 
 def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
@@ -236,7 +260,7 @@ def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
     order * t is whole for every phase of a valid datum, so each angle is
     (alpha . k + t*D) mod D in integers.
     """
-    den, k = _scaled(point.coeffs, d.order)
+    den, k = _scaled(d, point, d.order)
     return den, [(pairing(alpha, k) + t.numerator * (den // t.denominator)) % den
                  for alpha, t, *_ in items]
 
@@ -257,64 +281,21 @@ def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     return ActiveRoots(tuple(union), system, decompose_and_classify(system))
 
 
-_WALL_CACHE = weakref.WeakKeyDictionary()
-
-
-def _wall_roots(d: GradedRootDatum):
-    """(roots, cartan, doubled) of the facets, built once per datum.
-
-    roots[i] is the least root on facet i's line that is active on its wall,
-    signed along the outward normal, and doubled[i] says twice it is active
-    there too (a BC end).  The signs are kept: the outward normals of the
-    facets through a point are a base of its active roots (Bourbaki, Lie
-    groups, ch. V, sec. 3.3, the alcove being on one side of every wall),
-    and flipping one of them is not.
-    """
-    cached = _WALL_CACHE.get(d)
-    if cached is not None:
-        return cached
-    facets = _alcove_data(d)[0]
-    lines = {}
-    for alpha, t, _ in positive_sector_roots(d):
-        g = gcd(*alpha)
-        lines.setdefault(tuple(x // g for x in alpha), []).append((g, t))
-    roots, doubled = [], []
-    for q in facets:
-        neg = tuple(-x for x in q.normal)
-        bn, bd = q.bound.numerator, q.bound.denominator
-        # the root c * normal, c = +-g, is active on normal . x = bound when
-        # c * bound + t is whole
-        active = {abs(c) for c, t in chain(lines.get(q.normal, ()),
-                                           ((-g, t) for g, t in lines.get(neg, ())))
-                  if (c * bn * t.denominator + t.numerator * bd) % (bd * t.denominator) == 0}
-        c = min(active)
-        roots.append(tuple(c * x for x in q.normal))
-        doubled.append(2 * c in active)
-    data = (tuple(roots), cartan_matrix(roots, d.sigma.gram), tuple(doubled))
-    _WALL_CACHE[d] = data
-    return data
-
-
 def active_walls(d: GradedRootDatum, point: AlcovePoint) -> ActiveWalls:
     """The facet walls through a point of the closed alcove, in integers.
 
-    A facet is tight when normal . x == bound, compared as point_in_alcove
-    compares; a point outside the closed alcove raises ValueError.
+    A point outside the closed alcove raises ValueError.
     """
-    den, k = _scaled(point.coeffs)
-    tight = []
-    for i, q in enumerate(_alcove_data(d)[0]):
-        val, bound = pairing(q.normal, k) * q.bound.denominator, q.bound.numerator * den
-        if val > bound:
-            raise ValueError(f"point {point} is outside the closed alcove")
-        if val == bound:
-            tight.append(i)
-    if not tight:  # an interior point needs no facet roots
+    a = _alcove_data(d)
+    sides = list(_sides(a.rows, *_scaled(d, point)))
+    if any(s > 0 for s in sides):
+        raise ValueError(f"point {point} is outside the closed alcove")
+    tight = [i for i, s in enumerate(sides) if s == 0]
+    if not tight:  # an interior point needs no Cartan type
         return ActiveWalls((), (), ())
-    roots, cartan, doubled = _wall_roots(d)
-    sub = tuple(tuple(cartan[i][j] for j in tight) for i in tight)
-    return ActiveWalls(tuple(roots[i] for i in tight), sub,
-                       cartan_type(sub, [doubled[i] for i in tight]))
+    sub = tuple(tuple(a.cartan[i][j] for j in tight) for i in tight)
+    return ActiveWalls(tuple(a.roots[i] for i in tight), sub,
+                       cartan_type(sub, [a.doubled[i] for i in tight]))
 
 
 def faces(d: GradedRootDatum):
@@ -325,15 +306,15 @@ def faces(d: GradedRootDatum):
     simplex factor of the alcove, of dimension rank minus its size.  Faces
     come back sorted by dimension, vertices first.
     """
-    _, verts, tight, factors = _alcove_data(d)
-    den, rows = _vertex_rows(verts)
+    a = _alcove_data(d)
+    den, rows = _vertex_rows(d, a.vertices)
     proper = [[frozenset(s) for n in range(len(c)) for s in combinations(sorted(c), n)]
-              for c in factors]
+              for c in a.factors]
     out = []
     for parts in product(*proper):
-        a = frozenset().union(*parts)
-        members = [row for row, t in zip(rows, tight) if t >= a]
-        out.append(Face(tuple(sorted(a)), _centroid(den, members), d.rank - len(a)))
+        f = frozenset().union(*parts)
+        members = [row for row, t in zip(rows, a.tight) if t >= f]
+        out.append(Face(tuple(sorted(f)), _centroid(den, members), d.rank - len(f)))
     return tuple(sorted(out, key=lambda fc: (fc.dimension, fc.representative.coeffs)))
 
 
@@ -345,11 +326,11 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     from the alcove, which bounds the loop exactly; a point whose bound
     exceeds roots.DEFAULT_BUDGET raises ClosureBudgetExceeded unfolded.
     The point is integers x over D = lcm(d.order, its denominators): each
-    phase is whole over D, and a facet wall's coroot row is integral for a
-    valid datum, so each reflection stays on D.
+    phase is whole over D, and the facet table's coroot rows are integral
+    for a valid datum, so each reflection stays on D.
     """
-    facets = _alcove_data(d)[0]
-    den, x = _scaled(point.coeffs, d.order)
+    a = _alcove_data(d)
+    den, x = _scaled(d, point, d.order)
     budget = 8
     for alpha, t, _ in positive_sector_roots(d):
         p = pairing(alpha, x) + t.numerator * (den // t.denominator)
@@ -359,13 +340,12 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
                                     f"more than the budget of {DEFAULT_BUDGET}")
     walls = []
     for _ in range(budget):
-        hit = next((q.wall for q in facets
-                    if pairing(q.normal, x) * q.bound.denominator > q.bound.numerator * den),
-                   None)
-        if hit is None:
+        i = next((i for i, s in enumerate(_sides(a.rows, den, x)) if s > 0), None)
+        if i is None:
             return AlcovePoint(tuple(Fraction(y, den) for y in x)), tuple(walls)
+        hit = a.facets[i].wall
         p = (pairing(hit.alpha, x) + hit.phi.numerator * (den // hit.phi.denominator)
              - hit.n * den)
-        x = tuple(y - p * c for y, c in zip(x, coroot(hit.alpha, d.sigma.gram)))
+        x = tuple(y - p * c for y, c in zip(x, a.coroots[i]))
         walls.append(hit)
     raise NonTermination(f"folding did not settle within {budget} reflections")

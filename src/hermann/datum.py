@@ -66,6 +66,9 @@ class GradedRootDatum:
         return {s.phi: dict(s.roots) for s in self.sectors}
 
     def __eq__(self, other):
+        # a per-datum WeakKeyDictionary compares the datum with itself on every hit
+        if self is other:
+            return True
         if not isinstance(other, GradedRootDatum):
             return NotImplemented
         return (self.name == other.name and self.sigma == other.sigma

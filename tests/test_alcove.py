@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermann import alcove
 from hermann.alcove import (
     AlcovePoint,
     Face,
@@ -18,6 +19,7 @@ from hermann.alcove import (
     _alcove_data,
     _slab_inequalities,
     active_roots,
+    active_walls,
     alcove_barycenter,
     alcove_vertices,
     faces,
@@ -26,7 +28,8 @@ from hermann.alcove import (
     reduce_to_alcove,
 )
 from hermann.datum import catalog, parse_datum, positive_sector_roots
-from hermann.exact import inner, matrix_rank, pairing, solve_exact
+from hermann.exact import DimensionMismatch, inner, matrix_rank, pairing, solve_exact
+from hermann.geometry import orbit_report
 from hermann.roots import DEFAULT_BUDGET, ClosureBudgetExceeded, coroot
 
 Q = Fraction
@@ -382,7 +385,7 @@ ALCOVE_DATA = pytest.mark.parametrize(
 
 @ALCOVE_DATA
 def test_integer_double_description_matches_fraction_reference(d):
-    ineqs = _slab_inequalities(d)
+    ineqs = [q for q, _, _ in _slab_inequalities(d)]
     assert ineqs == _slab_inequalities_fraction(d)
     assert all(type(q.bound) is Fraction for q in ineqs)
     # equal lists: the same facets and vertices, in the same order, with
@@ -395,10 +398,15 @@ def test_integer_double_description_matches_fraction_reference(d):
 def test_slab_tie_goes_to_the_first_root():
     # in BC2 at phase 0 the slabs of the short simple root e2 and of 2 e2
     # both bound -x2 by 0: the first root of the stream, e2, keeps the normal
-    ineqs = {q.normal: q for q in _slab_inequalities(catalog("isotropy", label="BC2"))}
+    bc2 = catalog("isotropy", label="BC2")
+    ineqs = {q.normal: q for q, _, _ in _slab_inequalities(bc2)}
     assert ineqs[(0, -1)].bound == 0 and ineqs[(0, -1)].wall == Wall((0, 1), Q(0), 0)
     # and a strictly smaller bound wins over an earlier one: 2 e2 caps x2 at 1/2
     assert ineqs[(0, 1)].bound == Q(1, 2) and ineqs[(0, 1)].wall == Wall((0, 2), Q(0), 1)
+    # the tie makes e2 the facet's least active root, doubled by 2 e2; on the
+    # facet x1 + x2 = 1/2 only 2 e1 is active, as e1 pairs to 1/2 there
+    table = _alcove_data(bc2)
+    assert (table.roots, table.doubled) == (((-1, 0), (0, -1), (2, 2)), (False, True, False))
 
 
 POINT_DATA = (("so8_g2", {}), ("so_even", {"p": 7, "q": 5}), ("su_sp", {"p": 9, "q": 7}),
@@ -453,6 +461,33 @@ def test_far_point_names_the_same_budget(key, params):
             reduce_to_alcove(d, far)
         assert str(got.value) == str(reference.value)
         assert f"than the budget of {DEFAULT_BUDGET}" in str(got.value)
+
+
+def test_fold_reads_coroot_rows_off_the_facet_table(monkeypatch):
+    d = _g2()
+    point = AlcovePoint((200, 3))
+    want = _reduce_to_alcove_fraction(d, point)
+    fundamental_alcove(d)
+    calls = []
+    original = alcove.coroot
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(alcove, "coroot", counting)
+    got = reduce_to_alcove(d, point)
+    assert calls == []
+    assert got == want and len(got[1]) == 3624
+
+
+@pytest.mark.parametrize("coords", [(0,), (0, 0, 0)])
+def test_point_of_the_wrong_length_raises(coords):
+    # a pairing zips, so a point of the wrong length would be cut short
+    d, point = _g2(), AlcovePoint(coords)
+    for query in (point_in_alcove, active_walls, reduce_to_alcove, orbit_report):
+        with pytest.raises(DimensionMismatch):
+            query(d, point)
 
 
 def test_rank_nine_alcove():

@@ -400,6 +400,24 @@ def test_faces_build_no_weyl_closure(monkeypatch):
     assert want[0] == 0
 
 
+def test_faces_compare_no_sector_maps(monkeypatch):
+    # every hit of a per-datum cache compares the datum with itself, which
+    # the identity check answers without building a sector map
+    from hermann.datum import GradedRootDatum
+    argv = ["faces", "--triad", "su_sp", "--p", "9", "--q", "7"]
+    want = _run(argv)
+    calls = []
+    original = GradedRootDatum._sector_map
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GradedRootDatum, "_sector_map", counting)
+    assert _run(argv) == want
+    assert want[0] == 0 and calls == []
+
+
 def test_internal_errors_exit_three(monkeypatch):
     import hermann.cli as cli
     from hermann.geometry import InternalInconsistency
