@@ -101,6 +101,8 @@ def _parse_xi(text: str, rank: int):
 
 def _load_datum(args):
     key = args.triad
+    if key.startswith(("@", "isotropy:")) and (args.p, args.q) != (None, None):
+        raise _UsageError("--p and --q apply to catalog keys, not to isotropy: or @file")
     if key.startswith("@"):
         try:
             with open(key[1:], encoding="utf-8") as fh:

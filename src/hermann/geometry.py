@@ -43,8 +43,8 @@ from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, active_walls,
                      alcove_barycenter, alcove_vertices, fundamental_alcove,
                      point_in_alcove, sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RealInterval,
-                    cot_eval, interval_from_iv, iv_from_interval,
+from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
+                    RealInterval, cot_eval, interval_from_iv, iv_from_interval,
                     mpf_to_fraction, pairing, _iv)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
@@ -111,8 +111,11 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport
     """Principal curvatures -<alpha, xi> cot(pi theta) in direction xi.
 
     xi is given by rational coefficients in the dual basis, so each slope
-    <alpha, xi> is exact; only the cotangent is an interval.
+    <alpha, xi> is exact; only the cotangent is an interval.  An xi whose
+    length is not the rank raises DimensionMismatch.
     """
+    if len(xi) != d.rank:
+        raise DimensionMismatch(f"xi of length {len(xi)} against rank {d.rank}")
     xi = tuple(Fraction(x) for x in xi)
     terms = []
     for t in cot_terms(d, point):

@@ -10,9 +10,8 @@ A loop that reflects in one root computes its row once.
 A Weyl group is its integer Cartan matrix.  Its order is Kostant's height
 formula over the positive roots of that matrix, and -id is tested by the
 longest-element walk; the orbit of a chamber point, one point per element,
-is built only when asked for.  An irreducible component is named by its
-rank, its root count and its shortest-root count, or, from a Cartan matrix
-alone, by its Dynkin diagram.
+is built only when asked for.  An irreducible component is named by one
+rule set: its Dynkin diagram, read by cartan_type.
 """
 
 from __future__ import annotations
@@ -117,13 +116,12 @@ class WeylGroup:
         return frozenset(elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Component:
     """One irreducible factor of a root system, in ambient coordinates."""
 
     label: CartanLabel
     simple_roots: tuple
-    roots: tuple
 
 
 def reference_gram(label: CartanLabel) -> GramMatrix:
@@ -178,9 +176,16 @@ def _is_positive(v) -> bool:
 
 
 def cartan_matrix(simple_roots, gram: GramMatrix) -> tuple:
-    """The integer Cartan matrix A[i][j] = <a_i, a_j^vee> of roots a_i."""
+    """The integer Cartan matrix A[i][j] = <a_i, a_j^vee> of roots a_i.
+
+    A Cartan number that is not whole raises UnrecognizedType.
+    """
     rows = [coroot(s, gram) for s in simple_roots]
-    return tuple(tuple(int(pairing(row, s)) for row in rows) for s in simple_roots)
+    cartan = tuple(tuple(pairing(row, s) for row in rows) for s in simple_roots)
+    bad = next((k for line in cartan for k in line if k.denominator != 1), None)
+    if bad is not None:
+        raise UnrecognizedType(f"Cartan number {bad} is not whole")
+    return tuple(tuple(int(k) for k in line) for line in cartan)
 
 
 def _root_closure(cartan) -> set:
@@ -274,27 +279,6 @@ def tits_minus_identity(labels) -> bool:
     return True
 
 
-def _classify_component(r, members, gram: GramMatrix) -> CartanLabel:
-    """Name an irreducible component by its root count and shortest-root count.
-
-    The first matching row wins, so D3 reports as A3 and C2 as B2.
-    """
-    member_set = set(members)
-    norms = [inner(v, v, gram) for v in members]
-    counts = (len(members), norms.count(min(norms)))
-    if any(tuple(2 * x for x in v) in member_set for v in members):
-        table = (("BC", 2 * r * (r + 1), 2 * r),)
-    else:
-        table = (("A", r * (r + 1), r * (r + 1)), ("B", 2 * r * r, 2 * r),
-                 ("C", 2 * r * r, 2 * r * (r - 1)),
-                 ("D", 2 * r * (r - 1), 2 * r * (r - 1)), ("G", 12, 6))
-    for family, n, short in table:
-        if counts == (n, short) and (family != "G" or r == 2):
-            return CartanLabel(family, r)
-    raise UnrecognizedType(f"component of rank {r} with {counts[0]} roots, "
-                           f"{counts[1]} of them shortest, is not recognized")
-
-
 def linked_components(n, linked):
     """The connected components of the graph on 0..n-1 with edges linked(i, j)."""
     groups = []
@@ -305,21 +289,17 @@ def linked_components(n, linked):
 
 
 def decompose_and_classify(rs: RootSystem):
-    """Split into irreducible components and name each one.
+    """Split into irreducible components and name each by its Dynkin diagram.
 
-    Isomorphic presentations collapse to a canonical label (D3 reports as A3,
-    rank-2 C as B2).  Components come back sorted by label then simple roots.
+    The diagram is cartan_type of the simple roots' Cartan matrix, a node
+    doubled when twice its root is a root, so D3 reports as A3 and rank-2 C
+    as B2.  Components come back sorted by label then simple roots.
     """
     simples = rs.simple_roots
-    rows = [coroot(s, rs.gram) for s in simples]
-    out = []
-    for g in linked_components(len(simples),
-                               lambda i, j: pairing(rows[i], simples[j]) != 0):
-        members = tuple(sorted(v for v in rs.roots
-                               if any(pairing(rows[j], v) != 0 for j in g)))
-        label = _classify_component(len(g), members, rs.gram)
-        out.append(Component(label, tuple(sorted(simples[j] for j in g)), members))
-    return tuple(sorted(out, key=lambda c: (c.label, c.simple_roots)))
+    doubled = [tuple(2 * x for x in s) in rs.roots for s in simples]
+    named = cartan_type(cartan_matrix(simples, rs.gram), doubled)
+    return tuple(sorted(Component(label, tuple(sorted(simples[j] for j in idx)))
+                        for label, idx in named))
 
 
 def _dynkin_label(cartan, nodes, doubled) -> CartanLabel:

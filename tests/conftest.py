@@ -1,3 +1,20 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ORACLES = Path(__file__).resolve().parents[1] / "tools" / "oracles.py"
+
+
+@pytest.fixture(scope="session")
+def oracles():
+    """tools/oracles.py, the cross-checks that share no code with hermann."""
+    spec = importlib.util.spec_from_file_location("oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     rows = []
     for outcome in ("passed", "failed", "error"):

@@ -1,10 +1,9 @@
-import importlib.util
+import ast
 import json
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,14 +167,6 @@ def test_faces_cover_all_vertex_points():
     assert vertex_reps == list(alcove_vertices(d))
 
 
-def _oracles():
-    path = Path(__file__).resolve().parents[1] / "tools" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("key, params, sectors, args", [
     ("so_even", {"p": 7, "q": 5}, "sectors_so_even", (7, 5)),
     ("so_even", {"p": 9, "q": 7}, "sectors_so_even", (9, 7)),
@@ -183,8 +174,7 @@ def _oracles():
     ("su_sp", {"p": 9, "q": 7}, "sectors_su_sp", (9, 7)),
     ("so8_g2", {}, "sectors_g2", ()),
 ])
-def test_alcove_matches_independent_oracle(key, params, sectors, args):
-    oracles = _oracles()
+def test_alcove_matches_independent_oracle(key, params, sectors, args, oracles):
     simple, by_phase = getattr(oracles, sectors)(*args)
     # G2 sits in the plane x + y + z = 0 of its ambient space
     plane = (Q(1), Q(1), Q(1)) if key == "so8_g2" else None
@@ -194,8 +184,16 @@ def test_alcove_matches_independent_oracle(key, params, sectors, args):
     assert [v.coeffs for v in alcove_vertices(d)] == verts
 
 
-def test_oracle_affine_closure():
-    oracles = _oracles()
+def test_oracles_import_nothing_from_the_program(oracles):
+    # the naming and alcove checks rest on the oracles sharing no code with hermann
+    with open(oracles.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    names |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert names == {"fractions", "itertools", "math", "mpmath"}
+
+
+def test_oracle_affine_closure(oracles):
     for _, by_phase in (oracles.sectors_so_even(9, 7), oracles.sectors_su_sp(9, 7),
                         oracles.sectors_g2()):
         assert oracles.affine_closure_violations(by_phase) == 0

@@ -11,6 +11,7 @@ import pytest
 
 from hermann.alcove import NonTermination
 from hermann.cli import main
+from hermann.datum import catalog, serialize_datum
 from hermann.exact import PrecisionExhausted
 
 
@@ -226,6 +227,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["diagram", "--triad", "so_even", "--p", "9", "--q", "7",
                  "--out", "/tmp/never.svg"], stdout=io.StringIO()) == 1
     assert main(["no-such-verb"], stdout=io.StringIO()) == 1
+    # --p and --q name a catalog family's parameters; isotropy: and @file have none
+    capsys.readouterr()
+    datum = tmp_path / "a1.json"
+    datum.write_text(serialize_datum(catalog("isotropy", label="A1")), encoding="utf-8")
+    for argv in (["faces", "--triad", "isotropy:A2", "--q", "5"],
+                 ["analyze", "--triad", f"@{datum}", "--p", "3", "--point", "0"],
+                 ["catalog", "show", "--triad", "isotropy:B2", "--p", "3"]):
+        out = io.StringIO()
+        assert main(argv, stdout=out) == 1
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --p and --q") and err.count("\n") == 1
     for tol in ("0", "-1", "0/7"):
         assert main(["find-minimal", "--triad", "isotropy:A1", f"--tolerance={tol}"],
                     stdout=io.StringIO()) == 1
@@ -498,7 +511,6 @@ def test_faces_and_scan_at_rank_six():
 def test_reduce_rank_six_lands_in_closed_alcove():
     from fractions import Fraction
     from hermann.alcove import AlcovePoint, point_in_alcove
-    from hermann.datum import catalog
     for triad, start in ((SU_SP_RANK_6, "1/2,-1/3,1/5,0,3/4,-1/7"),
                          (SU_SP_RANK_8, "1/2,-1/3,1/5,0,3/4,-1/7,2/9,-5/11")):
         code, out = _run(["reduce", *triad, f"--point={start}"])

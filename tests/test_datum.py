@@ -138,6 +138,22 @@ def test_parse_rejects_malformed_documents():
         parse_datum(json.dumps(doc))
 
 
+@pytest.mark.parametrize("label, declared, got", [
+    ("B2", "B2", None), ("BC2", "BC2", None), ("D4", "D4", None), ("G2", "G2", None),
+    ("A2", "B2", "A2"), ("B3", "C3", "B3"), ("BC2", "B2", "BC2"),
+])
+def test_parse_checks_a_declared_label_against_the_diagram(label, declared, got):
+    doc = json.loads(serialize_datum(catalog("isotropy", label=label)))
+    doc["simple_roots_label"] = declared
+    if got is None:
+        assert parse_datum(json.dumps(doc)) == catalog("isotropy", label=label)
+        return
+    with pytest.raises(ValidationError) as err:
+        parse_datum(json.dumps(doc))
+    assert [(v.kind, v.detail) for v in err.value.violations] == [
+        ("label", f"declared type {declared} but the roots form {got}")]
+
+
 def test_parse_rejects_inconsistent_phases():
     doc = json.loads(serialize_datum(catalog("so8_g2")))
     doc["order"] = 2

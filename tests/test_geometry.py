@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -16,8 +18,9 @@ from hermann.alcove import (AlcovePoint, active_roots, active_walls, alcove_bary
 from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
-from hermann.exact import (GramMatrix, RealInterval, cot_eval, format_interval, inner,
-                           interval_from_iv, iv_from_interval, pairing, _iv)
+from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, cot_eval,
+                           format_interval, inner, interval_from_iv, iv_from_interval,
+                           pairing, _iv)
 from hermann.geometry import (
     CotTerm,
     TriState,
@@ -92,6 +95,13 @@ def test_spectrum_along_first_dual_direction():
     assert vals[Q(1, 4)].lo <= -1 <= vals[Q(1, 4)].hi
     assert vals[Q(3, 4)].lo <= 1 <= vals[Q(3, 4)].hi
     assert vals[Q(1, 2)].contains_zero
+
+
+@pytest.mark.parametrize("xi", [(1,), (1, 0, 5)])
+def test_spectrum_rejects_a_direction_of_the_wrong_length(xi):
+    d = _g2()
+    with pytest.raises(DimensionMismatch, match=f"xi of length {len(xi)} against rank 2"):
+        shape_spectrum(d, AlcovePoint((Q(1, 12), Q(1, 24))), xi)
 
 
 interior_weights = st.lists(
@@ -582,9 +592,11 @@ REFERENCE_DATA = tuple(
 @pytest.mark.parametrize("key, params", REFERENCE_DATA,
                          ids=[":".join([key, *(str(v) for _, v in params)])
                               for key, params in REFERENCE_DATA])
-def test_facet_walls_match_the_active_root_reference(key, params):
+def test_facet_walls_match_the_active_root_reference(key, params, oracles):
     # the reference pairs every root with the point, names the components by
-    # root counts and looks -c0 up in the whole chamber orbit
+    # the Dynkin diagram of its own base and looks -c0 up in the whole chamber
+    # orbit; both routes share the namer, so each printed label is also held
+    # to the counts of the oracles' ambient builders
     from hermann.roots import cartan_matrix, weyl_group
     d = catalog(key, **dict(params))
     for face in faces(d):
@@ -597,6 +609,35 @@ def test_facet_walls_match_the_active_root_reference(key, params):
         r = orbit_report(d, point)
         assert (r.type_label, r.arid_sufficient, r.weakly_reflective_sufficient) == \
             (type_label(d, act), spans, wr), point
+        labels = [] if r.type_label == "(none)" else r.type_label.split("+")
+        want = Counter(_oracle_counts(oracles, *re.fullmatch(r"([A-Z]+)(\d+)", lab).groups())
+                       for lab in labels)
+        assert Counter(_component_counts(oracles, d, act.union)) == want, (point, r.type_label)
+
+
+@cache
+def _oracle_counts(oracles, family, rank):
+    return oracles.label_counts(family, int(rank))
+
+
+def _component_counts(oracles, d, union):
+    """(rank, roots, shortest roots, roots whose double is a root) of each
+    irreducible component of a root system given as its list of roots: the
+    classes of the roots under "not orthogonal", ranked by oracles.affine_rank."""
+    g = d.sigma.gram.form[0]
+    g_roots = {v: [sum(a * x for a, x in zip(row, v)) for row in g] for v in union}
+    left = set(union)
+    while left:
+        comp, frontier = set(), [left.pop()]
+        while frontier:
+            v = frontier.pop()
+            comp.add(v)
+            near = {u for u in left if sum(a * x for a, x in zip(u, g_roots[v]))}
+            left -= near
+            frontier.extend(near)
+        norms = [sum(a * x for a, x in zip(v, g_roots[v])) for v in comp]
+        yield (oracles.affine_rank([(0,) * d.rank, *comp]), len(comp),
+               norms.count(min(norms)), sum(tuple(2 * x for x in v) in comp for v in comp))
 
 
 def test_type_label_standalone_matches_report():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -103,17 +104,35 @@ def test_tits_prediction_is_conjunctive():
     assert tits_minus_identity(labels)
 
 
+# C2, C3, C4, A5, B5 and D5 reach every branch of the diagram rules
+NAMED = sorted(WEYL_ORDERS) + ["C2", "C3", "C4", "A5", "B5", "D5"]
+
+
+def _canonical(label):
+    """The names of a reference system: reducible and aliased cases read as
+    their canonical labels, D2 as A1+A1, D3 as A3 and C2 as B2."""
+    return {"D2": ["A1", "A1"], "D3": ["A3"], "C2": ["B2"]}.get(label, [label])
+
+
 def test_classify_whole_reference_systems():
-    # C3, C4, A5, B5 and D5 reach every row of the root-count table
-    for label in sorted(WEYL_ORDERS) + ["C3", "C4", "A5", "B5", "D5"]:
-        comps = decompose_and_classify(_system(label))
-        # reducible and aliased cases resolve to their canonical names
-        if label == "D2":
-            assert [str(c.label) for c in comps] == ["A1", "A1"]
-        elif label == "D3":
-            assert [str(c.label) for c in comps] == ["A3"]
-        else:
-            assert [str(c.label) for c in comps] == [label]
+    for label in NAMED:
+        rs = _system(label)
+        comps = decompose_and_classify(rs)
+        assert [str(c.label) for c in comps] == _canonical(label), label
+        # each component carries its own simple roots, and together they are all
+        assert sorted(s for c in comps for s in c.simple_roots) == sorted(rs.simple_roots)
+
+
+def test_cartan_matrix_rejects_a_cartan_number_that_is_not_whole():
+    # A2's roots under a Gram matrix where 2(a1, a2)/(a1, a1) = -3/2: truncated
+    # to -1, the Cartan matrix would be A2's
+    a2 = _system("A2")
+    skew = GramMatrix(((4, -3), (-3, 4)))
+    with pytest.raises(UnrecognizedType, match="-3/2"):
+        cartan_matrix(a2.simple_roots, skew)
+    with pytest.raises(UnrecognizedType):
+        decompose_and_classify(RootSystem(2, skew, a2.roots, a2.simple_roots,
+                                          a2.positive_roots))
 
 
 def test_verify_axioms_rejects_broken_systems():
@@ -180,15 +199,34 @@ def test_kostant_order_and_walk_match_the_chamber_orbit(label):
     assert contains_minus_identity(group) == (tuple(range(-1, -k - 1, -1)) in group.elements)
 
 
+def _diagram(label):
+    """The Cartan matrix and doubled flags of a reference system."""
+    rs = _system(label)
+    doubled = [tuple(2 * x for x in s) in rs.roots for s in rs.simple_roots]
+    return cartan_matrix(rs.simple_roots, rs.gram), doubled
+
+
 def test_cartan_type_names_every_reference_system():
-    # C3, C4, A5, B5 and D5 reach every branch of the diagram rules
-    for label in sorted(WEYL_ORDERS) + ["C3", "C4", "A5", "B5", "D5"]:
-        rs = _system(label)
-        doubled = [tuple(2 * x for x in s) in rs.roots for s in rs.simple_roots]
-        got = [str(lab) for lab, _ in cartan_type(cartan_matrix(rs.simple_roots, rs.gram),
-                                                  doubled)]
-        want = [str(c.label) for c in decompose_and_classify(rs)]
-        assert got == want, label
+    for label in NAMED:
+        got = [str(lab) for lab, _ in cartan_type(*_diagram(label))]
+        assert got == _canonical(label), label
+
+
+UP_TO_RANK_6 = [f"{family}{r}" for family, ranks in (
+    ("A", range(1, 7)), ("B", range(2, 7)), ("BC", range(1, 7)),
+    ("C", range(2, 7)), ("D", range(2, 7)), ("G", (2,))) for r in ranks]
+
+
+@pytest.mark.parametrize("label", UP_TO_RANK_6)
+def test_cartan_type_ignores_the_order_of_the_nodes(label):
+    # facet subsets reach the namer in any order; node i of the permuted
+    # diagram is node perm[i] of the original, its doubled flag moving with it
+    cartan, doubled = _diagram(label)
+    want = {(lab, frozenset(idx)) for lab, idx in cartan_type(cartan, doubled)}
+    for perm in permutations(range(len(cartan))):
+        moved = tuple(tuple(cartan[i][j] for j in perm) for i in perm)
+        got = cartan_type(moved, [doubled[i] for i in perm])
+        assert {(lab, frozenset(perm[k] for k in idx)) for lab, idx in got} == want, perm
 
 
 @pytest.mark.parametrize("cartan", [

@@ -200,10 +200,11 @@ def alcove_facets(sectors, simple, plane=None):
 
 
 def affine_rank(pts):
+    """Dimension of the affine hull, eliminated over Q whatever the entry type."""
     if not pts:
         return -1
     base = pts[0]
-    diffs = [list(vsub(p, base)) for p in pts[1:]]
+    diffs = [[Q(x) for x in vsub(p, base)] for p in pts[1:]]
     rank = 0
     cols = len(base)
     row = 0
@@ -285,6 +286,26 @@ def show_weyl_table():
             print(f"  {fam}{r}: order={order} minus_id={has}")
     order, has = weyl_closure_order(*roots_g2())
     print(f"  G2: order={order} minus_id={has}")
+
+
+def label_counts(family, rank):
+    """(rank, roots, shortest roots, roots whose double is a root) of a type.
+
+    G takes rank 2; B1 is roots_b(1), a reduced rank-one system.
+    """
+    roots, simple = roots_g2() if family == "G" else FAMILIES[family](rank)
+    norms = [dot(v, v) for v in roots]
+    root_set = set(roots)
+    doubled = sum(smul(Q(2), v) in root_set for v in roots)
+    return len(simple), len(roots), norms.count(min(norms)), doubled
+
+
+def show_label_counts():
+    print("== label counts (label: rank, roots, shortest, doubled) ==")
+    for fam, lo, hi in (("A", 1, 6), ("B", 1, 6), ("BC", 1, 6), ("C", 2, 6), ("D", 2, 6),
+                        ("G", 2, 2)):
+        for r in range(lo, hi + 1):
+            print(f"  {fam}{r}: {label_counts(fam, r)}")
 
 
 def show_duals():
@@ -424,6 +445,7 @@ def show_bc1_minimal():
 
 if __name__ == "__main__":
     show_weyl_table()
+    show_label_counts()
     show_duals()
     show_alcoves()
     show_mean_curvature()
