@@ -19,17 +19,19 @@ and no LP is run.
 
 The facets through a point carry a base of its active roots: on each
 facet's line the least root active on the wall, signed along the outward
-normal (Bourbaki, ch. V, sec. 3.3).  The slab pass finds these roots with
-the bounds, and each datum's facets are built once, into one table with
-their roots, Cartan matrix and wall coroot rows, which every query reads.
-active_roots, which pairs every root with the point, is the reference.
+normal (Bourbaki, ch. V, sec. 3.3).  The slab pass makes one Facet record
+per slab with its bound, wall, outward coroot row and that root, and each
+datum's facets and their Cartan matrix are built once, into the table
+that every query reads.  active_roots, which pairs every root with the
+point, is the reference.
 
-Slab bounds, the facet test, vertex solves, point tests and folding compute
-in integers: a bound is an integer over d.order * gcd(alpha), the reflected
-interior point is integral, and a point is scaled once to integers over
-lcm(d.order, its denominators), which one kernel compares with the facets.
-Each result is made a Fraction once, at the end, and is the same exact
-rational as a Fraction computation gives.
+Bounds, facet tests, vertex solves and folding compute in integers: a
+bound is an integer over d.order * gcd(alpha), and a point x is scaled
+once to integers k over D = lcm(d.order, its denominators).  A facet's
+side at k is s = order * D * (c.x + t - n), negated when c points inward,
+so the reflection in its wall is k - (s // order) * its outward coroot
+row.  Each result is made a Fraction once, at the end: the same exact
+rational as Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -74,15 +76,6 @@ class Wall:
 
 
 @dataclass(frozen=True)
-class Inequality:
-    """Open half-space normal . x < bound, with one wall cutting it."""
-
-    normal: tuple
-    bound: Fraction
-    wall: Wall
-
-
-@dataclass(frozen=True)
 class ActiveRoots:
     union: tuple
     system: RootSystem
@@ -113,13 +106,29 @@ class Face:
         return self.dimension == 0
 
 
-def _slab_inequalities(d: GradedRootDatum):
-    """(Inequality, root, doubled) per primitive normal, sorted by normal.
+class Facet(NamedTuple):
+    """Open half-space normal . x < num/den cut by wall.  coroot, the wall
+    root's coroot row, and root, the least root active on the wall, point
+    along the normal; doubled says twice root is active too."""
 
-    The Inequality has the least bound, an integer over d.order * gcd(alpha),
-    and the wall of the first root of that bound.  The alcove lies in every
-    slab, so a root c * normal, c > 0, is active on the wall exactly when its
-    bound ties: root is the least of them, and doubled says twice it ties too.
+    normal: tuple
+    num: int
+    den: int
+    wall: Wall
+    coroot: tuple
+    root: tuple
+    doubled: bool
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+
+def _slabs(d: GradedRootDatum):
+    """One Facet per primitive normal, sorted by normal: its least slab, over
+    d.order * gcd(alpha), with the wall of its first root.  The alcove lies
+    in every slab, so a root c * normal, c > 0, is active on the wall
+    exactly when its bound ties.
     """
     best = {}
     o = d.order
@@ -128,24 +137,25 @@ def _slab_inequalities(d: GradedRootDatum):
         ot = t.numerator * (o // t.denominator)
         g = gcd(*alpha)
         up = tuple(x // g for x in alpha)
-        for vec, num, wall in ((up, (n0 + 1) * o - ot, Wall(alpha, t, n0 + 1)),
-                               (tuple(-x for x in up), ot - n0 * o, Wall(alpha, t, n0))):
+        for vec, num, n, sign in ((up, (n0 + 1) * o - ot, n0 + 1, 1),
+                                  (tuple(-x for x in up), ot - n0 * o, n0, -1)):
             cur = best.get(vec)
             if cur is None or num * cur[1] < cur[0] * g:
-                best[vec] = (num, g, wall, {g})
+                best[vec] = (num, g, (alpha, t, n, sign), {g})
             elif num * cur[1] == cur[0] * g:
                 cur[3].add(g)
-    out = []
-    for vec, (num, g, wall, ties) in sorted(best.items()):
+    out, coroots = [], {}  # a root's wall often bounds both sides of its line
+    for vec, (num, g, (alpha, t, n, sign), ties) in sorted(best.items()):
+        row = coroots[alpha] = coroots.get(alpha) or coroot(alpha, d.sigma.gram)
         c = min(ties)
-        out.append((Inequality(vec, Fraction(num, o * g), wall),
-                    tuple(c * x for x in vec), 2 * c in ties))
+        out.append(Facet(vec, num, o * g, Wall(alpha, t, n), tuple(sign * x for x in row),
+                         tuple(c * x for x in vec), 2 * c in ties))
     return out
 
 
-def _sides(rows, den: int, k):
-    """den * bd * (normal . x - bn/bd) at x = k/den, per facet row (normal, bn, bd)."""
-    return (pairing(normal, k) * bd - bn * den for normal, bn, bd in rows)
+def _sides(facets, den: int, k):
+    """The side f.den * den * (f.normal . x - f.bound) at x = k/den, per facet f."""
+    return (pairing(f.normal, k) * f.den - f.num * den for f in facets)
 
 
 def _facets(d: GradedRootDatum, slabs):
@@ -155,38 +165,27 @@ def _facets(d: GradedRootDatum, slabs):
     (t, t + 1/order) for every pair, so b is inside the alcove.  A facet wall
     reflects it into the alcove across that facet alone, as reflections
     permute the walls (Bourbaki, Lie groups, ch. V, sec. 1), and a point
-    that breaks one slab alone shows that slab to be a facet.  Each facet
-    is its slab's triple, the coroot row of its wall and its row for _sides.
+    that breaks one slab alone shows that slab to be a facet.
     """
     e = d.order * (1 + max(sum(alpha) for alpha in d.sigma.positive_roots))
-    rows = [(q.normal, q.bound.numerator, q.bound.denominator) for q, *_ in slabs]
-    out, coroots = [], {}  # a root's wall often bounds both sides of its line
-    for i, (q, *rest) in enumerate(slabs):
-        alpha, t, n = q.wall.alpha, q.wall.phi, q.wall.n
-        p = sum(alpha) + t.numerator * (e // t.denominator) - n * e
-        row = coroots.get(alpha) or coroot(alpha, d.sigma.gram)
-        coroots[alpha] = row
-        y = tuple(1 - p * c for c in row)  # e times the image of b, integral
+    b, out = (1,) * d.rank, []
+    for i, (f, side) in enumerate(zip(slabs, _sides(slabs, e, b))):
+        y = tuple(1 - side // d.order * c for c in f.coroot)  # e times the image of b
         # an image outside the alcove breaks a facet, so try those found first
-        if not any(s > 0 for s in _sides((f[-1] for f in out), e, y)) and all(
-                (s > 0) == (j == i) for j, s in enumerate(_sides(rows, e, y))):
-            out.append((q, *rest, row, rows[i]))
+        if not any(s > 0 for s in _sides(out, e, y)) and all(
+                (s > 0) == (j == i) for j, s in enumerate(_sides(slabs, e, y))):
+            out.append(f)
     return out
 
 
 class _Alcove(NamedTuple):
-    """A datum's facets, the fields of _facets per facet, their Cartan matrix
-    and the facet indices of each simplex factor.  The roots keep their
-    outward signs, as a base of active roots needs."""
+    """A datum's Facet records, its vertices and their tight facet sets, the
+    facet indices of each simplex factor and the Cartan matrix of the roots."""
 
     facets: tuple
     vertices: tuple
     tight: tuple
     factors: tuple
-    roots: tuple
-    doubled: tuple
-    coroots: tuple
-    rows: tuple
     cartan: tuple
 
 
@@ -198,8 +197,8 @@ def _alcove_data(d: GradedRootDatum) -> _Alcove:
     cached = _ALCOVE_CACHE.get(d)
     if cached is not None:
         return cached
-    facets, roots, doubled, coroots, rows = zip(*_facets(d, _slab_inequalities(d)))
-    cartan = cartan_matrix(roots, d.sigma.gram)
+    facets = tuple(_facets(d, _slabs(d)))
+    cartan = cartan_matrix([f.root for f in facets], d.sigma.gram)
     factors = linked_components(len(facets), lambda i, j: cartan[i][j])
     pairs = []
     for omitted in product(*factors):
@@ -208,8 +207,7 @@ def _alcove_data(d: GradedRootDatum) -> _Alcove:
         pairs.append((AlcovePoint(x), frozenset(range(len(facets))) - set(omitted)))
     verts, tight = zip(*sorted(pairs, key=lambda p: p[0].coeffs))
     data = _ALCOVE_CACHE[d] = _Alcove(facets, verts, tight,
-                                      tuple(frozenset(c) for c in factors),
-                                      roots, doubled, coroots, rows, cartan)
+                                      tuple(frozenset(c) for c in factors), cartan)
     return data
 
 
@@ -249,7 +247,7 @@ def alcove_barycenter(d: GradedRootDatum) -> AlcovePoint:
 def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False) -> bool:
     """Whether the point is in the closed alcove (its interior when strict)."""
     den, k = _scaled(d, point)
-    return all(s < 0 if strict else s <= 0 for s in _sides(_alcove_data(d).rows, den, k))
+    return all(s < 0 if strict else s <= 0 for s in _sides(_alcove_data(d).facets, den, k))
 
 
 def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
@@ -287,15 +285,15 @@ def active_walls(d: GradedRootDatum, point: AlcovePoint) -> ActiveWalls:
     A point outside the closed alcove raises ValueError.
     """
     a = _alcove_data(d)
-    sides = list(_sides(a.rows, *_scaled(d, point)))
+    sides = list(_sides(a.facets, *_scaled(d, point)))
     if any(s > 0 for s in sides):
         raise ValueError(f"point {point} is outside the closed alcove")
     tight = [i for i, s in enumerate(sides) if s == 0]
     if not tight:  # an interior point needs no Cartan type
         return ActiveWalls((), (), ())
     sub = tuple(tuple(a.cartan[i][j] for j in tight) for i in tight)
-    return ActiveWalls(tuple(a.roots[i] for i in tight), sub,
-                       cartan_type(sub, [a.doubled[i] for i in tight]))
+    return ActiveWalls(tuple(a.facets[i].root for i in tight), sub,
+                       cartan_type(sub, [a.facets[i].doubled for i in tight]))
 
 
 def faces(d: GradedRootDatum):
@@ -325,9 +323,7 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     Each reflection lowers the number of slab walls separating the point
     from the alcove, which bounds the loop exactly; a point whose bound
     exceeds roots.DEFAULT_BUDGET raises ClosureBudgetExceeded unfolded.
-    The point is integers x over D = lcm(d.order, its denominators): each
-    phase is whole over D, and the facet table's coroot rows are integral
-    for a valid datum, so each reflection stays on D.
+    It folds integers over D = lcm(d.order, point denominators), with integral coroot rows.
     """
     a = _alcove_data(d)
     den, x = _scaled(d, point, d.order)
@@ -340,12 +336,10 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
                                     f"more than the budget of {DEFAULT_BUDGET}")
     walls = []
     for _ in range(budget):
-        i = next((i for i, s in enumerate(_sides(a.rows, den, x)) if s > 0), None)
-        if i is None:
+        hit = next(((f, s) for f, s in zip(a.facets, _sides(a.facets, den, x)) if s > 0), None)
+        if hit is None:
             return AlcovePoint(tuple(Fraction(y, den) for y in x)), tuple(walls)
-        hit = a.facets[i].wall
-        p = (pairing(hit.alpha, x) + hit.phi.numerator * (den // hit.phi.denominator)
-             - hit.n * den)
-        x = tuple(y - p * c for y, c in zip(x, a.coroots[i]))
-        walls.append(hit)
+        f, s = hit
+        x = tuple(y - s // d.order * c for y, c in zip(x, f.coroot))
+        walls.append(f.wall)
     raise NonTermination(f"folding did not settle within {budget} reflections")

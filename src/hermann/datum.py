@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -303,6 +304,15 @@ def _no_extra(obj, allowed, where):
         raise ParseError(f"{where}: unknown fields {sorted(extra)}")
 
 
+#: Names of small types that the classification spells as on the right.
+_ALIASES = {"B1": "A1", "C1": "A1", "C2": "B2", "D2": "A1+A1", "D3": "A3"}
+
+
+def _components(text: str) -> Counter:
+    """The component names of a type such as "A1+C2", aliases expanded."""
+    return Counter("+".join(_ALIASES.get(p, p) for p in text.split("+")).split("+"))
+
+
 def parse_datum(text: str) -> GradedRootDatum:
     try:
         doc = json.loads(text)
@@ -391,7 +401,7 @@ def parse_datum(text: str) -> GradedRootDatum:
     if "simple_roots_label" in doc:
         want = str(doc["simple_roots_label"])
         got = "+".join(str(c.label) for c in decompose_and_classify(sigma))
-        if want != got:
+        if _components(want) != _components(got):
             raise ValidationError((Violation(
                 "label", f"declared type {want} but the roots form {got}"),))
     return d

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
@@ -142,8 +143,8 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
 
 
 def pairing(alpha, x):
-    """Exact pairing alpha . x of root coefficients with coordinates; zero terms are skipped."""
-    return sum(a * y for a, y in zip(alpha, x) if a)
+    """Exact pairing alpha . x of root coefficients with int or Fraction coordinates."""
+    return sum(map(mul, alpha, x))
 
 
 def inner(u, v, g: "GramMatrix") -> Fraction:

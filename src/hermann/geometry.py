@@ -1,22 +1,25 @@
 """Orbit invariants over the alcove: spectrum, mean curvature, classifications.
 
 All bookkeeping runs over positive roots with a nonzero angle; a root whose
-wall passes through the point contributes nothing.  One pass builds these
-cot terms and every classification of an orbit report is read off them.
+wall passes through the point contributes nothing.  One angle pass builds
+these cot terms, which the mean curvature sums, and one integer table: per
+class (n, alpha) with n/D = min(theta, 1 - theta) < 1/2, over the point's
+one denominator D, the multiplicity at theta minus that at 1 - theta.
 
 In direction xi the principal curvatures are -<alpha, xi> cot(pi theta).
 The identities cot(pi - x) = -cot x and cot(pi/2) = 0 make the multiset
-symmetric under -1 when every root is balanced, m(alpha, theta) =
-m(alpha, 1 - theta); no cross pair on a root line cancels an excess (see
-_austere), so austere is exactly yes or no.  Balance puts 2 alpha.x in
-(1/order)Z, so every austere point lies on the 1/(2*order) grid and
-scan_austere walks only the part of its grid on it.  Minimal is yes when
-every angle class cancels exactly and no when the certified norm is
-positive; it is an honest tri-state: yes and no are proved, indeterminate
-means neither certificate was reached.  The type, arid* and WR* are read
-off the facet walls through the point (alcove.active_walls): arid* when
-there are as many as the rank, WR* when the longest-element walk on their
-Cartan matrix also ends at -c0, which the Tits table cross-checks.
+symmetric under -1 when every entry of the table is 0; no cross pair on a
+root line cancels an excess (see _austere), so austere is exactly yes or
+no.  The orbit is totally geodesic when the table is empty.  Balance puts
+2 alpha.x in (1/order)Z, so every austere point lies on the 1/(2*order)
+grid and scan_austere walks only the part of its grid on it.  Minimal is
+yes when each n's entries times their roots sum to zero and no when the
+certified norm is positive; it is an honest tri-state: yes and no are
+proved, indeterminate means neither certificate was reached.  The type,
+arid* and WR* are read off the facet walls through the point
+(alcove.active_walls): arid* when there are as many as the rank, WR* when
+the longest-element walk on their Cartan matrix ends at -c0 too, which the
+Tits table cross-checks.
 
 find_minimal's Newton ascent is not certified, only its last point is, but
 its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
@@ -58,9 +61,6 @@ class InternalInconsistency(RuntimeError):
     """Two independent routes to the same fact disagree."""
 
 
-_HALF = Fraction(1, 2)
-
-
 class TriState(enum.Enum):
     YES = "yes"
     NO = "no"
@@ -79,12 +79,22 @@ class CotTerm:
     mult: int
 
 
-def cot_terms(d: GradedRootDatum, point: AlcovePoint):
-    """Nonzero-angle terms over positive roots, sector by sector."""
+def _angle_pass(d: GradedRootDatum, point: AlcovePoint):
+    """The point's cot terms and signed angle-class table, as the module docstring defines it."""
     stream = positive_sector_roots(d)
     den, nums = sector_angles(d, point, stream)
-    return tuple(CotTerm(alpha, Fraction(n, den), m)
-                 for (alpha, _, m), n in zip(stream, nums) if n)
+    terms, table = [], Counter()
+    for (alpha, _, m), n in zip(stream, nums):
+        if n:
+            terms.append(CotTerm(alpha, Fraction(n, den), m))
+            if 2 * n != den:
+                table[min(n, den - n), alpha] += m if 2 * n < den else -m
+    return tuple(terms), table
+
+
+def cot_terms(d: GradedRootDatum, point: AlcovePoint):
+    """Nonzero-angle terms over positive roots, sector by sector."""
+    return _angle_pass(d, point)[0]
 
 
 @dataclass(frozen=True)
@@ -174,17 +184,14 @@ def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
     return _mean_curvature(d, cot_terms(d, point), precision_bits)
 
 
-def _totally_geodesic(terms) -> bool:
-    return all(t.theta == _HALF for t in terms)
-
-
 def is_totally_geodesic(d: GradedRootDatum, point: AlcovePoint) -> bool:
-    """True when every sector angle lands in (pi/2) Z."""
-    return _totally_geodesic(cot_terms(d, point))
+    """True when every sector angle lands in (pi/2) Z: the class table is empty."""
+    return not _angle_pass(d, point)[1]
 
 
-def _austere(terms) -> TriState:
-    """Yes exactly when every root alpha balances theta against 1 - theta.
+def _austere(table) -> TriState:
+    """Yes exactly when every root alpha balances theta against 1 - theta,
+    that is, every entry of the angle-class table is 0.
 
     In a generic direction only roots on one line share a curvature, and
     only alpha and 2*alpha share a line (validation rejects 3*alpha and
@@ -196,37 +203,21 @@ def _austere(terms) -> TriState:
     it forces x, y in (pi/6) Z, where cot x / cot y is never -2.  So the
     verdict is exact: yes or no, never indeterminate.
     """
-    counts = Counter()
-    for t in terms:
-        counts[t.alpha, t.theta] += t.mult
-    balanced = all(m == counts[a, 1 - theta] for (a, theta), m in counts.items())
-    return TriState.YES if balanced else TriState.NO
+    return TriState.NO if any(table.values()) else TriState.YES
 
 
 def is_austere(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     """Exact yes/no test for invariance of the curvature multiset under -1."""
-    return _austere(cot_terms(d, point))
+    return _austere(_angle_pass(d, point)[1])
 
 
-def _folded_angle_classes(terms):
-    """Group terms by cot value class: theta and 1-theta carry opposite signs."""
-    classes = {}
-    for t in terms:
-        theta, sign = t.theta, 1
-        if theta > _HALF:
-            theta, sign = 1 - theta, -1
-        if theta == _HALF:
-            continue
-        vec = classes.setdefault(theta, None)
-        if vec is None:
-            vec = classes[theta] = [0] * len(t.alpha)
-        for j, c in enumerate(t.alpha):
-            vec[j] += sign * t.mult * c
-    return classes
-
-
-def _minimal(terms, norm: RealInterval) -> TriState:
-    if all(not any(vec) for vec in _folded_angle_classes(terms).values()):
+def _minimal(table, norm: RealInterval) -> TriState:
+    """Yes when, for each n, the entries (n, alpha) times alpha sum to zero."""
+    sums = Counter()
+    for (n, alpha), m in table.items():
+        for j, c in enumerate(alpha):
+            sums[n, j] += m * c
+    if not any(sums.values()):
         return TriState.YES
     if norm.certainly_positive:
         return TriState.NO
@@ -241,8 +232,8 @@ def is_minimal(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     Austerity forces that classwise cancellation, so austere yes implies
     minimal yes.
     """
-    terms = cot_terms(d, point)
-    return _minimal(terms, _mean_curvature(d, terms, DEFAULT_PRECISION_BITS).norm)
+    terms, table = _angle_pass(d, point)
+    return _minimal(table, _mean_curvature(d, terms, DEFAULT_PRECISION_BITS).norm)
 
 
 @dataclass(frozen=True)
@@ -315,14 +306,13 @@ def orbit_report(d: GradedRootDatum, point: AlcovePoint) -> OrbitReport:
     The curvature verdicts come from the one angle pass of the point, and
     the type, arid* and WR* from the facet walls through it.
     """
-    terms = cot_terms(d, point)
+    terms, table = _angle_pass(d, point)
     walls = active_walls(d, point)
     mc = _mean_curvature(d, terms, DEFAULT_PRECISION_BITS)
     flags = symmetry_flags(d, point, walls)
     return OrbitReport(point,
                        _type_text(d, ((lab, walls.roots[idx[0]]) for lab, idx in walls.components)),
-                       _totally_geodesic(terms), _austere(terms),
-                       _minimal(terms, mc.norm),
+                       not table, _austere(table), _minimal(table, mc.norm),
                        flags.arid_sufficient, flags.weakly_reflective_sufficient,
                        mc)
 

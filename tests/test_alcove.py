@@ -4,6 +4,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,11 @@ from hermann import alcove
 from hermann.alcove import (
     AlcovePoint,
     Face,
-    Inequality,
     Wall,
     _alcove_data,
-    _slab_inequalities,
+    _scaled,
+    _sides,
+    _slabs,
     active_roots,
     active_walls,
     alcove_barycenter,
@@ -255,7 +258,15 @@ def test_square_alcove_vertices():
 # Fraction references for the alcove kernels, which compute in integers
 # over one denominator: each is the same rule written on Fractions.
 
-def _slab_inequalities_fraction(d):
+class _Slab(NamedTuple):
+    """Open half-space normal . x < bound, with one wall cutting it."""
+
+    normal: tuple
+    bound: Fraction
+    wall: Wall
+
+
+def _slabs_fraction(d):
     best = {}
     for alpha, t, _ in positive_sector_roots(d):
         n0 = 0 if t >= 0 else -1
@@ -267,7 +278,7 @@ def _slab_inequalities_fraction(d):
             nbound = bound / g
             cur = best.get(nvec)
             if cur is None or nbound < cur.bound:
-                best[nvec] = Inequality(nvec, nbound, wall)
+                best[nvec] = _Slab(nvec, nbound, wall)
     return sorted(best.values(), key=lambda q: (q.normal, q.bound))
 
 
@@ -309,7 +320,7 @@ def _affine_rank(points):
 def _alcove_data_fraction(d):
     """Facets, vertices and tight sets by vertex enumeration: a facet is a
     slab whose tight vertices span a hyperplane."""
-    ineqs = _slab_inequalities_fraction(d)
+    ineqs = _slabs_fraction(d)
     pairs = sorted(_vertex_enumeration_fraction(ineqs, d.rank), key=lambda p: p[0])
     on = [[x for x, t in pairs if k in t] for k in range(len(ineqs))]
     keep = [k for k in range(len(ineqs))
@@ -381,14 +392,20 @@ ALCOVE_DATA = pytest.mark.parametrize(
          for key, params in CATALOG_TO_RANK_SIX] + ["A1+A1", "A1+A2", "B2+A2"])
 
 
+def _triples(records):
+    return [_Slab(q.normal, q.bound, q.wall) for q in records]
+
+
 @ALCOVE_DATA
 def test_integer_double_description_matches_fraction_reference(d):
-    ineqs = [q for q, _, _ in _slab_inequalities(d)]
-    assert ineqs == _slab_inequalities_fraction(d)
-    assert all(type(q.bound) is Fraction for q in ineqs)
+    slabs = _slabs(d)
+    assert _triples(slabs) == _slabs_fraction(d)
+    assert all(type(q.bound) is Fraction for q in slabs)
     # equal lists: the same facets and vertices, in the same order, with
     # equal tight sets, and the same faces
-    assert _alcove_data(d)[:3] == _alcove_data_fraction(d)
+    facets, verts, tight = _alcove_data_fraction(d)
+    table = _alcove_data(d)
+    assert (_triples(table.facets), table.vertices, table.tight) == (list(facets), verts, tight)
     assert all(type(c) is Fraction for v in alcove_vertices(d) for c in v.coeffs)
     assert faces(d) == _faces_fraction(d)
 
@@ -397,14 +414,46 @@ def test_slab_tie_goes_to_the_first_root():
     # in BC2 at phase 0 the slabs of the short simple root e2 and of 2 e2
     # both bound -x2 by 0: the first root of the stream, e2, keeps the normal
     bc2 = catalog("isotropy", label="BC2")
-    ineqs = {q.normal: q for q, _, _ in _slab_inequalities(bc2)}
+    ineqs = {q.normal: q for q in _slabs(bc2)}
     assert ineqs[(0, -1)].bound == 0 and ineqs[(0, -1)].wall == Wall((0, 1), Q(0), 0)
     # and a strictly smaller bound wins over an earlier one: 2 e2 caps x2 at 1/2
     assert ineqs[(0, 1)].bound == Q(1, 2) and ineqs[(0, 1)].wall == Wall((0, 2), Q(0), 1)
     # the tie makes e2 the facet's least active root, doubled by 2 e2; on the
     # facet x1 + x2 = 1/2 only 2 e1 is active, as e1 pairs to 1/2 there
-    table = _alcove_data(bc2)
-    assert (table.roots, table.doubled) == (((-1, 0), (0, -1), (2, 2)), (False, True, False))
+    facets = _alcove_data(bc2).facets
+    assert [(q.root, q.doubled) for q in facets] == [((-1, 0), False), ((0, -1), True),
+                                                     ((2, 2), False)]
+
+
+@ALCOVE_DATA
+@given(st.data())
+@settings(max_examples=8, deadline=None)
+def test_side_reflection_is_the_wall_reflection(d, data):
+    # the fold's step k - (s // order) * coroot, from a slab's side s at
+    # x = k/D, is x - (alpha . x + t - n) coroot(alpha) in its wall: this
+    # pins the outward sign of the coroot row of every slab, facets included
+    point = AlcovePoint(data.draw(st.tuples(*[coordinate] * d.rank)))
+    den, k = _scaled(d, point, d.order)
+    x = point.coeffs
+    slabs = _slabs(d)
+    for f, s in zip(slabs, _sides(slabs, den, k)):
+        got = tuple(Fraction(y - s // d.order * c, den) for y, c in zip(k, f.coroot))
+        p = pairing(f.wall.alpha, x) + f.wall.phi - f.wall.n
+        assert got == tuple(y - p * c for y, c in zip(x, coroot(f.wall.alpha, d.sigma.gram)))
+    assert set(fundamental_alcove(d)) <= set(slabs)
+
+
+def test_only_alcove_names_the_facet_table():
+    # every other module reaches the facets through the public queries, so
+    # the layout of the table can change in alcove.py alone
+    src = Path(__file__).resolve().parents[1] / "src" / "hermann"
+    private = {"_alcove_data", "_sides", "_ALCOVE_CACHE"}
+    readers = sorted(f"{path.name}:{node.lineno}" for path in src.glob("*.py")
+                     if path.name != "alcove.py"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if {getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None)} & private)
+    assert len(list(src.glob("*.py"))) > 5 and readers == []
 
 
 POINT_DATA = (("so8_g2", {}), ("so_even", {"p": 7, "q": 5}), ("su_sp", {"p": 9, "q": 7}),

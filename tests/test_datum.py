@@ -141,6 +141,10 @@ def test_parse_rejects_malformed_documents():
 @pytest.mark.parametrize("label, declared, got", [
     ("B2", "B2", None), ("BC2", "BC2", None), ("D4", "D4", None), ("G2", "G2", None),
     ("A2", "B2", "A2"), ("B3", "C3", "B3"), ("BC2", "B2", "BC2"),
+    # aliases: B1 = C1 = A1, C2 = B2, D2 = A1+A1, D3 = A3, compared as multisets
+    ("D3", "D3", None), ("D3", "A3", None), ("B2", "C2", None), ("D2", "D2", None),
+    ("A1", "B1", None), ("A1", "C1", None), ("D2", "A1+A1", None), ("D4", "A1+D3", "D4"),
+    ("A2", "A1+A1", "A2"), ("BC1", "B1", "BC1"), ("B2", "E6", "B2"),
 ])
 def test_parse_checks_a_declared_label_against_the_diagram(label, declared, got):
     doc = json.loads(serialize_datum(catalog("isotropy", label=label)))

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 from pathlib import Path
 
 import mpmath
@@ -24,7 +24,9 @@ from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, cot_eval
 from hermann.geometry import (
     CotTerm,
     TriState,
+    _angle_pass,
     _austere,
+    _minimal,
     cot_terms,
     find_minimal,
     is_austere,
@@ -170,6 +172,33 @@ def _line(*classes):
     return tuple(CotTerm((c, 0), theta, m) for c, theta, m in classes)
 
 
+def _table(terms, den=60):
+    """The signed angle-class table of terms whose angles are whole over den."""
+    table = Counter()
+    for t in terms:
+        low = min(t.theta, 1 - t.theta)
+        if low != Q(1, 2):
+            table[int(low * den), t.alpha] += t.mult if t.theta == low else -t.mult
+    return table
+
+
+def _verdicts_fraction(terms):
+    """Totally geodesic, austere and exact minimal by the rules on Fraction
+    angles: the theta == 1/2 scan, the counts of (alpha, theta) against
+    1 - theta, and the angle classes folded at 1/2, each summing to zero."""
+    counts, classes = Counter(), {}
+    for t in terms:
+        counts[t.alpha, t.theta] += t.mult
+        theta, sign = (t.theta, 1) if t.theta <= Q(1, 2) else (1 - t.theta, -1)
+        if theta != Q(1, 2):
+            vec = classes.setdefault(theta, [0] * len(t.alpha))
+            for j, c in enumerate(t.alpha):
+                vec[j] += sign * t.mult * c
+    return (all(t.theta == Q(1, 2) for t in terms),
+            all(m == counts[a, 1 - theta] for (a, theta), m in counts.items()),
+            all(not any(vec) for vec in classes.values()))
+
+
 @pytest.mark.parametrize("terms, verdict", [
     (_line((1, Q(1, 3), 2), (1, Q(2, 3), 1)), TriState.NO),
     (_line((1, Q(1, 2), 3)), TriState.YES),
@@ -181,17 +210,19 @@ def _line(*classes):
     (_line((1, Q(1, 3), 1), (2, Q(2, 3), 1)), TriState.NO),
 ])
 def test_line_balance_rule(terms, verdict):
-    assert _austere(terms) is verdict
+    assert _austere(_table(terms)) is verdict
+    assert _verdicts_fraction(terms)[1] is (verdict is TriState.YES)
 
 
 def test_excess_meeting_cross_pair_is_no():
     # the excess at (1, 1/3) could only be cancelled by the c = 2 class,
     # and cot x + 2 cot y never vanishes at rational angles
     terms = _line((1, Q(1, 3), 1), (2, Q(3, 4), 1), (2, Q(1, 4), 1))
-    assert _austere(terms) is TriState.NO
+    assert dict(_table(terms)) == {(20, (1, 0)): 1, (15, (2, 0)): 0}
+    assert _austere(_table(terms)) is TriState.NO
     # an exact excess on a second line still decides no
     other = CotTerm((0, 1), Q(1, 5), 1)
-    assert _austere(terms + (other,)) is TriState.NO
+    assert _austere(_table(terms + (other,))) is TriState.NO
 
 
 SPECTRUM_DATA = (
@@ -520,13 +551,13 @@ def test_report_matches_standalone_predicates(i, data):
 
 def test_orbit_report_builds_the_terms_once(monkeypatch):
     calls = []
-    original = geometry.cot_terms
+    original = geometry._angle_pass
 
     def counting(d, point):
         calls.append(point)
         return original(d, point)
 
-    monkeypatch.setattr(geometry, "cot_terms", counting)
+    monkeypatch.setattr(geometry, "_angle_pass", counting)
     r = orbit_report(_so_even(), AlcovePoint((Q(1, 4), 0, 0)))
     assert r.austere is TriState.YES and r.minimal is TriState.YES
     assert len(calls) == 1
@@ -713,8 +744,8 @@ def test_integer_kernels_match_fraction_formulas(i, drawn):
     x = point.coeffs
     want = tuple(CotTerm(alpha, theta, m) for alpha, t, m in positive_sector_roots(d)
                  for theta in [(pairing(alpha, x) + t) % 1] if theta != 0)
-    terms = cot_terms(d, point)
-    assert terms == want
+    terms, table = _angle_pass(d, point)
+    assert terms == want and terms == cot_terms(d, point)
     union = sorted({v for s in d.sectors for v in s.roots
                     if (pairing(v, x) + s.phi) % 1 == 0})
     assert active_roots(d, point).union == tuple(union)
@@ -723,6 +754,10 @@ def test_integer_kernels_match_fraction_formulas(i, drawn):
         coeffs, norm = _reference_mean_curvature(d, terms, bits)
         assert [(c.lo, c.hi) for c in mc.coeffs] == coeffs
         assert (mc.norm.lo, mc.norm.hi, mc.norm.precision_bits) == (norm.lo, norm.hi, bits)
+    # totally geodesic, austere and exact minimal, read off the class table
+    assert dict(table) == dict(_table(terms, lcm(d.order, *(c.denominator for c in x))))
+    assert (not table, _austere(table) is TriState.YES,
+            _minimal(table, mc.norm) is TriState.YES) == _verdicts_fraction(terms)
 
 
 @given(st.lists(st.fractions(min_value=Q(-6), max_value=Q(6), max_denominator=12),
