@@ -4,10 +4,14 @@ Every angle in the orbit-geometry formulas is a rational multiple of pi,
 so an angle is its coefficient of pi, a plain Fraction, and every
 membership test (in pi.Z, in (pi/2).Z) is exact Fraction arithmetic.  The
 only real-number evaluations are cotangent values, served as certified
-enclosures with dyadic-rational endpoints.  Every exact elimination (solves,
-ranks, the dual basis) is one `row_reduce`.  A Gram matrix keeps its integer
-form, integer rows over one denominator, and inner products and coroot rows
-are computed on it.
+enclosures with dyadic-rational endpoints.  They are made by raw
+mpmath.libmp interval calls (mpf_pi and from_int rounded floor and
+ceiling, mpi_mul, mpi_div, mpi_cos_sin): the calls mpmath's interval
+context makes for the same expression, in the same order, so every
+endpoint is the one that context would give.  Every exact elimination
+(solves, ranks, the dual basis) is one `row_reduce`.  A Gram matrix keeps
+its integer form, integer rows over one denominator, and inner products
+and coroot rows are computed on it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from math import gcd, lcm
 from operator import mul
 
 import mpmath
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import mpi_cos_sin
+from mpmath.libmp import (from_int, mpf_pi, mpi_cos_sin, mpi_div, mpi_mul, round_ceiling,
+                          round_floor)
 
 #: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
 #: caps the precision ladder of find_minimal (four times this, at most).
@@ -75,18 +79,6 @@ class RealInterval:
         return RealInterval(self.hi * c, self.lo * c, self.precision_bits)
 
 
-_IV_CONTEXTS: dict[int, MPIntervalContext] = {}
-
-
-def _iv(prec: int) -> MPIntervalContext:
-    ctx = _IV_CONTEXTS.get(prec)
-    if ctx is None:
-        ctx = MPIntervalContext()
-        ctx.prec = prec
-        _IV_CONTEXTS[prec] = ctx
-    return ctx
-
-
 def mpf_to_fraction(t) -> Fraction:
     """Exact conversion of a finite raw mpf value (an mpf's _mpf_) to Fraction."""
     sign, man, exp, _ = t
@@ -94,23 +86,24 @@ def mpf_to_fraction(t) -> Fraction:
         if exp == 0:
             return Fraction(0)
         raise ValueError(f"non-finite value {t!r}")
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def interval_from_iv(x, precision_bits: int) -> RealInterval:
-    a, b = x._mpi_
-    return RealInterval(mpf_to_fraction(a), mpf_to_fraction(b), precision_bits)
+def _int_interval(n: int, prec: int):
+    """The raw enclosure of the integer n at prec bits, as the interval context converts it."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def fraction_interval(q: Fraction, prec: int):
+    """The raw enclosure of q at prec bits, as the interval context's
+    mpf(q.numerator) / q.denominator makes it."""
+    return mpi_div(_int_interval(q.numerator, prec), _int_interval(q.denominator, prec), prec)
 
 
 def iv_from_fraction(ctx, q: Fraction):
     return ctx.mpf(q.numerator) / q.denominator
-
-
-def iv_from_interval(ctx, r: RealInterval):
-    lo = iv_from_fraction(ctx, r.lo)
-    hi = iv_from_fraction(ctx, r.hi)
-    return ctx.make_mpf((lo._mpi_[0], hi._mpi_[1]))
 
 
 @lru_cache(maxsize=8192)
@@ -118,7 +111,10 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     """Certified enclosure of cot(a*pi), width <= 2^(8 - precision_bits).
 
     a is the angle's coefficient of pi, so the cache key is exact.  Each
-    working precision takes cos and sin from one interval evaluation.
+    working precision encloses theta = pi * n / D with mpf_pi rounded down
+    and up, mpi_mul and mpi_div by integer enclosures, takes cos and sin
+    from one mpi_cos_sin, and divides them with mpi_div: the calls, in order,
+    of the interval context's pi * n / D, cos, sin and quotient.
     """
     coeff = a % 1
     if coeff == 0:
@@ -126,16 +122,17 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     target = Fraction(1, 2 ** (precision_bits - 8))
     work = precision_bits + 16
     for _ in range(16):
-        ctx = _iv(work)
-        theta = ctx.pi * coeff.numerator / coeff.denominator
-        cos, sin = mpi_cos_sin(theta._mpi_, work)
-        # sin(theta) > 0 on (0, pi); an enclosure touching 0 means the
-        # working precision cannot separate it yet
-        if mpf_to_fraction(sin[0]) <= 0:
+        pi = mpf_pi(work, round_floor), mpf_pi(work, round_ceiling)
+        theta = mpi_div(mpi_mul(pi, _int_interval(coeff.numerator, work), work),
+                        _int_interval(coeff.denominator, work), work)
+        cos, sin = mpi_cos_sin(theta, work)
+        # sin(theta) > 0 on (0, pi); an enclosure whose lower end is negative
+        # or zero means the working precision cannot separate it yet
+        if sin[0][0] or not sin[0][1]:
             work *= 2
             continue
-        value = ctx.make_mpf(cos) / ctx.make_mpf(sin)
-        out = interval_from_iv(value, precision_bits)
+        lo, hi = mpi_div(cos, sin, work)
+        out = RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), precision_bits)
         if out.width <= target:
             return out
         work *= 2

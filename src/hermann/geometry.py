@@ -40,15 +40,14 @@ from math import ceil, floor, gcd
 import mpmath
 from mpmath.libmp import (from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
                           mpf_div, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sub, round_nearest)
+                          mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sub, mpi_sqrt, round_nearest)
 
 from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, active_walls,
                      alcove_barycenter, alcove_vertices, fundamental_alcove,
                      point_in_alcove, sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
-                    RealInterval, cot_eval, interval_from_iv, iv_from_interval,
-                    mpf_to_fraction, pairing, _iv)
+                    RealInterval, cot_eval, fraction_interval, mpf_to_fraction, pairing)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
 
@@ -147,7 +146,9 @@ def _mean_curvature(d: GradedRootDatum, terms, precision_bits: int) -> MeanCurva
     Every cot_eval endpoint is dyadic, so each coefficient interval is two
     integers over one 2^e, and the squared norm is integers over 2^(2e)
     times the denominator of the Gram form: the same rationals as interval
-    sums and products over Fraction, with no Fraction per operation.
+    sums and products over Fraction, with no Fraction per operation.  The
+    norm is mpi_sqrt at precision_bits + 16 of the interval context's
+    enclosure of the squared norm, each endpoint enclosed by fraction_interval.
     """
     r = d.rank
     cots = [cot_eval(t.theta, precision_bits) for t in terms]
@@ -173,9 +174,10 @@ def _mean_curvature(d: GradedRootDatum, terms, precision_bits: int) -> MeanCurva
                    for x, y in zip(lo, hi))
     norm2 = RealInterval(Fraction(max(n_lo, 0), scale), Fraction(max(n_hi, 0), scale),
                          precision_bits)
-    ctx = _iv(precision_bits + 16)
-    root = ctx.sqrt(iv_from_interval(ctx, norm2))
-    return MeanCurvature(coeffs, interval_from_iv(root, precision_bits))
+    work = precision_bits + 16
+    root = mpi_sqrt((fraction_interval(norm2.lo, work)[0],
+                     fraction_interval(norm2.hi, work)[1]), work)
+    return MeanCurvature(coeffs, RealInterval(*map(mpf_to_fraction, root), precision_bits))
 
 
 def mean_curvature(d: GradedRootDatum, point: AlcovePoint,

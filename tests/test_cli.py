@@ -560,3 +560,13 @@ def test_closed_stdout_exits_141_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_stdout_digest_quick_is_well_formed():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "stdout_digest.py"
+    proc = subprocess.run([sys.executable, str(tool), "--quick"], capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    sha, lines, word, commands, word2 = proc.stdout.decode("ascii").split()
+    assert len(sha) == 64 and set(sha) <= set("0123456789abcdef")
+    assert (word, commands, word2) == ("lines", "3", "commands") and int(lines) > 0

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from mpmath.ctx_iv import MPIntervalContext
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import finf, fnan, fninf, from_int, from_rational, mpf_neg, round_floor
 
 from hermann.exact import (
     DimensionMismatch,
@@ -15,12 +15,14 @@ from hermann.exact import (
     dual_basis,
     format_interval,
     inner,
-    interval_from_iv,
     matrix_rank,
+    mpf_to_fraction,
     parse_rational,
     row_reduce,
     solve_exact,
 )
+
+from interval_reference import interval_from_iv, iv_context
 
 HALF = Fraction(1, 2)
 
@@ -28,16 +30,67 @@ angles = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
                       max_denominator=64)
 
 
-@pytest.mark.parametrize("bits", [192, 495, 990])
+def _reference_cot(a, bits):
+    """cot(a*pi) through the interval context's operators, on cot_eval's ladder."""
+    coeff = a % 1
+    target = Fraction(1, 2 ** (bits - 8))
+    work = bits + 16
+    for _ in range(16):
+        iv = iv_context(work)
+        theta = iv.pi * coeff.numerator / coeff.denominator
+        sin = iv.sin(theta)
+        if interval_from_iv(sin, bits).lo > 0:
+            want = interval_from_iv(iv.cos(theta) / sin, bits)
+            if want.width <= target:
+                return want
+        work *= 2
+    raise AssertionError(f"no reference enclosure for {a} at {bits} bits")
+
+
+BASE_ANGLES = sorted({Fraction(k, n) for n in range(2, 25) for k in range(1, n)})
+# dyadic denominators up to 2^12 (find_minimal certifies dyadic points),
+# 3^7, angles outside (0, 1), which cot_eval reduces mod 1, and angles so
+# near 0 or 1 that the first working precision is too coarse, so both
+# routes climb the precision ladder
+WIDE_ANGLES = sorted(
+    {Fraction(k, 2 ** e) for e in range(1, 13) for k in {1, 3, 2 ** (e - 1) - 1,
+                                                         2 ** (e - 1) + 1, 2 ** e - 1}
+     if 0 < k < 2 ** e}
+    | {Fraction(k, 2187) for k in (1, 2, 5, 728, 1093, 1094, 1459, 2185, 2186)}
+    | {Fraction(k, n) for n in (3, 5, 7, 12, 2187) for k in (-2 * n - 1, -n - 1, -1, n + 1,
+                                                                3 * n + 2)}
+    | {Fraction(1, 2 ** 30), Fraction(1, 3 ** 20), Fraction(-1, 2 ** 40),
+       Fraction(2 ** 34 - 1, 2 ** 34)})
+
+
+#: find_minimal's precision ladder ends at 4 * MAX_PRECISION_BITS = 6144 bits
+TOP_ANGLES = [Fraction(1, 3), Fraction(5, 12), Fraction(1, 4096), Fraction(2047, 4096),
+              Fraction(2186, 2187), Fraction(-7, 5), Fraction(13, 6)]
+
+
+@pytest.mark.parametrize("bits", [192, 495, 990, 3072, 6144])
 def test_cot_eval_matches_interval_quotient(bits):
-    angles = sorted({Fraction(k, n) for n in range(2, 25) for k in range(1, n)})
+    angles = TOP_ANGLES if bits > 990 else BASE_ANGLES + WIDE_ANGLES
     for a in angles:
-        iv = MPIntervalContext()
-        iv.prec = bits + 16
-        theta = iv.pi * a.numerator / a.denominator
-        want = interval_from_iv(iv.cos(theta) / iv.sin(theta), bits)
+        want = _reference_cot(a, bits)
         got = cot_eval(a, bits)
         assert (got.lo, got.hi, got.precision_bits) == (want.lo, want.hi, bits), a
+        assert got == cot_eval(a % 1, bits), a
+
+
+def test_mpf_to_fraction_is_exact():
+    values = [from_int(0), from_int(1), from_int(-3), from_int(3 << 70), from_int(-5 << 90),
+              from_rational(1, 3, 200, round_floor), from_rational(-7, 1 << 80, 64),
+              from_rational(10 ** 30 + 1, 1 << 200, 53, round_floor)]
+    for t in values + [mpf_neg(t) for t in values]:
+        sign, man, exp, _ = t
+        assert mpf_to_fraction(t) == (-1) ** sign * Fraction(man) * Fraction(2) ** exp, t
+    exps = {t[2] for t in values if t[1]}
+    assert min(exps) < 0 < max(exps)
+    assert mpf_to_fraction(from_int(0)) == 0
+    for t in (finf, fninf, fnan):
+        with pytest.raises(ValueError):
+            mpf_to_fraction(t)
 
 
 def test_cot_plus_twice_cot_never_vanishes():

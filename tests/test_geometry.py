@@ -19,8 +19,7 @@ from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
 from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, cot_eval,
-                           format_interval, inner, interval_from_iv, iv_from_interval,
-                           pairing, _iv)
+                           format_interval, inner, pairing)
 from hermann.geometry import (
     CotTerm,
     TriState,
@@ -39,6 +38,8 @@ from hermann.geometry import (
     symmetry_flags,
     type_label,
 )
+
+from interval_reference import interval_from_iv, iv_context, iv_from_interval
 
 Q = Fraction
 
@@ -719,7 +720,7 @@ def _reference_mean_curvature(d, terms, bits):
                 p = [lo[i] * lo[j], lo[i] * hi[j], hi[i] * lo[j], hi[i] * hi[j]]
                 small, big = min(p) * g[i][j], max(p) * g[i][j]
                 n_lo, n_hi = n_lo + min(small, big), n_hi + max(small, big)
-    ctx = _iv(bits + 16)
+    ctx = iv_context(bits + 16)
     norm2 = RealInterval(max(n_lo, Q(0)), max(n_hi, Q(0)), bits)
     norm = interval_from_iv(ctx.sqrt(iv_from_interval(ctx, norm2)), bits)
     return list(zip(lo, hi)), norm
