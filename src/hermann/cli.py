@@ -75,28 +75,25 @@ def _emit_table(rows, fmt, write):
         write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _parse_point(text: str, rank: int) -> AlcovePoint:
+def _parse_coords(text: str, rank: int, what: str, repeat: bool = False):
     parts = [p.strip() for p in text.split(",")]
+    if repeat and len(parts) == 1:
+        parts *= rank
     if len(parts) != rank:
-        raise _UsageError(f"point needs {rank} coordinates, got {len(parts)}")
-    try:
-        coords = tuple(parse_rational(p) for p in parts)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return AlcovePoint(coords)
-
-
-def _parse_xi(text: str, rank: int):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 1 and rank > 1:
-        # a single value means the constant vector, so --xi 0 always parses
-        parts = parts * rank
-    if len(parts) != rank:
-        raise _UsageError(f"xi needs {rank} coordinates, got {len(parts)}")
+        raise _UsageError(f"{what} needs {rank} coordinates, got {len(parts)}")
     try:
         return tuple(parse_rational(p) for p in parts)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _parse_point(text: str, rank: int) -> AlcovePoint:
+    return AlcovePoint(_parse_coords(text, rank, "point"))
+
+
+def _parse_xi(text: str, rank: int):
+    # a single value means the constant vector, so --xi 0 always parses
+    return _parse_coords(text, rank, "xi", repeat=True)
 
 
 def _load_datum(args):
@@ -163,12 +160,9 @@ def _cmd_analyze(args, write):
         ("WR*", _yn(r.weakly_reflective_sufficient)),
         ("norm", format_interval(r.mean_curvature.norm)),
     )
-    if args.format == "tsv":
-        for k, v in fields:
-            write(f"{k}\t{v}\n")
-    else:
-        for k, v in fields:
-            write(f"{k}: {v}\n")
+    sep = "\t" if args.format == "tsv" else ": "
+    for k, v in fields:
+        write(f"{k}{sep}{v}\n")
     if xi is not None:
         spec = shape_spectrum(d, point, xi)
         write("\n")

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exact import GramMatrix, inner, pairing, parse_rational
 from .roots import (CartanLabel, RootSystem, build_root_system, coroot,
-                    decompose_and_classify, well_shaped, _is_positive, _unit)
+                    decompose_and_classify, well_shaped, _is_positive, _reflect_by, _unit)
 
 
 class UnknownKey(ValueError):
@@ -173,7 +173,7 @@ def _closure_violations(d: GradedRootDatum):
             k = pairing(row, beta)
             if k.denominator != 1:
                 return [Violation("axioms", f"<{beta}, {alpha}^vee> = {k} is not whole")]
-            image = tuple(b - k * a for b, a in zip(beta, alpha))
+            image = _reflect_by(beta, alpha, k)
             if image not in at:
                 return [Violation("axioms", f"the reflection of {beta} in {alpha}, "
                                             f"{image}, is not a root")]
@@ -241,12 +241,12 @@ def _build_isotropy(label=None, mults=None):
     if mults is None:
         mults = dict.fromkeys(lengths, 1)
     else:
-        mults = {Fraction(k): int(v) for k, v in mults.items()}
+        mults = {Fraction(k): v for k, v in mults.items()}
         if sorted(mults) != lengths:
             raise BadParameters(
                 f"multiplicity table keys {sorted(mults)} must be the squared lengths {lengths}")
-        if any(v < 1 for v in mults.values()):
-            raise BadParameters("multiplicities must be positive")
+        if any(type(v) is not int or v < 1 for v in mults.values()):
+            raise BadParameters("multiplicities must be positive integers")
     return _graded(f"isotropy:{lab}", rs, 1, ((0, mults),), norm)
 
 

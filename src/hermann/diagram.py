@@ -1,7 +1,12 @@
-"""SVG pictures of rank-1 and rank-2 alcoves with classified markers."""
+"""SVG pictures of rank-1 and rank-2 alcoves with classified markers.
+
+Rank 1 is drawn on the x axis of the rank-2 path: its embedding is
+[[e, 0], [0, 1]] and its vectors are padded with 0, so its walls are the
+vertical lines the rank-2 clip gives for a root (a, 0).
+"""
 
 from fractions import Fraction
-from math import atan2, sqrt
+from math import atan2, ceil, floor, sqrt
 import xml.etree.ElementTree as ET
 
 from .alcove import alcove_vertices
@@ -27,11 +32,18 @@ def _fmt(v: float) -> str:
 
 
 def _embedding(gram):
-    """Rows of E map dual coordinates x to Euclidean u = E x isometrically."""
+    """Rows of E map dual coordinates x to Euclidean u = E x isometrically,
+    a rank-1 x onto the plane's x axis."""
     m = dual_basis(gram)
     lower, diag = ldl(m)
     n = len(diag)
-    return [[sqrt(diag[i]) * float(lower[j][i]) for j in range(n)] for i in range(n)]
+    emb = [[sqrt(diag[i]) * float(lower[j][i]) for j in range(n)] for i in range(n)]
+    return emb if n == 2 else [[emb[0][0], 0], [0, 1]]
+
+
+def _plane(v):
+    """v padded with 0 to two coordinates."""
+    return (*v, 0)[:2]
 
 
 def _apply(mat, vec):
@@ -114,14 +126,9 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
     if rank > 2:
         raise RankTooHigh(f"diagram supports rank <= 2, datum has rank {rank}")
     emb = _embedding(d.sigma.gram)
-    verts = alcove_vertices(d)
-    pts = [_apply(emb, v.coeffs) for v in verts]
-    if rank == 1:
-        pts2 = [(p[0], 0.0) for p in pts]
-    else:
-        pts2 = list(pts)
-    xs = [p[0] for p in pts2]
-    ys = [p[1] for p in pts2]
+    pts = [_apply(emb, _plane(v.coeffs)) for v in alcove_vertices(d)]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     pad = _PAD * span
     box = ((min(xs) - pad, max(xs) + pad), (min(ys) - pad, max(ys) + pad))
@@ -143,7 +150,7 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
     # corner values of c.x over the padded viewport bound the wall indices
     corners_u = [(box[0][i], box[1][j]) for i in (0, 1) for j in (0, 1)]
     inv = _invert(emb)
-    corners_x = [_apply(inv, u[:rank] if rank == 2 else (u[0],)) for u in corners_u]
+    corners_x = [_apply(inv, u) for u in corners_u]
 
     for idx, (t, roots) in enumerate(_wall_families(d).items()):
         style_stroke = _WALL_STROKES[idx % len(_WALL_STROKES)]
@@ -155,13 +162,8 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
             group.set("stroke-dasharray", style_dash)
         for alpha in roots:
             vals = [pairing(alpha, map(Fraction, cx)) for cx in corners_x]
-            lo = min(vals) + t
-            hi = max(vals) + t
-            n = int(lo) - 1
-            while n <= hi + 1:
-                if lo <= n <= hi:
-                    _append_wall(group, alpha, Fraction(n) - t, emb, box, rank, to_px)
-                n += 1
+            for n in range(ceil(min(vals) + t), floor(max(vals) + t) + 1):
+                _append_wall(group, alpha, n - t, emb, box, to_px)
         if len(group) == 0:
             svg.remove(group)
 
@@ -173,7 +175,7 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
             "x2": _fmt(b[0]), "y2": _fmt(b[1]),
             "stroke": "#1f4e8c", "stroke-width": "3"})
     else:
-        ordered = _order_polygon(pts2)
+        ordered = _order_polygon(pts)
         path = " ".join(f"{_fmt(q[0])},{_fmt(q[1])}" for q in map(to_px, ordered))
         ET.SubElement(svg, "polygon", {
             "class": "alcove", "points": path,
@@ -182,9 +184,7 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
 
     markers = ET.SubElement(svg, "g", {"class": "markers"})
     for report in reports:
-        u = _apply(emb, report.point.coeffs)
-        u2 = (u[0], 0.0) if rank == 1 else u
-        px, py = to_px(u2)
+        px, py = to_px(_apply(emb, _plane(report.point.coeffs)))
         markers.append(_marker_element(_marker_kind(report), px, py))
 
     text = ET.tostring(svg, encoding="unicode")
@@ -195,33 +195,21 @@ def render_svg(d: GradedRootDatum, reports, out, width: int = 480) -> str:
 
 
 def _invert(mat):
-    n = len(mat)
-    if n == 1:
-        return [[1.0 / mat[0][0]]]
     a, b = mat[0]
     c, e = mat[1]
     det = a * e - b * c
     return [[e / det, -b / det], [-c / det, a / det]]
 
 
-def _append_wall(group, alpha, level, emb, box, rank, to_px):
-    if rank == 1:
-        u0 = emb[0][0] * float(level) / float(alpha[0])
-        if not box[0][0] <= u0 <= box[0][1]:
-            return
-        a = to_px((u0, box[1][0]))
-        b = to_px((u0, box[1][1]))
-    else:
-        c = [float(x) for x in alpha]
-        nrm = c[0] * c[0] + c[1] * c[1]
-        x0 = (float(level) * c[0] / nrm, float(level) * c[1] / nrm)
-        direction = (-c[1], c[0])
-        p0 = _apply(emb, x0)
-        dv = _apply(emb, direction)
-        seg = _clip_parametric(p0, dv, box)
-        if seg is None:
-            return
-        a, b = to_px(seg[0]), to_px(seg[1])
+def _append_wall(group, alpha, level, emb, box, to_px):
+    c = [float(x) for x in _plane(alpha)]
+    nrm = c[0] * c[0] + c[1] * c[1]
+    # the wall c.x = level: one point on it and its direction, in x coordinates
+    x0 = (float(level) * c[0] / nrm, float(level) * c[1] / nrm)
+    seg = _clip_parametric(_apply(emb, x0), _apply(emb, (-c[1], c[0])), box)
+    if seg is None:
+        return
+    a, b = to_px(seg[0]), to_px(seg[1])
     ET.SubElement(group, "line", {
         "x1": _fmt(a[0]), "y1": _fmt(a[1]), "x2": _fmt(b[0]), "y2": _fmt(b[1])})
 

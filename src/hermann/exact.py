@@ -150,12 +150,7 @@ def inner(u, v, g: "GramMatrix") -> Fraction:
     if len(u) != r or len(v) != r:
         raise DimensionMismatch(f"vectors of length {len(u)}, {len(v)} against rank {r}")
     rows, den = g.form
-    total = 0
-    for i in range(r):
-        if u[i]:
-            row = rows[i]
-            total += u[i] * sum(row[j] * v[j] for j in range(r) if v[j])
-    return Fraction(total, den)
+    return Fraction(pairing(u, (pairing(row, v) for row in rows)), den)
 
 
 def row_reduce(rows):

@@ -24,7 +24,8 @@ Tits table cross-checks.
 find_minimal's Newton ascent is not certified, only its last point is, but
 its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
 values, each step the mpf_* call, in operand order, of the mpf operator it
-stands for, with one pairing alpha . x per root and the Newton step from
+stands for, with one pairing alpha . x per root, the gradient and the
+Hessian through _pairing on the terms' root columns, and the Newton step from
 mpmath.lu_solve.
 """
 
@@ -337,10 +338,11 @@ def _ratio(q: Fraction, prec: int):
 
 
 def _pairing(alpha, x, prec: int):
-    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero coefficients skipped."""
+    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero terms skipped (adding
+    fzero to a sum already rounded at prec returns that sum)."""
     acc = fzero
     for a, y in zip(alpha, x):
-        if a:
+        if a and y != fzero:
             acc = mpf_add(acc, mpf_mul_int(y, a, prec, _RND), prec, _RND)
     return acc
 
@@ -372,13 +374,14 @@ def _log_volume(roots, rung, x, prec: int):
 def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> MinimalOrbit:
     """Damped Newton ascent of the orbit-volume functional, then certify.
 
-    Each iterate evaluates every term's sine and cosine once, and every
-    root's pairing alpha . x once.  A rung that sees no increase in 80
-    halvings restarts from the barycenter at twice the bits.  The point has
-    exact dyadic coordinates and a certified norm below the tolerance, any
-    value Fraction() accepts (a float is its exact binary value); iterations
-    counts every rung's iterates and precision_bits is the rung that
-    certified.
+    Each iterate evaluates every term's sine and cosine once and every
+    root's pairing alpha . x once, and sums the gradient and the Hessian
+    with _pairing over the terms' root columns.  A rung that sees no
+    increase in 80 halvings restarts from the barycenter at twice the bits.
+    The point has exact dyadic coordinates and a certified norm below the
+    tolerance, any value Fraction() accepts (a float is its exact binary
+    value); iterations counts every rung's iterates and precision_bits is
+    the rung that certified.
 
     The ascent runs on raw mpmath.libmp values at the rung's bits, rounded
     to nearest: each step is the mpf_* call, in the operand order, that the
@@ -391,6 +394,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     terms = positive_sector_roots(d)
+    cols = tuple(zip(*(alpha for alpha, _, _ in terms)))  # per simple root, a_i of each term
     facets = fundamental_alcove(d)
     start = alcove_barycenter(d)
     r = d.rank
@@ -414,19 +418,13 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
             base, trig = _log_volume(roots, rung, x, prec)
             for _ in range(60 + 4 * prec):
                 total_iter += 1
-                cots = []
-                for (k, _, m), (cos, sin) in zip(rung, trig):
+                mcts, ws = [], []
+                for (_, _, m), (cos, sin) in zip(rung, trig):
                     ct = mpf_div(cos, sin, prec, _RND)
                     w = mpf_add(mpf_mul(ct, ct, prec, _RND), _ONE, prec, _RND)
-                    cots.append((roots[k], mpf_mul_int(ct, m, prec, _RND),
-                                 mpf_mul_int(w, m, prec, _RND)))
-                grad = []
-                for i in range(r):
-                    s = fzero
-                    for alpha, mct, _ in cots:
-                        if alpha[i]:
-                            s = mpf_add(s, mpf_mul_int(mct, alpha[i], prec, _RND), prec, _RND)
-                    grad.append(mpf_mul(pi, s, prec, _RND))
+                    mcts.append(mpf_mul_int(ct, m, prec, _RND))
+                    ws.append(mpf_mul_int(w, m, prec, _RND))
+                grad = [mpf_mul(pi, _pairing(col, mcts, prec), prec, _RND) for col in cols]
                 mh = [mpf_div(mpf_neg(gi, prec, _RND), pi, prec, _RND) for gi in grad]
                 est2 = fzero
                 for i, j, num, den in gram:
@@ -441,19 +439,9 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                             return MinimalOrbit(exact, mc.norm, total_iter, prec)
                     break
                 # (w * a_i) * a_j, entry by entry: the two orders round apart
-                sums = [[fzero] * r for _ in range(r)]
-                for alpha, _, w in cots:
-                    for i, a in enumerate(alpha):
-                        if a:
-                            wa = mpf_mul_int(w, a, prec, _RND)
-                            row = sums[i]
-                            for j, b in enumerate(alpha):
-                                if b:
-                                    row[j] = mpf_add(row[j], mpf_mul_int(wa, b, prec, _RND),
-                                                     prec, _RND)
-                hess = mpmath.matrix(r, r)
-                for i, j in product(range(r), repeat=2):
-                    hess[i, j] = make(mpf_mul(pi2, sums[i][j], prec, _RND))
+                was = [[mpf_mul_int(w, a, prec, _RND) for w, a in zip(ws, col)] for col in cols]
+                hess = mpmath.matrix([[make(mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND))
+                                       for c in cols] for wa in was])
                 sol = mpmath.lu_solve(hess, mpmath.matrix([make(gi) for gi in grad]))
                 step = [sol[i]._mpf_ for i in range(r)]
                 lam = _ONE

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 from hermann.alcove import NonTermination
 from hermann.cli import main
 from hermann.datum import catalog, serialize_datum
+from hermann.diagram import MARGIN
 from hermann.exact import PrecisionExhausted
 
 
@@ -454,15 +456,38 @@ def test_diagram_svg_markers_and_xml(tmp_path):
     assert kinds == ["marker-arid", "marker-wr", "marker-wr"]
 
 
+def _marker_cy(e):
+    """The y of a marker's center: a circle's cy, or the middle of its y extent."""
+    if e.tag.endswith("circle"):
+        return float(e.get("cy"))
+    if e.tag.endswith("rect"):
+        return float(e.get("y")) + float(e.get("height")) / 2
+    ys = [float(v) for v in re.findall(r"[-\d.]+", e.get("d"))[1::2]]
+    return (min(ys) + max(ys)) / 2
+
+
 def test_diagram_rank_one_segment(tmp_path):
-    out_path = tmp_path / "segment.svg"
-    code, _ = _run(["diagram", "--triad", "isotropy:BC1", "--out", str(out_path)])
-    assert code == 0
-    tree = ET.parse(out_path)
-    markers = [e for e in tree.iter()
-               if "marker" in (e.get("class") or "").split()]
-    assert len(markers) == 2
-    assert any(e.get("class") == "alcove" for e in tree.iter())
+    for triad in (["--triad", "isotropy:BC1"], ["--triad", "su_sp", "--p", "5", "--q", "3"]):
+        out_path = tmp_path / "segment.svg"
+        code, _ = _run(["diagram", *triad, "--out", str(out_path)])
+        assert code == 0
+        root = ET.parse(out_path).getroot()
+        tag = root.tag.split("}")[0] + "}"
+        height = float(root.get("height"))
+        # the walls are vertical and span the padded box, which ends at the margins
+        walls = [e for g in root.iter(tag + "g") if g.get("class") == "walls"
+                 for e in g.iter(tag + "line")]
+        assert walls
+        for e in walls:
+            assert e.get("x1") == e.get("x2")
+            ends = sorted(float(e.get(k)) for k in ("y1", "y2"))
+            assert ends == pytest.approx([MARGIN, height - MARGIN], abs=1e-3)
+        alcove = [e for e in root.iter() if e.get("class") == "alcove"]
+        assert [e.tag for e in alcove] == [tag + "line"]
+        markers = [e for e in root.iter()
+                   if "marker" in (e.get("class") or "").split()]
+        assert len(markers) == 2
+        assert {_marker_cy(e) for e in markers} == {float(alcove[0].get("y1"))}
 
 
 def test_diagram_bytes_stable(tmp_path):

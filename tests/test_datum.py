@@ -109,6 +109,11 @@ def test_catalog_errors():
         catalog("isotropy", label="Q3")
     with pytest.raises(BadParameters):
         catalog("isotropy", label="A1", mults={1: 1, 4: 1})
+    # a multiplicity is an int: nothing else is truncated or converted to one
+    for v in (2.7, 2.0, "3", True):
+        with pytest.raises(BadParameters):
+            catalog("isotropy", label="A2", mults={2: v})
+    assert catalog("isotropy", label="A2", mults={2: 3}) is not None
 
 
 @pytest.mark.parametrize("key,params", [

@@ -408,22 +408,33 @@ def test_find_minimal_g2_interior():
     assert point_in_alcove(d, orbit.point, strict=True)
 
 
-def _stored(key):
+def _expected():
     path = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
-    return json.loads(path.read_text(encoding="utf-8"))[key]
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("key, datum, tolerance", [
-    # the first rung; 296 -> 592 bits; 495 -> 990 bits; a rank-4 climb
-    # to 592 bits over 163 log-volume evaluations
-    ("su_sp:11,9", ("su_sp", {"p": 11, "q": 9}), "1e-20"),
-    ("isotropy:C3", ("isotropy", {"label": "C3"}), "1e-60"),
-    ("so_even:7,5", ("so_even", {"p": 7, "q": 5}), "1e-120"),
-    ("isotropy:D4", ("isotropy", {"label": "D4"}), "1e-60"),
-], ids=["su_sp:11,9-1e-20", "isotropy:C3-1e-60", "so_even:7,5-1e-120", "isotropy:D4-1e-60"])
-def test_find_minimal_replays_stored_benchmark_bytes(key, datum, tolerance):
+def _stored(key):
+    return _expected()[key]
+
+
+# every stored find_minimal(KEY, TOL): first rungs, 296 -> 592 and
+# 495 -> 990 bit climbs, rank-4 climbs over 163 log-volume evaluations
+_STORED_MINIMA = sorted(tuple(k[len("find_minimal("):-1].split(", "))
+                        for k in _expected() if k.startswith("find_minimal("))
+
+
+def _stored_datum(key):
+    name, arg = key.split(":")
+    if name == "isotropy":
+        return catalog(name, label=arg)
+    return catalog(name, **dict(zip("pq", map(int, arg.split(",")))))
+
+
+@pytest.mark.parametrize("key, tolerance", _STORED_MINIMA,
+                         ids=[f"{k}-{t}" for k, t in _STORED_MINIMA])
+def test_find_minimal_replays_stored_benchmark_bytes(key, tolerance):
     want = _stored(f"find_minimal({key}, {tolerance})")
-    d = catalog(datum[0], **datum[1])
+    d = _stored_datum(key)
     cot_eval.cache_clear()
     orbit = find_minimal(d, Fraction(tolerance))
     got = (f"datum: {d.name}\niterations: {orbit.iterations}\n"

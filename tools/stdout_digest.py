@@ -3,14 +3,16 @@
     python tools/stdout_digest.py [--quick] [--src DIR]
 
 Runs each command in process through `hermann.cli.main`, with the package
-imported from DIR (default: this tree's `src`), and prints one line:
+imported from DIR (default: this tree's `src`), in a temporary working
+directory, and prints one line:
 
     <sha256> <lines> lines <commands> commands
 
-The sha256 covers, per command, its argv, stdout, stderr and exit code; the
-line count is that of stdout and stderr together.  Two trees that print the
-same line print identical bytes for every command.  `--quick` runs a
-three-command subset.
+The sha256 covers, per command, its argv, stdout, stderr and exit code, and
+for `diagram` the bytes of the SVG it writes (to a relative `--out`, so no
+path reaches stdout); the line count is that of stdout and stderr together.
+Two trees that print the same line print identical bytes for every command
+and picture.  `--quick` runs a three-command subset.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 ISOTROPY = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "BC1", "BC2", "BC3", "BC4",
@@ -33,12 +36,16 @@ POINTS = (
     (["--triad", "so_even", "--p", "7", "--q", "5"], ("3/5,-2/7", "5/3,7/4", "200,3"),
      ("1/35,13/70", "1/6,1/12", "0,0")),
 )
+# rank-1 and rank-2 data to draw, each at two widths
+DIAGRAMS = (["--triad", "so8_g2"], ["--triad", "isotropy:BC1"], ["--triad", "isotropy:A1"],
+            ["--triad", "isotropy:B2"], ["--triad", "isotropy:G2"],
+            ["--triad", "su_sp", "--p", "5", "--q", "3"])
 
 
 def commands():
     """The full command set: whole face tables and scans over the catalog,
-    point queries inside and far outside the alcove, the rank-8 origin and
-    two minimal-orbit searches."""
+    point queries inside and far outside the alcove, the rank-8 origin, two
+    minimal-orbit searches and the rank-1 and rank-2 pictures."""
     data = [(["--triad", "so8_g2"], 2)]
     data += [(["--triad", f"isotropy:{lab}"], int(lab.lstrip("ABCDG"))) for lab in ISOTROPY]
     data += [(["--triad", key, "--p", str(q + 2), "--q", str(q)], (q - 1) // 2)
@@ -59,6 +66,8 @@ def commands():
             ["faces", "--triad", "su_sp", "--p", "17", "--q", "15"],
             ["find-minimal", "--triad", "isotropy:BC2"],
             ["find-minimal", "--triad", "so8_g2"]]
+    out += [["diagram", *triad, "--out", "picture.svg", "--width", str(w)]
+            for triad in DIAGRAMS for w in (480, 600)]
     return out
 
 
@@ -70,17 +79,23 @@ QUICK = (["faces", "--triad", "so8_g2", "--all-faces", "--format", "tsv"],
 def digest(argvs, main):
     h = hashlib.sha256()
     lines = 0
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                code = main(argv, stdout=out)
-            except SystemExit as exc:  # argparse rejects the command line
-                code = exc.code
-        for part in (" ".join(argv), out.getvalue(), err.getvalue(), str(code)):
-            h.update(part.encode())
-            h.update(b"\0")
-        lines += out.getvalue().count("\n") + err.getvalue().count("\n")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv, stdout=out)
+                except SystemExit as exc:  # argparse rejects the command line
+                    code = exc.code
+            for part in (" ".join(argv), out.getvalue(), err.getvalue(), str(code)):
+                h.update(part.encode())
+                h.update(b"\0")
+            if argv[0] == "diagram":
+                picture = Path(argv[argv.index("--out") + 1])
+                h.update(picture.read_bytes() if picture.exists() else b"(none)")
+                h.update(b"\0")
+                picture.unlink(missing_ok=True)
+            lines += out.getvalue().count("\n") + err.getvalue().count("\n")
     return h.hexdigest(), lines
 
 
