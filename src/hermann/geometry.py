@@ -25,8 +25,8 @@ find_minimal's Newton ascent is not certified, only its last point is, but
 its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
 values, each step the mpf_* call, in operand order, of the mpf operator it
 stands for, with one pairing alpha . x per root, the gradient and the
-Hessian through _pairing on the terms' root columns, and the Newton step from
-mpmath.lu_solve.
+Hessian through _pairing on the terms' root columns (Hessian row i on the
+terms with a_i != 0), and the Newton step from mpmath.lu_solve.
 """
 
 from __future__ import annotations
@@ -338,11 +338,10 @@ def _ratio(q: Fraction, prec: int):
 
 
 def _pairing(alpha, x, prec: int):
-    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero terms skipped (adding
-    fzero to a sum already rounded at prec returns that sum)."""
+    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero coefficients skipped."""
     acc = fzero
     for a, y in zip(alpha, x):
-        if a and y != fzero:
+        if a:
             acc = mpf_add(acc, mpf_mul_int(y, a, prec, _RND), prec, _RND)
     return acc
 
@@ -376,12 +375,12 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
 
     Each iterate evaluates every term's sine and cosine once and every
     root's pairing alpha . x once, and sums the gradient and the Hessian
-    with _pairing over the terms' root columns.  A rung that sees no
-    increase in 80 halvings restarts from the barycenter at twice the bits.
-    The point has exact dyadic coordinates and a certified norm below the
-    tolerance, any value Fraction() accepts (a float is its exact binary
-    value); iterations counts every rung's iterates and precision_bits is
-    the rung that certified.
+    with _pairing over the terms' root columns, Hessian row i over the terms
+    with a_i != 0.  A rung that sees no increase in 80 halvings restarts
+    from the barycenter at twice the bits.  The point has exact dyadic
+    coordinates and a certified norm below the tolerance, any value
+    Fraction() accepts (a float is its exact binary value); iterations
+    counts every rung's iterates and precision_bits is the rung that certified.
 
     The ascent runs on raw mpmath.libmp values at the rung's bits, rounded
     to nearest: each step is the mpf_* call, in the operand order, that the
@@ -395,6 +394,8 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
         raise ValueError("tolerance must be positive")
     terms = positive_sector_roots(d)
     cols = tuple(zip(*(alpha for alpha, _, _ in terms)))  # per simple root, a_i of each term
+    nzs = [[t for t, a in enumerate(col) if a] for col in cols]  # per i, the terms with a_i != 0
+    subs = [[[c[t] for t in nz] for c in cols] for nz in nzs]  # and each column on those terms
     facets = fundamental_alcove(d)
     start = alcove_barycenter(d)
     r = d.rank
@@ -438,10 +439,11 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                         if mc.norm.hi < tol:
                             return MinimalOrbit(exact, mc.norm, total_iter, prec)
                     break
-                # (w * a_i) * a_j, entry by entry: the two orders round apart
-                was = [[mpf_mul_int(w, a, prec, _RND) for w, a in zip(ws, col)] for col in cols]
+                # (w * a_i) * a_j over the terms with a_i != 0: the two orders round apart
+                was = [[mpf_mul_int(ws[t], a, prec, _RND) for t, a in zip(nz, sub[i])]
+                       for i, (nz, sub) in enumerate(zip(nzs, subs))]
                 hess = mpmath.matrix([[make(mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND))
-                                       for c in cols] for wa in was])
+                                       for c in sub] for wa, sub in zip(was, subs)])
                 sol = mpmath.lu_solve(hess, mpmath.matrix([make(gi) for gi in grad]))
                 step = [sol[i]._mpf_ for i in range(r)]
                 lam = _ONE

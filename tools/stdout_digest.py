@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -79,23 +80,28 @@ QUICK = (["faces", "--triad", "so8_g2", "--all-faces", "--format", "tsv"],
 def digest(argvs, main):
     h = hashlib.sha256()
     lines = 0
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for argv in argvs:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv, stdout=out)
-                except SystemExit as exc:  # argparse rejects the command line
-                    code = exc.code
-            for part in (" ".join(argv), out.getvalue(), err.getvalue(), str(code)):
-                h.update(part.encode())
-                h.update(b"\0")
-            if argv[0] == "diagram":
-                picture = Path(argv[argv.index("--out") + 1])
-                h.update(picture.read_bytes() if picture.exists() else b"(none)")
-                h.update(b"\0")
-                picture.unlink(missing_ok=True)
-            lines += out.getvalue().count("\n") + err.getvalue().count("\n")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv, stdout=out)
+                    except SystemExit as exc:  # argparse rejects the command line
+                        code = exc.code
+                for part in (" ".join(argv), out.getvalue(), err.getvalue(), str(code)):
+                    h.update(part.encode())
+                    h.update(b"\0")
+                if argv[0] == "diagram":
+                    picture = Path(argv[argv.index("--out") + 1])
+                    h.update(picture.read_bytes() if picture.exists() else b"(none)")
+                    h.update(b"\0")
+                    picture.unlink(missing_ok=True)
+                lines += out.getvalue().count("\n") + err.getvalue().count("\n")
+        finally:  # contextlib.chdir needs Python 3.11
+            os.chdir(cwd)
     return h.hexdigest(), lines
 
 
