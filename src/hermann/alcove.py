@@ -40,7 +40,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import NamedTuple
 
 from .datum import GradedRootDatum, positive_sector_roots
@@ -248,6 +248,14 @@ def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False
     """Whether the point is in the closed alcove (its interior when strict)."""
     den, k = _scaled(d, point)
     return all(s < 0 if strict else s <= 0 for s in _sides(_alcove_data(d).facets, den, k))
+
+
+def alcove_grid(d: GradedRootDatum, den: int):
+    """The integer k with k/den in the closed alcove, in lexicographic order."""
+    a = _alcove_data(d)
+    box = (range(ceil(min(c) * den), floor(max(c) * den) + 1)
+           for c in zip(*(v.coeffs for v in a.vertices)))
+    return [k for k in product(*box) if all(s <= 0 for s in _sides(a.facets, den, k))]
 
 
 def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):

@@ -22,9 +22,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-import mpmath
-from mpmath.libmp import (from_int, mpf_pi, mpi_cos_sin, mpi_div, mpi_mul, round_ceiling,
-                          round_floor)
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_le, mpf_pi, mpf_sub,
+                          mpi_cos_sin, mpi_div, mpi_mul, round_ceiling, round_floor,
+                          round_nearest, to_str)
 
 #: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
 #: caps the precision ladder of find_minimal (four times this, at most).
@@ -96,14 +96,20 @@ def _int_interval(n: int, prec: int):
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def fraction_interval(q: Fraction, prec: int):
-    """The raw enclosure of q at prec bits, as the interval context's
-    mpf(q.numerator) / q.denominator makes it."""
-    return mpi_div(_int_interval(q.numerator, prec), _int_interval(q.denominator, prec), prec)
+def ratio_interval(lo: int, hi: int, den: int, prec: int):
+    """The raw enclosure of [lo/den, hi/den], 0 <= lo <= hi, den > 0, at prec bits:
+    the two mpi_div calls of the interval context's mpf(p) / q, p/q in lowest terms."""
+    g, h = gcd(lo, den), gcd(hi, den)
+    return (mpf_div(from_int(lo // g, prec, round_floor), from_int(den // g, prec, round_ceiling),
+                    prec, round_floor),
+            mpf_div(from_int(hi // h, prec, round_ceiling), from_int(den // h, prec, round_floor),
+                    prec, round_ceiling))
 
 
-def iv_from_fraction(ctx, q: Fraction):
-    return ctx.mpf(q.numerator) / q.denominator
+def _ratio(q: Fraction, prec: int):
+    """mpf(q.numerator) / q.denominator at prec bits, rounded to nearest."""
+    return mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator), prec,
+                   round_nearest)
 
 
 @lru_cache(maxsize=8192)
@@ -119,7 +125,7 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     coeff = a % 1
     if coeff == 0:
         raise PoleError(f"cot has a pole at {a}*pi")
-    target = Fraction(1, 2 ** (precision_bits - 8))
+    target = from_man_exp(1, 8 - precision_bits)
     work = precision_bits + 16
     for _ in range(16):
         pi = mpf_pi(work, round_floor), mpf_pi(work, round_ceiling)
@@ -132,11 +138,11 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
             work *= 2
             continue
         lo, hi = mpi_div(cos, sin, work)
-        out = RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), precision_bits)
-        if out.width <= target:
-            return out
+        if mpf_le(mpf_sub(hi, lo), target):  # at prec 0 mpf_sub is exact
+            return RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), precision_bits)
         work *= 2
-    raise PrecisionExhausted(f"cot enclosure did not reach width {target} for {a}*pi")
+    raise PrecisionExhausted(f"cot enclosure did not reach width "
+                             f"{Fraction(1, 2 ** (precision_bits - 8))} for {a}*pi")
 
 
 def pairing(alpha, x):
@@ -288,13 +294,15 @@ def format_interval(r: RealInterval) -> str:
     """Deterministic ASCII rendering with a precision annotation.
 
     The midpoint to 12 significant digits when r is certainly positive,
-    else <=B with B a bound on |r|.
+    else <=B with B a bound on |r|: the raw mpmath.libmp calls, in order, that
+    mpmath.mp makes for the same expressions and nstr under workprec(max(80, bits)).
     """
-    with mpmath.mp.workprec(max(80, r.precision_bits)):
-        if r.lo == r.hi == 0:
-            return f"0@{r.precision_bits}b"
-        if r.certainly_positive:
-            mid = (iv_from_fraction(mpmath.mp, r.lo) + iv_from_fraction(mpmath.mp, r.hi)) / 2
-            return f"{mpmath.nstr(mid, 12)}@{r.precision_bits}b"
-        bound = max(abs(r.lo), abs(r.hi))
-        return f"<={mpmath.nstr(iv_from_fraction(mpmath.mp, bound), 3)}@{r.precision_bits}b"
+    prec = max(80, r.precision_bits)
+    if r.lo == r.hi == 0:
+        return f"0@{r.precision_bits}b"
+    if r.certainly_positive:
+        mid = mpf_div(mpf_add(_ratio(r.lo, prec), _ratio(r.hi, prec), prec, round_nearest),
+                      from_int(2), prec, round_nearest)
+        return f"{to_str(mid, 12)}@{r.precision_bits}b"
+    bound = max(abs(r.lo), abs(r.hi))
+    return f"<={to_str(_ratio(bound, prec), 3)}@{r.precision_bits}b"

@@ -1,10 +1,11 @@
 """Orbit invariants over the alcove: spectrum, mean curvature, classifications.
 
 All bookkeeping runs over positive roots with a nonzero angle; a root whose
-wall passes through the point contributes nothing.  One angle pass builds
-these cot terms, which the mean curvature sums, and one integer table: per
-class (n, alpha) with n/D = min(theta, 1 - theta) < 1/2, over the point's
-one denominator D, the multiplicity at theta minus that at 1 - theta.
+wall passes through the point contributes nothing.  One angle pass groups
+the terms by angle n/D, D the point's one denominator, for the mean
+curvature's one cotangent per angle, and builds one integer table: per
+class (n, alpha) with n/D = min(theta, 1 - theta) < 1/2, the multiplicity
+at theta minus that at 1 - theta.
 
 In direction xi the principal curvatures are -<alpha, xi> cot(pi theta).
 The identities cot(pi - x) = -cot x and cot(pi/2) = 0 make the multiset
@@ -36,19 +37,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import gcd, lcm
 
 import mpmath
 from mpmath.libmp import (from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
                           mpf_div, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
                           mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sub, mpi_sqrt, round_nearest)
 
-from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, active_walls,
-                     alcove_barycenter, alcove_vertices, fundamental_alcove,
-                     point_in_alcove, sector_angles)
+from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, active_walls, alcove_barycenter,
+                     alcove_grid, fundamental_alcove, point_in_alcove, sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
-                    RealInterval, cot_eval, fraction_interval, mpf_to_fraction, pairing)
+                    RealInterval, _ratio, cot_eval, mpf_to_fraction, pairing, ratio_interval)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
 
@@ -79,22 +79,31 @@ class CotTerm:
     mult: int
 
 
-def _angle_pass(d: GradedRootDatum, point: AlcovePoint):
-    """The point's cot terms and signed angle-class table, as the module docstring defines it."""
-    stream = positive_sector_roots(d)
-    den, nums = sector_angles(d, point, stream)
-    terms, table = [], Counter()
+def _classes(den: int, stream, nums):
+    """The nonzero numerators n of nums, each with its terms' (alpha, mult) in
+    first-appearance order, and the class table the module docstring defines."""
+    groups, table = {}, Counter()
     for (alpha, _, m), n in zip(stream, nums):
         if n:
-            terms.append(CotTerm(alpha, Fraction(n, den), m))
+            groups.setdefault(n, []).append((alpha, m))
             if 2 * n != den:
                 table[min(n, den - n), alpha] += m if 2 * n < den else -m
-    return tuple(terms), table
+    return groups, table
+
+
+def _angle_pass(d: GradedRootDatum, point: AlcovePoint):
+    """The point's one denominator D, and its angle numerators and class table."""
+    stream = positive_sector_roots(d)
+    den, nums = sector_angles(d, point, stream)
+    return (den, *_classes(den, stream, nums))
 
 
 def cot_terms(d: GradedRootDatum, point: AlcovePoint):
     """Nonzero-angle terms over positive roots, sector by sector."""
-    return _angle_pass(d, point)[0]
+    stream = positive_sector_roots(d)
+    den, nums = sector_angles(d, point, stream)
+    return tuple(CotTerm(alpha, Fraction(n, den), m) for (alpha, _, m), n in zip(stream, nums)
+                 if n)
 
 
 @dataclass(frozen=True)
@@ -141,55 +150,55 @@ class MeanCurvature:
     norm: RealInterval
 
 
-def _mean_curvature(d: GradedRootDatum, terms, precision_bits: int) -> MeanCurvature:
-    """The certified enclosure, summed in Python ints.
+def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -> MeanCurvature:
+    """The certified enclosure, summed in Python ints, one cot_eval per angle n/den.
 
-    Every cot_eval endpoint is dyadic, so each coefficient interval is two
-    integers over one 2^e, and the squared norm is integers over 2^(2e)
-    times the denominator of the Gram form: the same rationals as interval
-    sums and products over Fraction, with no Fraction per operation.  The
-    norm is mpi_sqrt at precision_bits + 16 of the interval context's
-    enclosure of the squared norm, each endpoint enclosed by fraction_interval.
+    Every cot_eval endpoint [a, b] is dyadic, so each coefficient interval is
+    two integers over one 2^e, and the squared norm is integers over 2^(2e)
+    times the Gram form's denominator: the rationals of interval sums and
+    products over Fraction.  A term adds k*[a, b], k = -mult * alpha_j, ends
+    swapped when k < 0; an angle adds K+*[a, b] + K-*[b, a], K+ and K- the
+    sums of its positive and negative k: the same integers.  The norm is
+    mpi_sqrt at precision_bits + 16 of the squared norm's ratio_interval.
     """
     r = d.rank
-    cots = [cot_eval(t.theta, precision_bits) for t in terms]
+    cots = [cot_eval(Fraction(n, den), precision_bits) for n in groups]
     e = max((q.denominator.bit_length() - 1 for c in cots for q in (c.lo, c.hi)), default=0)
     lo, hi = [0] * r, [0] * r
-    for t, c in zip(terms, cots):
+    for c, pairs in zip(cots, groups.values()):
         a, b = (q.numerator << (e + 1 - q.denominator.bit_length()) for q in (c.lo, c.hi))
-        for j, x in enumerate(t.alpha):
-            if x:
-                k = -t.mult * x
-                u, v = (a * k, b * k) if k > 0 else (b * k, a * k)
-                lo[j] += u
-                hi[j] += v
-    rows, den = d.sigma.gram.form
+        pos, neg = [0] * r, [0] * r
+        for alpha, m in pairs:
+            for j, x in enumerate(alpha):
+                if x:
+                    (pos if x < 0 else neg)[j] -= m * x
+        for j, (kp, kn) in enumerate(zip(pos, neg)):
+            if kp or kn:
+                lo[j] += kp * a + kn * b
+                hi[j] += kp * b + kn * a
+    rows, gden = d.sigma.gram.form
     n_lo = n_hi = 0
     for i, j in product(range(r), repeat=2):
         if rows[i][j]:
             p = [rows[i][j] * y * z for y in (lo[i], hi[i]) for z in (lo[j], hi[j])]
             n_lo += min(p)
             n_hi += max(p)
-    one, scale = 1 << e, den << 2 * e
+    one, work = 1 << e, precision_bits + 16
     coeffs = tuple(RealInterval(Fraction(x, one), Fraction(y, one), precision_bits)
                    for x, y in zip(lo, hi))
-    norm2 = RealInterval(Fraction(max(n_lo, 0), scale), Fraction(max(n_hi, 0), scale),
-                         precision_bits)
-    work = precision_bits + 16
-    root = mpi_sqrt((fraction_interval(norm2.lo, work)[0],
-                     fraction_interval(norm2.hi, work)[1]), work)
+    root = mpi_sqrt(ratio_interval(max(n_lo, 0), max(n_hi, 0), gden << 2 * e, work), work)
     return MeanCurvature(coeffs, RealInterval(*map(mpf_to_fraction, root), precision_bits))
 
 
 def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
                    precision_bits: int = DEFAULT_PRECISION_BITS) -> MeanCurvature:
     """Certified enclosure of m_H = -sum mult*cot(theta)*alpha and its norm."""
-    return _mean_curvature(d, cot_terms(d, point), precision_bits)
+    return _mean_curvature(d, *_angle_pass(d, point)[:2], precision_bits)
 
 
 def is_totally_geodesic(d: GradedRootDatum, point: AlcovePoint) -> bool:
     """True when every sector angle lands in (pi/2) Z: the class table is empty."""
-    return not _angle_pass(d, point)[1]
+    return not _angle_pass(d, point)[2]
 
 
 def _austere(table) -> TriState:
@@ -211,7 +220,7 @@ def _austere(table) -> TriState:
 
 def is_austere(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     """Exact yes/no test for invariance of the curvature multiset under -1."""
-    return _austere(_angle_pass(d, point)[1])
+    return _austere(_angle_pass(d, point)[2])
 
 
 def _minimal(table, norm: RealInterval) -> TriState:
@@ -235,8 +244,8 @@ def is_minimal(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     Austerity forces that classwise cancellation, so austere yes implies
     minimal yes.
     """
-    terms, table = _angle_pass(d, point)
-    return _minimal(table, _mean_curvature(d, terms, DEFAULT_PRECISION_BITS).norm)
+    den, groups, table = _angle_pass(d, point)
+    return _minimal(table, _mean_curvature(d, den, groups, DEFAULT_PRECISION_BITS).norm)
 
 
 @dataclass(frozen=True)
@@ -309,9 +318,9 @@ def orbit_report(d: GradedRootDatum, point: AlcovePoint) -> OrbitReport:
     The curvature verdicts come from the one angle pass of the point, and
     the type, arid* and WR* from the facet walls through it.
     """
-    terms, table = _angle_pass(d, point)
+    den, groups, table = _angle_pass(d, point)
     walls = active_walls(d, point)
-    mc = _mean_curvature(d, terms, DEFAULT_PRECISION_BITS)
+    mc = _mean_curvature(d, den, groups, DEFAULT_PRECISION_BITS)
     flags = symmetry_flags(d, point, walls)
     return OrbitReport(point,
                        _type_text(d, ((lab, walls.roots[idx[0]]) for lab, idx in walls.components)),
@@ -330,11 +339,6 @@ class MinimalOrbit:
 
 _RND = round_nearest
 _ONE, _TWO, _FOUR = from_int(1), from_int(2), from_int(4)
-
-
-def _ratio(q: Fraction, prec: int):
-    """mpf(q.numerator) / q.denominator at prec bits."""
-    return mpf_div(from_int(q.numerator, prec, _RND), from_int(q.denominator), prec, _RND)
 
 
 def _pairing(alpha, x, prec: int):
@@ -479,20 +483,19 @@ def scan_austere(d: GradedRootDatum, denominator: int):
     only if -(c + t0) = c + t1 mod 1 for some phase t1, c = alpha . x, so
     2c lies in (1/order)Z, and each simple root (a unit vector) carries a
     sector.  So only the grid of step 1/gcd(denominator, 2*order) is walked;
-    it holds the same austere points.
+    it holds the same austere points.  The walk is in integers, the class
+    table of each point inside from integer pairings, and a hit alone is
+    made an AlcovePoint.
     """
     if denominator < 1:
         raise ValueError("denominator must be a positive integer")
     g = gcd(denominator, 2 * d.order)
-    verts = alcove_vertices(d)
-    ranges = []
-    for i in range(d.rank):
-        lo = min(v.coeffs[i] for v in verts)
-        hi = max(v.coeffs[i] for v in verts)
-        ranges.append(range(ceil(lo * g), floor(hi * g) + 1))
+    den = lcm(g, d.order)  # k/g is k * (den // g) over den, as sector_angles would scale it
+    stream = [(alpha, t.numerator * (den // t.denominator), m)
+              for alpha, t, m in positive_sector_roots(d)]
     hits = []
-    for combo in product(*ranges):
-        point = AlcovePoint(tuple(Fraction(k, g) for k in combo))
-        if point_in_alcove(d, point) and is_austere(d, point) is TriState.YES:
-            hits.append(point)
+    for combo in alcove_grid(d, g):
+        nums = [(pairing(alpha, combo) * (den // g) + t) % den for alpha, t, _ in stream]
+        if _austere(_classes(den, stream, nums)[1]) is TriState.YES:
+            hits.append(AlcovePoint(tuple(Fraction(c, g) for c in combo)))
     return tuple(hits)

@@ -1,12 +1,15 @@
-"""Reference routes through mpmath's interval context, for the tests.
+"""Reference routes through mpmath's contexts, for the tests.
 
 hermann makes its enclosures with raw mpmath.libmp interval calls; these
 helpers make the same enclosures through `MPIntervalContext` operators, so
-a test can compare the two endpoint for endpoint.
+a test can compare the two endpoint for endpoint.  format_interval_reference
+renders an interval through `mpmath.mp` operators and `nstr`, the route that
+`format_interval`'s raw calls stand for.
 """
 
 from fractions import Fraction
 
+import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 from hermann.exact import RealInterval
@@ -45,3 +48,17 @@ def iv_from_interval(ctx, r: RealInterval):
     lo = ctx.mpf(r.lo.numerator) / r.lo.denominator
     hi = ctx.mpf(r.hi.numerator) / r.hi.denominator
     return ctx.make_mpf((lo._mpi_[0], hi._mpi_[1]))
+
+
+def format_interval_reference(r: RealInterval) -> str:
+    """format_interval through mpmath.mp operators under workprec(max(80, bits))."""
+    with mpmath.mp.workprec(max(80, r.precision_bits)):
+        if r.lo == r.hi == 0:
+            return f"0@{r.precision_bits}b"
+        if r.certainly_positive:
+            mid = (mpmath.mpf(r.lo.numerator) / r.lo.denominator
+                   + mpmath.mpf(r.hi.numerator) / r.hi.denominator) / 2
+            return f"{mpmath.nstr(mid, 12)}@{r.precision_bits}b"
+        bound = max(abs(r.lo), abs(r.hi))
+        return f"<={mpmath.nstr(mpmath.mpf(bound.numerator) / bound.denominator, 3)}" \
+               f"@{r.precision_bits}b"

@@ -22,7 +22,7 @@ from hermann.exact import (
     solve_exact,
 )
 
-from interval_reference import interval_from_iv, iv_context
+from interval_reference import format_interval_reference, interval_from_iv, iv_context
 
 HALF = Fraction(1, 2)
 
@@ -212,3 +212,23 @@ def test_format_interval_annotations():
     assert format_interval(pos).endswith("@192b")
     near = RealInterval(Fraction(-1, 10 ** 40), Fraction(1, 10 ** 40), 192)
     assert format_interval(near).startswith("<=")
+
+
+# dyadic ends, as cot_eval and the norm root make them, and any rational,
+# as a slope times a cotangent in shape_spectrum makes them
+interval_ends = st.one_of(
+    st.builds(lambda man, exp: Fraction(man, 2 ** exp),
+              st.integers(min_value=-(2 ** 300), max_value=2 ** 300),
+              st.integers(min_value=0, max_value=1200)),
+    st.fractions(max_denominator=10 ** 30),
+)
+
+
+@given(interval_ends, interval_ends,
+       st.one_of(st.sampled_from((8, 80, 192, 208, 990)), st.integers(min_value=1, max_value=2000)))
+@settings(max_examples=300, deadline=None)
+def test_format_interval_matches_the_mp_context_route(a, b, bits):
+    r = RealInterval(min(a, b), max(a, b), bits)
+    assert format_interval(r) == format_interval_reference(r)
+    point = RealInterval(a, a, bits)
+    assert format_interval(point) == format_interval_reference(point)

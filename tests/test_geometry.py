@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermann.alcove import (AlcovePoint, active_roots, active_walls, alcove_barycenter,
-                            alcove_vertices, faces, point_in_alcove)
+                            alcove_grid, alcove_vertices, faces, point_in_alcove)
 from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
@@ -384,6 +384,8 @@ def test_scan_austere_walks_only_the_two_order_grid(key, params, dens):
     for n in dens:
         full = _austere_on_full_grid(d, n)
         assert scan_austere(d, n) == full
+        assert [AlcovePoint(tuple(Q(k, n) for k in c)) for c in alcove_grid(d, n)] == \
+            _closed_grid(d, n)
         assert all((c * 2 * d.order).denominator == 1
                    for p in full for c in p.coeffs)
 
@@ -737,6 +739,25 @@ def _reference_mean_curvature(d, terms, bits):
     return list(zip(lo, hi)), norm
 
 
+def _groups(terms, den):
+    """The terms' (alpha, mult) by angle numerator over den, in first-appearance order."""
+    groups = {}
+    for t in terms:
+        n = t.theta * den
+        assert n.denominator == 1
+        groups.setdefault(int(n), []).append((t.alpha, t.mult))
+    return groups
+
+
+def _checked_kernel(d, den, groups, terms, bits):
+    """The grouped kernel's enclosure, asserted equal to the per-term reference."""
+    mc = geometry._mean_curvature(d, den, groups, bits)
+    coeffs, norm = _reference_mean_curvature(d, terms, bits)
+    assert [(c.lo, c.hi) for c in mc.coeffs] == coeffs
+    assert (mc.norm.lo, mc.norm.hi, mc.norm.precision_bits) == (norm.lo, norm.hi, bits)
+    return mc
+
+
 kernel_point = st.one_of(
     # a face centroid of the closed alcove
     st.tuples(st.just("face"), st.integers(min_value=0, max_value=10 ** 6)),
@@ -756,20 +777,48 @@ def test_integer_kernels_match_fraction_formulas(i, drawn):
     x = point.coeffs
     want = tuple(CotTerm(alpha, theta, m) for alpha, t, m in positive_sector_roots(d)
                  for theta in [(pairing(alpha, x) + t) % 1] if theta != 0)
-    terms, table = _angle_pass(d, point)
-    assert terms == want and terms == cot_terms(d, point)
+    terms = cot_terms(d, point)
+    assert terms == want
+    den, groups, table = _angle_pass(d, point)
+    assert den == lcm(d.order, *(c.denominator for c in x))
+    assert list(groups.items()) == list(_groups(terms, den).items())
     union = sorted({v for s in d.sectors for v in s.roots
                     if (pairing(v, x) + s.phi) % 1 == 0})
     assert active_roots(d, point).union == tuple(union)
     for bits in (192, 990):
-        mc = geometry._mean_curvature(d, terms, bits)
-        coeffs, norm = _reference_mean_curvature(d, terms, bits)
-        assert [(c.lo, c.hi) for c in mc.coeffs] == coeffs
-        assert (mc.norm.lo, mc.norm.hi, mc.norm.precision_bits) == (norm.lo, norm.hi, bits)
+        mc = _checked_kernel(d, den, groups, terms, bits)
     # totally geodesic, austere and exact minimal, read off the class table
-    assert dict(table) == dict(_table(terms, lcm(d.order, *(c.denominator for c in x))))
+    assert dict(table) == dict(_table(terms, den))
     assert (not table, _austere(table) is TriState.YES,
             _minimal(table, mc.norm) is TriState.YES) == _verdicts_fraction(terms)
+
+
+def test_grouped_kernel_matches_per_term_reference_at_rank_nine():
+    # rank 9: many roots share each angle, and each root has up to 9 coordinates
+    d = catalog("su_sp", p=21, q=19)
+    reps = [f.representative for f in faces(d)]
+    assert len(reps) == 1023
+    for point in reps[::31]:
+        den, groups, _ = _angle_pass(d, point)
+        _checked_kernel(d, den, groups, cot_terms(d, point), 192)
+
+
+def test_orbit_report_evaluates_each_distinct_angle_once(monkeypatch):
+    calls = []
+    original = geometry.cot_eval
+
+    def counting(a, bits):
+        calls.append(a)
+        return original(a, bits)
+
+    monkeypatch.setattr(geometry, "cot_eval", counting)
+    for i in range(len(KERNEL_DATA)):
+        d, reps = _kernel_datum(i)
+        for point in reps:
+            calls.clear()
+            orbit_report(d, point)
+            angles = {t.theta for t in cot_terms(d, point)}
+            assert len(calls) == len(angles) and set(calls) == angles, point
 
 
 @given(st.lists(st.fractions(min_value=Q(-6), max_value=Q(6), max_denominator=12),

@@ -45,8 +45,9 @@ DIAGRAMS = (["--triad", "so8_g2"], ["--triad", "isotropy:BC1"], ["--triad", "iso
 
 def commands():
     """The full command set: whole face tables and scans over the catalog,
-    point queries inside and far outside the alcove, the rank-8 origin, two
-    minimal-orbit searches and the rank-1 and rank-2 pictures."""
+    point queries inside and far outside the alcove, the rank-8 origin, every
+    face of a rank-9 datum, two minimal-orbit searches and the rank-1 and
+    rank-2 pictures."""
     data = [(["--triad", "so8_g2"], 2)]
     data += [(["--triad", f"isotropy:{lab}"], int(lab.lstrip("ABCDG"))) for lab in ISOTROPY]
     data += [(["--triad", key, "--p", str(q + 2), "--q", str(q)], (q - 1) // 2)
@@ -65,6 +66,7 @@ def commands():
             ["analyze", "--triad", "su_sp", "--p", "19", "--q", "17",
              "--point=0,0,0,0,0,0,0,0"],
             ["faces", "--triad", "su_sp", "--p", "17", "--q", "15"],
+            ["faces", "--triad", "su_sp", "--p", "21", "--q", "19", "--all-faces"],
             ["find-minimal", "--triad", "isotropy:BC2"],
             ["find-minimal", "--triad", "so8_g2"]]
     out += [["diagram", *triad, "--out", "picture.svg", "--width", str(w)]
