@@ -46,7 +46,7 @@ from typing import NamedTuple
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import DimensionMismatch, pairing, solve_exact
 from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, cartan_matrix,
-                    cartan_type, coroot, decompose_and_classify, linked_components,
+                    cartan_type, decompose_and_classify, linked_components,
                     subsystem)
 
 
@@ -144,9 +144,9 @@ def _slabs(d: GradedRootDatum):
                 best[vec] = (num, g, (alpha, t, n, sign), {g})
             elif num * cur[1] == cur[0] * g:
                 cur[3].add(g)
-    out, coroots = [], {}  # a root's wall often bounds both sides of its line
+    out = []
     for vec, (num, g, (alpha, t, n, sign), ties) in sorted(best.items()):
-        row = coroots[alpha] = coroots.get(alpha) or coroot(alpha, d.sigma.gram)
+        row = d.sigma.coroots[alpha]
         c = min(ties)
         out.append(Facet(vec, num, o * g, Wall(alpha, t, n), tuple(sign * x for x in row),
                          tuple(c * x for x in vec), 2 * c in ties))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import GramMatrix, inner, pairing, parse_rational
-from .roots import (CartanLabel, RootSystem, build_root_system, coroot,
-                    decompose_and_classify, well_shaped, _is_positive, _reflect_by, _unit)
+from .roots import (CartanLabel, RootSystem, build_root_system, decompose_and_classify,
+                    well_shaped, _is_positive, _reflect_by, _unit)
 
 
 class UnknownKey(ValueError):
@@ -168,7 +168,7 @@ def _closure_violations(d: GradedRootDatum):
 
     positives = sorted(d.sigma.positive_roots)
     for alpha in positives:
-        row = coroot(alpha, d.sigma.gram)
+        row = d.sigma.coroots[alpha]
         for beta in positives:
             k = pairing(row, beta)
             if k.denominator != 1:

@@ -27,7 +27,9 @@ its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
 values, each step the mpf_* call, in operand order, of the mpf operator it
 stands for, with one pairing alpha . x per root, the gradient and the
 Hessian through _pairing on the terms' root columns (Hessian row i on the
-terms with a_i != 0), and the Newton step from mpmath.lu_solve.
+terms with a_i != 0), and the Newton step from _lu_solve, the libmp calls
+that mpmath's lu_solve makes.  A call that cannot change a bit (0 + v,
+1 * v on a value already rounded to the rung) is skipped.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-import mpmath
-from mpmath.libmp import (from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
-                          mpf_div, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sub, mpi_sqrt, round_nearest)
+from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
+                          mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub,
+                          mpf_sum, mpi_sqrt, round_nearest, to_str)
 
 from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, active_walls, alcove_barycenter,
                      alcove_grid, fundamental_alcove, point_in_alcove, sector_angles)
@@ -131,16 +133,24 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport
 
     xi is given by rational coefficients in the dual basis, so each slope
     <alpha, xi> is exact; only the cotangent is an interval.  An xi whose
-    length is not the rank raises DimensionMismatch.
+    length is not the rank raises DimensionMismatch.  The terms come in
+    cot_terms order, with one cot_eval per distinct angle n/D over the
+    point's one denominator D.
     """
     if len(xi) != d.rank:
         raise DimensionMismatch(f"xi of length {len(xi)} against rank {d.rank}")
     xi = tuple(Fraction(x) for x in xi)
-    terms = []
-    for t in cot_terms(d, point):
-        slope = pairing(t.alpha, xi)
-        value = cot_eval(t.theta, DEFAULT_PRECISION_BITS).scale(-slope)
-        terms.append(SpectrumTerm(t.alpha, t.theta, t.mult, slope, value))
+    stream = positive_sector_roots(d)
+    den, nums = sector_angles(d, point, stream)
+    cots, terms = {}, []
+    for (alpha, _, m), n in zip(stream, nums):
+        if n:
+            if n not in cots:
+                theta = Fraction(n, den)
+                cots[n] = theta, cot_eval(theta, DEFAULT_PRECISION_BITS)
+            theta, cot = cots[n]
+            slope = pairing(alpha, xi)
+            terms.append(SpectrumTerm(alpha, theta, m, slope, cot.scale(-slope)))
     return SpectrumReport(d.zero_mult, tuple(terms), DEFAULT_PRECISION_BITS)
 
 
@@ -342,12 +352,77 @@ _ONE, _TWO, _FOUR = from_int(1), from_int(2), from_int(4)
 
 
 def _pairing(alpha, x, prec: int):
-    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero coefficients skipped."""
-    acc = fzero
+    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero coefficients skipped.
+
+    1 * y, -1 * y and 0 + v are y, mpf_neg(y) and v when y has at most prec
+    bits, as normalize at prec would return them, so those calls are skipped.
+    """
+    acc = None
     for a, y in zip(alpha, x):
         if a:
-            acc = mpf_add(acc, mpf_mul_int(y, a, prec, _RND), prec, _RND)
-    return acc
+            if y[3] > prec or (a != 1 and a != -1):
+                y = mpf_mul_int(y, a, prec, _RND)
+            elif a == -1:
+                y = mpf_neg(y)
+            acc = y if acc is None else mpf_add(acc, y, prec, _RND)
+    return fzero if acc is None else acc
+
+
+def _lu_solve(a, b, prec: int):
+    """The solution of a x = b that mpmath's lu_solve gives at prec bits, bit
+    for bit, on raw values.
+
+    a is a square list of rows and b a list; neither is changed.  These are
+    the libmp calls of mpmath's LU_decomp, L_solve and U_solve in their
+    order, at prec + 10 bits rounded to nearest: the tolerance |mnorm(a, 1)
+    * eps|, the pivot of column j the first row k with the strictly largest
+    |a_kj| / sum_l |a_kl|, the elimination, and the two substitutions.  A row
+    sum or pivot at most the tolerance raises mpmath's ZeroDivisionError, as
+    does a column with no nonzero pivot (where mpmath fails on p[j] = None).
+    """
+    wp = prec + 10
+    a, b = [list(row) for row in a], list(b)
+    n = len(a)
+    norm = fzero
+    for col in zip(*a):
+        s = mpf_sum(col, wp, _RND, True)
+        if mpf_gt(s, norm):
+            norm = s
+    tol = mpf_abs(mpf_mul(norm, (0, MPZ_ONE, 1 - wp, 1), wp, _RND), wp, _RND)
+    singular = ZeroDivisionError("matrix is numerically singular")
+    perm = []
+    for j in range(n - 1):
+        biggest, pivot = fzero, None
+        for k in range(j, n):
+            s = mpf_sum([mpf_abs(v, wp, _RND) for v in a[k][j:]], wp, _RND)
+            if mpf_le(mpf_abs(s, wp, _RND), tol):
+                raise singular
+            current = mpf_mul(mpf_rdiv_int(1, s, wp, _RND), mpf_abs(a[k][j], wp, _RND), wp, _RND)
+            if mpf_gt(current, biggest):
+                biggest, pivot = current, k
+        if pivot is None:
+            raise singular
+        a[j], a[pivot] = a[pivot], a[j]
+        perm.append(pivot)
+        top = a[j]
+        if mpf_le(mpf_abs(top[j], wp, _RND), tol):
+            raise singular
+        for row in a[j + 1:]:
+            f = row[j] = mpf_div(row[j], top[j], wp, _RND)
+            for k in range(j + 1, n):
+                row[k] = mpf_sub(row[k], mpf_mul(f, top[k], wp, _RND), wp, _RND)
+    if mpf_le(mpf_abs(a[n - 1][n - 1], wp, _RND), tol):
+        raise singular
+    for j, k in enumerate(perm):
+        b[j], b[k] = b[k], b[j]
+    for i in range(1, n):
+        for j in range(i):
+            b[i] = mpf_sub(b[i], mpf_mul(a[i][j], b[j], wp, _RND), wp, _RND)
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            b[i] = mpf_sub(b[i], mpf_mul(a[i][j], b[j], wp, _RND), wp, _RND)
+        b[i] = mpf_div(b[i], a[i][i], wp, _RND)
+    return b
 
 
 def _rung(terms, prec: int):
@@ -363,15 +438,17 @@ def _log_volume(roots, rung, x, prec: int):
     cos_sin per term with p = alpha . x + phase and one pairing per root."""
     pi = mpf_pi(prec, _RND)
     pairs = [_pairing(alpha, x, prec) for alpha in roots]
-    total = fzero
+    total = None
     trig = []
     for k, phase, m in rung:
         c, s = mpf_cos_sin(mpf_mul(pi, mpf_add(pairs[k], phase, prec, _RND), prec, _RND),
                            prec, _RND)
-        log = mpf_log(mpf_abs(s, prec, _RND), prec, _RND)
-        total = mpf_add(total, mpf_mul_int(log, m, prec, _RND), prec, _RND)
+        log = mpf_log(mpf_abs(s), prec, _RND)
+        if m != 1:
+            log = mpf_mul_int(log, m, prec, _RND)
+        total = log if total is None else mpf_add(total, log, prec, _RND)
         trig.append((c, s))
-    return total, trig
+    return fzero if total is None else total, trig
 
 
 def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> MinimalOrbit:
@@ -390,8 +467,10 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     to nearest: each step is the mpf_* call, in the operand order, that the
     mpf operator it stands for makes (int * mpf is mpf_mul_int, a sum from 0
     starts at fzero), so every iterate has the bits of plain mpf
-    arithmetic.  The Newton step is mpmath.lu_solve, whose LU runs 10 bits
-    above the rung.
+    arithmetic.  A call that normalize at the rung's bits would return
+    unchanged is skipped: 0 + v, and 1 * v (-1 * v is mpf_neg) on a value of
+    at most that many bits, as every value is but the Newton step.  The step
+    is _lu_solve, mpmath's LU 10 bits above the rung.
     """
     tol = Fraction(tolerance)
     if tol <= 0:
@@ -408,71 +487,70 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                       (tol.denominator // max(tol.numerator, 1)).bit_length() + 96)
     prec = bits_needed
     total_iter = 0
-    make = mpmath.mp.make_mpf
     while prec <= 4 * MAX_PRECISION_BITS:
-        with mpmath.mp.workprec(prec):
-            pi = mpf_pi(prec, _RND)
-            pi2 = mpf_pow_int(pi, 2, prec, _RND)
-            roots, rung = _rung(terms, prec)
-            gram = [(i, j, from_int(g[i][j].numerator, prec, _RND), from_int(g[i][j].denominator))
-                    for i, j in product(range(r), repeat=2) if g[i][j]]
-            walls = [(q.normal, _ratio(q.bound, prec)) for q in facets]
-            shrink = from_str("0.99", prec, _RND)
-            quarter = mpf_div(_ratio(tol, prec), _FOUR, prec, _RND)
-            x = [_ratio(c, prec) for c in start.coeffs]
-            base, trig = _log_volume(roots, rung, x, prec)
-            for _ in range(60 + 4 * prec):
-                total_iter += 1
-                mcts, ws = [], []
-                for (_, _, m), (cos, sin) in zip(rung, trig):
-                    ct = mpf_div(cos, sin, prec, _RND)
-                    w = mpf_add(mpf_mul(ct, ct, prec, _RND), _ONE, prec, _RND)
-                    mcts.append(mpf_mul_int(ct, m, prec, _RND))
-                    ws.append(mpf_mul_int(w, m, prec, _RND))
-                grad = [mpf_mul(pi, _pairing(col, mcts, prec), prec, _RND) for col in cols]
-                mh = [mpf_div(mpf_neg(gi, prec, _RND), pi, prec, _RND) for gi in grad]
-                est2 = fzero
-                for i, j, num, den in gram:
-                    v = mpf_mul(mpf_mul(mh[i], mh[j], prec, _RND), num, prec, _RND)
-                    est2 = mpf_add(est2, mpf_div(v, den, prec, _RND), prec, _RND)
-                est = mpf_sqrt(mpf_abs(est2, prec, _RND), prec, _RND)
-                if mpf_lt(est, quarter):
-                    exact = AlcovePoint(tuple(mpf_to_fraction(v) for v in x))
-                    if point_in_alcove(d, exact, strict=True):
-                        mc = mean_curvature(d, exact, max(DEFAULT_PRECISION_BITS, prec))
-                        if mc.norm.hi < tol:
-                            return MinimalOrbit(exact, mc.norm, total_iter, prec)
+        pi = mpf_pi(prec, _RND)
+        pi2 = mpf_pow_int(pi, 2, prec, _RND)
+        roots, rung = _rung(terms, prec)
+        gram = [(i, j, from_int(g[i][j].numerator, prec, _RND), from_int(g[i][j].denominator))
+                for i, j in product(range(r), repeat=2) if g[i][j]]
+        walls = [(q.normal, _ratio(q.bound, prec)) for q in facets]
+        shrink = from_str("0.99", prec, _RND)
+        quarter = mpf_div(_ratio(tol, prec), _FOUR, prec, _RND)
+        x = [_ratio(c, prec) for c in start.coeffs]
+        base, trig = _log_volume(roots, rung, x, prec)
+        for _ in range(60 + 4 * prec):
+            total_iter += 1
+            mcts, ws = [], []
+            for (_, _, m), (cos, sin) in zip(rung, trig):
+                ct = mpf_div(cos, sin, prec, _RND)
+                w = mpf_add(mpf_mul(ct, ct, prec, _RND), _ONE, prec, _RND)
+                if m != 1:
+                    ct, w = mpf_mul_int(ct, m, prec, _RND), mpf_mul_int(w, m, prec, _RND)
+                mcts.append(ct)
+                ws.append(w)
+            grad = [mpf_mul(pi, _pairing(col, mcts, prec), prec, _RND) for col in cols]
+            mh = [mpf_div(mpf_neg(gi), pi, prec, _RND) for gi in grad]
+            est2 = None
+            for i, j, num, den in gram:
+                v = mpf_mul(mpf_mul(mh[i], mh[j], prec, _RND), num, prec, _RND)
+                v = mpf_div(v, den, prec, _RND)
+                est2 = v if est2 is None else mpf_add(est2, v, prec, _RND)
+            est = mpf_sqrt(mpf_abs(est2), prec, _RND)
+            if mpf_lt(est, quarter):
+                exact = AlcovePoint(tuple(mpf_to_fraction(v) for v in x))
+                if point_in_alcove(d, exact, strict=True):
+                    mc = mean_curvature(d, exact, max(DEFAULT_PRECISION_BITS, prec))
+                    if mc.norm.hi < tol:
+                        return MinimalOrbit(exact, mc.norm, total_iter, prec)
+                break
+            # (w * a_i) * a_j over the terms with a_i != 0: the two orders round apart
+            was = [[ws[t] if a == 1 else mpf_mul_int(ws[t], a, prec, _RND)
+                    for t, a in zip(nz, sub[i])] for i, (nz, sub) in enumerate(zip(nzs, subs))]
+            hess = [[mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND) for c in sub]
+                    for wa, sub in zip(was, subs)]
+            step = _lu_solve(hess, grad, prec)
+            lam = _ONE
+            for normal, bound in walls:
+                ad = _pairing(normal, step, prec)
+                if mpf_gt(ad, fzero):
+                    room = mpf_div(mpf_sub(bound, _pairing(normal, x, prec), prec, _RND),
+                                   ad, prec, _RND)
+                    room = mpf_mul(room, shrink, prec, _RND)
+                    if mpf_lt(room, lam):
+                        lam = room
+            for _ in range(80):
+                trial = [mpf_add(xi, mpf_mul(lam, si, prec, _RND), prec, _RND)
+                         for xi, si in zip(x, step)]
+                value, trial_trig = _log_volume(roots, rung, trial, prec)
+                if mpf_gt(value, base):
+                    x, base, trig = trial, value, trial_trig
                     break
-                # (w * a_i) * a_j over the terms with a_i != 0: the two orders round apart
-                was = [[mpf_mul_int(ws[t], a, prec, _RND) for t, a in zip(nz, sub[i])]
-                       for i, (nz, sub) in enumerate(zip(nzs, subs))]
-                hess = mpmath.matrix([[make(mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND))
-                                       for c in sub] for wa, sub in zip(was, subs)])
-                sol = mpmath.lu_solve(hess, mpmath.matrix([make(gi) for gi in grad]))
-                step = [sol[i]._mpf_ for i in range(r)]
-                lam = _ONE
-                for normal, bound in walls:
-                    ad = _pairing(normal, step, prec)
-                    if mpf_gt(ad, fzero):
-                        room = mpf_div(mpf_sub(bound, _pairing(normal, x, prec), prec, _RND),
-                                       ad, prec, _RND)
-                        room = mpf_mul(room, shrink, prec, _RND)
-                        if mpf_lt(room, lam):
-                            lam = room
-                for _ in range(80):
-                    trial = [mpf_add(xi, mpf_mul(lam, si, prec, _RND), prec, _RND)
-                             for xi, si in zip(x, step)]
-                    value, trial_trig = _log_volume(roots, rung, trial, prec)
-                    if mpf_gt(value, base):
-                        x, base, trig = trial, value, trial_trig
-                        break
-                    lam = mpf_div(lam, _TWO, prec, _RND)
-                else:
-                    break
+                lam = mpf_div(lam, _TWO, prec, _RND)
+            else:
+                break
         prec *= 2
-    short = mpmath.nstr(mpmath.mpf(tol.numerator) / tol.denominator, 3)
-    raise NoConvergence(f"no certified point below {short}: the ladder starts at "
-                        f"{bits_needed} bits, its cap is {4 * MAX_PRECISION_BITS} bits")
+    raise NoConvergence(f"no certified point below {to_str(_ratio(tol, 53), 3)}: the ladder "
+                        f"starts at {bits_needed} bits, its cap is {4 * MAX_PRECISION_BITS} bits")
 
 
 def scan_austere(d: GradedRootDatum, denominator: int):

@@ -75,6 +75,11 @@ class RootSystem:
     simple_roots: tuple
     positive_roots: frozenset
 
+    @cached_property
+    def coroots(self) -> dict:
+        """The coroot row of each positive root, computed once."""
+        return {alpha: coroot(alpha, self.gram) for alpha in self.positive_roots}
+
 
 @dataclass(frozen=True)
 class WeylGroup:

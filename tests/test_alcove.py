@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermann import alcove
+import hermann.roots as roots_module
 from hermann.alcove import (
     AlcovePoint,
     Face,
@@ -29,7 +30,7 @@ from hermann.alcove import (
     point_in_alcove,
     reduce_to_alcove,
 )
-from hermann.datum import catalog, parse_datum, positive_sector_roots
+from hermann.datum import catalog, parse_datum, positive_sector_roots, validate
 from hermann.exact import DimensionMismatch, inner, matrix_rank, pairing, solve_exact
 from hermann.geometry import orbit_report
 from hermann.roots import DEFAULT_BUDGET, ClosureBudgetExceeded, coroot
@@ -516,16 +517,34 @@ def test_fold_reads_coroot_rows_off_the_facet_table(monkeypatch):
     want = _reduce_to_alcove_fraction(d, point)
     fundamental_alcove(d)
     calls = []
-    original = alcove.coroot
+    original = roots_module.coroot
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(alcove, "coroot", counting)
+    monkeypatch.setattr(roots_module, "coroot", counting)
     got = reduce_to_alcove(d, point)
     assert calls == []
     assert got == want and len(got[1]) == 3624
+
+
+def test_validation_and_alcove_share_one_coroot_row_per_positive_root(monkeypatch):
+    calls = []
+    original = roots_module.coroot
+
+    def counting(alpha, gram):
+        calls.append(alpha)
+        return original(alpha, gram)
+
+    monkeypatch.setattr(roots_module, "coroot", counting)
+    for key, params in (("so8_g2", {}), ("isotropy", {"label": "C3"}),
+                        ("su_sp", {"p": 9, "q": 7})):
+        d = catalog(key, **params)  # validated, so its table is built
+        calls.clear()
+        assert validate(d) == () and _slabs(d)
+        assert calls == [], key
+        assert d.sigma.coroots == {a: original(a, d.sigma.gram) for a in d.sigma.positive_roots}
 
 
 @pytest.mark.parametrize("coords", [(0,), (0, 0, 0)])

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_neg, mpf_shift
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,8 @@ from hermann.alcove import (AlcovePoint, active_roots, active_walls, alcove_bary
 from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
-from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, cot_eval,
-                           format_interval, inner, pairing)
+from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, _ratio, cot_eval,
+                           format_interval, inner, mpf_to_fraction, pairing)
 from hermann.geometry import (
     CotTerm,
     TriState,
@@ -502,6 +503,118 @@ def test_log_volume_kernel_matches_mpf_operators_bit_for_bit(i, prec, bits, data
     assert got_trig == [(c._mpf_, s._mpf_) for c, s in want_trig]
 
 
+def _dyadic(prec, man_bits=None):
+    """A dyadic of at most prec bits (exactly man_bits when given), zeros and
+    small integers included so that pivot ratios tie."""
+    if man_bits is None:
+        wide = st.builds(lambda m, e: from_man_exp(m, e),
+                         st.integers(min_value=-(2 ** prec - 1), max_value=2 ** prec - 1),
+                         st.integers(min_value=-prec - 8, max_value=8))
+        return st.one_of(st.just(fzero), st.builds(from_int, st.integers(-3, 3)), wide)
+    odd = st.integers(min_value=2 ** (man_bits - 2), max_value=2 ** (man_bits - 1) - 1)
+    return st.builds(lambda m, e, neg: from_man_exp(-(2 * m + 1) if neg else 2 * m + 1, e),
+                     odd, st.integers(min_value=-man_bits - 8, max_value=8), st.booleans())
+
+
+def _reference_lu_solve(a, b, prec):
+    """mpmath.lu_solve's raw solution, or the text of its ZeroDivisionError."""
+    make = mpmath.mp.make_mpf
+    with mpmath.mp.workprec(prec):
+        try:
+            sol = mpmath.lu_solve(mpmath.matrix([[make(v) for v in row] for row in a]),
+                                  mpmath.matrix([make(v) for v in b]))
+        except ZeroDivisionError as exc:
+            return str(exc)
+        except TypeError:
+            # a column with no nonzero pivot candidate: LU_decomp swaps with
+            # p[j] = None; the matrix is singular, and _lu_solve says so
+            return "matrix is numerically singular"
+    return [sol[i]._mpf_ for i in range(len(b))]
+
+
+def _lu_solve_or_error(a, b, prec):
+    try:
+        return geometry._lu_solve(a, b, prec)
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+@given(st.integers(min_value=1, max_value=5), st.sampled_from((53, 192, 495, 990)),
+       st.sampled_from(("any", "zero lead", "tie", "singular")), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lu_solve_matches_mpmath_lu_solve_bit_for_bit(n, prec, shape, data):
+    entry = _dyadic(prec)
+    a = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    b = data.draw(st.lists(entry, min_size=n, max_size=n))
+    if shape == "zero lead" and n > 1:
+        a[0][0] = fzero  # row 0 cannot pivot column 0: a row swap is forced
+    elif shape == "tie" and n > 1:
+        # rows 0 and 1 tie in |a_k0| / row sum; the first one must pivot
+        a[1] = [mpf_shift(v, 1) for v in a[0]]
+        a[1][-1] = mpf_neg(a[1][-1])
+    elif shape == "singular":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(min_value=-3, max_value=3))
+        a[i] = [mpf_shift(v, k) if i != j else fzero for v in a[j]]
+        if n > 1 and data.draw(st.booleans()):
+            a[i] = [mpf_neg(v) for v in a[i]]
+    rows = [list(row) for row in a]
+    want = _reference_lu_solve(a, b, prec)
+    assert _lu_solve_or_error(a, b, prec) == want
+    assert a == rows  # the matrix is not changed
+    if shape == "singular":
+        assert want == "matrix is numerically singular"
+
+
+def test_lu_solve_swaps_rows_as_mpmath_does():
+    # non-symmetric: column 0 pivots on row 2, then column 1 on row 2 again;
+    # rows 0 and 1 of the third case tie in column 0, and the first pivots:
+    # at 53 bits the second would give other bits
+    cases = (([[1, 5, 3], [0, 2, 7], [9, 1, 1]], [1, -2, 3]),
+             ([[0, 1, 2], [3, 1, 0], [1, 0, 1]], [1, 1, 1]),
+             ([[3, 1, 2], [6, 2, -4], [-1, 0, 3]], [-6, -9, 9]),
+             ([[1, 1], [1, -1]], [3, 1]),
+             ([[2, 0, 0, 1], [1, 3, 0, 0], [0, 1, 4, 0], [0, 0, 1, 5]], [1, 2, 3, 4]))
+    for rows, rhs in cases:
+        for prec in (53, 192, 495, 990):
+            a = [[_ratio(Q(v, 7), prec) for v in row] for row in rows]
+            b = [_ratio(Q(v, 3), prec) for v in rhs]
+            got = geometry._lu_solve(a, b, prec)
+            assert got == _reference_lu_solve(a, b, prec)
+            # and it solves the system to about prec bits
+            x = [mpf_to_fraction(v) for v in got]
+            err = max(abs(sum(mpf_to_fraction(c) * y for c, y in zip(row, x)) - mpf_to_fraction(r))
+                      for row, r in zip(a, b))
+            assert err < Q(1, 2 ** (prec - 16))
+
+
+@given(st.sampled_from((53, 192, 495, 990)), st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pairing_kernel_matches_mpf_operators_bit_for_bit(prec, size, data):
+    alpha = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=size, max_size=size))
+    bits = data.draw(st.sampled_from((prec, prec + 10)))
+    x = data.draw(st.lists(st.one_of(_dyadic(prec), _dyadic(prec, bits)),
+                           min_size=size, max_size=size))
+    make = mpmath.mp.make_mpf
+    for k in range(1, size + 1):  # every prefix, so a lone 1 * y is checked too
+        with mpmath.mp.workprec(prec):
+            want = sum((a * make(y) for a, y in zip(alpha[:k], x)), mpmath.mpf(0))
+        assert geometry._pairing(alpha[:k], x, prec) == want._mpf_
+
+
+def test_no_convergence_names_the_tolerance_as_mpmath_nstr_does(monkeypatch):
+    # a ladder whose cap is below its first rung runs no rung at all
+    monkeypatch.setattr(geometry, "MAX_PRECISION_BITS", 16)
+    d = _g2()
+    for tol in (Q(1, 10 ** 20), Q(3, 7), Q(2 ** 80 + 1, 3 ** 60), Fraction(1e-30)):
+        short = mpmath.nstr(mpmath.mpf(tol.numerator) / tol.denominator, 3)
+        with pytest.raises(geometry.NoConvergence) as exc:
+            find_minimal(d, tol)
+        assert str(exc.value).startswith(f"no certified point below {short}: the ladder starts")
+        assert str(exc.value).endswith("its cap is 64 bits")
+
+
 grid_coordinate = st.integers(min_value=0, max_value=12)
 
 
@@ -818,6 +931,33 @@ def test_orbit_report_evaluates_each_distinct_angle_once(monkeypatch):
             calls.clear()
             orbit_report(d, point)
             angles = {t.theta for t in cot_terms(d, point)}
+            assert len(calls) == len(angles) and set(calls) == angles, point
+
+
+def test_shape_spectrum_evaluates_each_distinct_angle_once(monkeypatch):
+    calls = []
+    original = geometry.cot_eval
+
+    def counting(a, bits):
+        calls.append(a)
+        return original(a, bits)
+
+    data = [_kernel_datum(i) for i in range(len(KERNEL_DATA))]
+    d = catalog("su_sp", p=19, q=17)
+    data.append((d, (alcove_barycenter(d), AlcovePoint((0,) * d.rank))))
+    for d, reps in data:
+        xi = tuple(Q(j - 2, j + 1) for j in range(d.rank))
+        for point in reps:
+            # one term per cot_terms term, in its order, each the per-term formula
+            want = [(t.alpha, t.theta, t.mult, pairing(t.alpha, xi),
+                     cot_eval(t.theta, 192).scale(-pairing(t.alpha, xi)))
+                    for t in cot_terms(d, point)]
+            monkeypatch.setattr(geometry, "cot_eval", counting)
+            calls.clear()
+            rep = shape_spectrum(d, point, xi)
+            monkeypatch.setattr(geometry, "cot_eval", original)
+            assert [(t.alpha, t.theta, t.mult, t.slope, t.value) for t in rep.terms] == want
+            angles = {w[1] for w in want}
             assert len(calls) == len(angles) and set(calls) == angles, point
 
 

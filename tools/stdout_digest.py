@@ -46,8 +46,8 @@ DIAGRAMS = (["--triad", "so8_g2"], ["--triad", "isotropy:BC1"], ["--triad", "iso
 def commands():
     """The full command set: whole face tables and scans over the catalog,
     point queries inside and far outside the alcove, the rank-8 origin, every
-    face of a rank-9 datum, two minimal-orbit searches and the rank-1 and
-    rank-2 pictures."""
+    face of a rank-9 datum, four minimal-orbit searches (two of them climb
+    the precision ladder) and the rank-1 and rank-2 pictures."""
     data = [(["--triad", "so8_g2"], 2)]
     data += [(["--triad", f"isotropy:{lab}"], int(lab.lstrip("ABCDG"))) for lab in ISOTROPY]
     data += [(["--triad", key, "--p", str(q + 2), "--q", str(q)], (q - 1) // 2)
@@ -68,7 +68,11 @@ def commands():
             ["faces", "--triad", "su_sp", "--p", "17", "--q", "15"],
             ["faces", "--triad", "su_sp", "--p", "21", "--q", "19", "--all-faces"],
             ["find-minimal", "--triad", "isotropy:BC2"],
-            ["find-minimal", "--triad", "so8_g2"]]
+            ["find-minimal", "--triad", "so8_g2"],
+            # each climbs a rung, through a failing line search, with the
+            # Newton step's LU at up to 1000 bits: 296 -> 592 and 495 -> 990
+            ["find-minimal", "--triad", "isotropy:D4", "--tolerance=1e-60"],
+            ["find-minimal", "--triad", "su_sp", "--p", "7", "--q", "5", "--tolerance=1e-120"]]
     out += [["diagram", *triad, "--out", "picture.svg", "--width", str(w)]
             for triad in DIAGRAMS for w in (480, 600)]
     return out
