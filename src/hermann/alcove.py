@@ -26,12 +26,14 @@ that every query reads.  active_roots, which pairs every root with the
 point, is the reference.
 
 Bounds, facet tests, vertex solves and folding compute in integers: a
-bound is an integer over d.order * gcd(alpha), and a point x is scaled
-once to integers k over D = lcm(d.order, its denominators).  A facet's
-side at k is s = order * D * (c.x + t - n), negated when c points inward,
-so the reflection in its wall is k - (s // order) * its outward coroot
-row.  Each result is made a Fraction once, at the end: the same exact
-rational as Fraction arithmetic gives.
+bound is an integer over d.order * gcd(alpha), read off the phase p =
+order * t mod order, and a point x is scaled once to integers k over D =
+lcm(d.order, its denominators).  A facet's side at k is s = order * D *
+(c.x + t - n), negated when c points inward, so the reflection in its wall
+is k - (s // order) * its outward coroot row; the facet test reads integer
+rows made once per datum, and each vertex is one integer elimination.
+Each result is made a Fraction once, at the end: the same exact rational
+as Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import ceil, floor, gcd, lcm
 from typing import NamedTuple
 
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import DimensionMismatch, pairing, solve_exact
+from .exact import DimensionMismatch, eliminate, pairing
 from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, cartan_matrix,
                     cartan_type, decompose_and_classify, linked_components,
                     subsystem)
@@ -59,8 +61,8 @@ class AlcovePoint:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(x) for x in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(x if type(x) is Fraction else Fraction(x)
+                                                 for x in self.coeffs))
 
     def __str__(self) -> str:
         return "(" + ", ".join(f"{c}" for c in self.coeffs) + ")"
@@ -128,28 +130,28 @@ def _slabs(d: GradedRootDatum):
     """One Facet per primitive normal, sorted by normal: its least slab, over
     d.order * gcd(alpha), with the wall of its first root.  The alcove lies
     in every slab, so a root c * normal, c > 0, is active on the wall
-    exactly when its bound ties.
+    exactly when its bound ties.  With p = order * t mod order, (alpha, t)
+    bounds alpha . x by (order - p) / order and -alpha . x by p / order.
     """
     best = {}
     o = d.order
     for alpha, t, _ in positive_sector_roots(d):
-        n0 = 0 if t >= 0 else -1
-        ot = t.numerator * (o // t.denominator)
+        p = t.numerator * (o // t.denominator) % o
+        n = int(t.numerator >= 0)  # the upper wall; the lower one is n - 1
         g = gcd(*alpha)
-        up = tuple(x // g for x in alpha)
-        for vec, num, n, sign in ((up, (n0 + 1) * o - ot, n0 + 1, 1),
-                                  (tuple(-x for x in up), ot - n0 * o, n0, -1)):
+        up = tuple([x // g for x in alpha])
+        for vec, num, sign in ((up, o - p, 1), (tuple([-x for x in up]), p, -1)):
             cur = best.get(vec)
             if cur is None or num * cur[1] < cur[0] * g:
-                best[vec] = (num, g, (alpha, t, n, sign), {g})
+                best[vec] = (num, g, alpha, t, n - (sign < 0), sign, [g])
             elif num * cur[1] == cur[0] * g:
-                cur[3].add(g)
+                cur[6].append(g)
     out = []
-    for vec, (num, g, (alpha, t, n, sign), ties) in sorted(best.items()):
-        row = d.sigma.coroots[alpha]
+    for vec, (num, g, alpha, t, n, sign, ties) in sorted(best.items()):
         c = min(ties)
-        out.append(Facet(vec, num, o * g, Wall(alpha, t, n), tuple(sign * x for x in row),
-                         tuple(c * x for x in vec), 2 * c in ties))
+        out.append(Facet(vec, num, o * g, Wall(alpha, t, n),
+                         tuple([sign * x for x in d.sigma.coroots[alpha]]),
+                         tuple([c * x for x in vec]), 2 * c in ties))
     return out
 
 
@@ -168,13 +170,16 @@ def _facets(d: GradedRootDatum, slabs):
     that breaks one slab alone shows that slab to be a facet.
     """
     e = d.order * (1 + max(sum(alpha) for alpha in d.sigma.positive_roots))
-    b, out = (1,) * d.rank, []
-    for i, (f, side) in enumerate(zip(slabs, _sides(slabs, e, b))):
-        y = tuple(1 - side // d.order * c for c in f.coroot)  # e times the image of b
+    # the side of slab f at y / e, as _sides gives it, is n . y - c on the row (n, c)
+    rows = [([f.den * x for x in f.normal], f.num * e) for f in slabs]
+    out, found = [], []
+    for i, (f, (normal, level)) in enumerate(zip(slabs, rows)):
+        y = [1 - (sum(normal) - level) // d.order * x for x in f.coroot]  # e times b's image
         # an image outside the alcove breaks a facet, so try those found first
-        if not any(s > 0 for s in _sides(out, e, y)) and all(
-                (s > 0) == (j == i) for j, s in enumerate(_sides(slabs, e, y))):
+        if not any(pairing(n, y) > c for n, c in found) and all(
+                (pairing(n, y) > c) == (j == i) for j, (n, c) in enumerate(rows)):
             out.append(f)
+            found.append(rows[i])
     return out
 
 
@@ -202,8 +207,11 @@ def _alcove_data(d: GradedRootDatum) -> _Alcove:
     factors = linked_components(len(facets), lambda i, j: cartan[i][j])
     pairs = []
     for omitted in product(*factors):
-        tight = [q for k, q in enumerate(facets) if k not in omitted]
-        x = solve_exact([q.normal for q in tight], [q.bound for q in tight])
+        # f.den * f.normal . x = f.num on the tight facets, one Fraction per coordinate
+        m = [[q.den * x for x in q.normal] + [q.num]
+             for k, q in enumerate(facets) if k not in omitted]
+        eliminate(m)
+        x = tuple(Fraction(row[-1], row[i]) for i, row in enumerate(m))
         pairs.append((AlcovePoint(x), frozenset(range(len(facets))) - set(omitted)))
     verts, tight = zip(*sorted(pairs, key=lambda p: p[0].coeffs))
     data = _ALCOVE_CACHE[d] = _Alcove(facets, verts, tight,

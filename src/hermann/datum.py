@@ -4,7 +4,10 @@ A datum is a restricted root system together with a partition of its roots
 into phase sectors.  The phase of a sector is recorded as the rational t
 with epsilon = exp(2*pi*i*t), t in (-1/2, 1/2]; the grading order l must
 satisfy l*t in Z for every sector.  Multiplicities live on (root, sector)
-pairs and obey the duality m(-alpha, eps^-1) = m(alpha, eps).
+pairs and obey the duality m(-alpha, eps^-1) = m(alpha, eps).  A catalog
+datum reads each root's squared length off RootSystem.lengths, integers
+computed once, and validation checks the affine closure on one sparse
+phase -> m table per root, phases being integers mod l.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import GramMatrix, inner, pairing, parse_rational
+from .exact import GramMatrix, pairing, parse_rational
 from .roots import (CartanLabel, RootSystem, build_root_system, decompose_and_classify,
                     well_shaped, _is_positive, _reflect_by, _unit)
 
@@ -137,7 +140,7 @@ def validate(d: GradedRootDatum):
         tinv = inverse_phase(t)
         dual = by_phase.get(tinv, {})
         for v, m in s.roots.items():
-            nv = tuple(-x for x in v)
+            nv = tuple([-x for x in v])
             dm = dual.get(nv)
             if dm != m:
                 out.append(Violation("duality",
@@ -158,10 +161,11 @@ def _closure_violations(d: GradedRootDatum):
     and beta run over the positive roots.
     """
     o = d.order
-    at = {}
+    at = {}  # root -> its phase table, phase -> m, in sector order
     for s in d.sectors:
+        p = s.phi.numerator * (o // s.phi.denominator) % o
         for v, m in s.roots.items():
-            at.setdefault(v, {})[s.phi.numerator * (o // s.phi.denominator) % o] = m
+            at.setdefault(v, {})[p] = m
 
     def pair(v, p):
         return f"({v}, {Fraction(p, o) - (2 * p > o)}*pi)"
@@ -169,37 +173,45 @@ def _closure_violations(d: GradedRootDatum):
     positives = sorted(d.sigma.positive_roots)
     for alpha in positives:
         row = d.sigma.coroots[alpha]
-        for beta in positives:
-            k = pairing(row, beta)
+        # s_alpha fixes each (beta, t) with k = 0
+        for beta, k in [(beta, k) for beta in positives if (k := pairing(row, beta))]:
             if k.denominator != 1:
                 return [Violation("axioms", f"<{beta}, {alpha}^vee> = {k} is not whole")]
             image = _reflect_by(beta, alpha, k)
-            if image not in at:
+            table = at.get(image)
+            if table is None:
                 return [Violation("axioms", f"the reflection of {beta} in {alpha}, "
                                             f"{image}, is not a root")]
-            for s in at[alpha] if k else ():
-                for t, m in at[beta].items():
-                    q = (t - k * s) % o
-                    if at[image].get(q, 0) != m:
+            source = at[beta]
+            for s in at[alpha]:
+                ks = k * s % o
+                # one comparison: the image's table against beta's shifted by k*s;
+                # an extra phase of the image is no violation at this pair
+                if table == ({(t - ks) % o: m for t, m in source.items()} if ks else source):
+                    continue
+                for t, m in source.items():
+                    q = (t - ks) % o
+                    if table.get(q, 0) != m:
                         return [Violation("affine", f"the reflection of {pair(beta, t)} in "
                                                     f"{pair(alpha, s)} is {pair(image, q)}, which "
-                                                    f"carries m = {at[image].get(q, 0)}, not {m}")]
+                                                    f"carries m = {table.get(q, 0)}, not {m}")]
     return []
 
 
-def _graded(name, rs: RootSystem, order, table, norm=None) -> GradedRootDatum:
+def _graded(name, rs: RootSystem, order, table) -> GradedRootDatum:
     """The datum over rs with one sector per (phase t, mults) of table.
 
     mults maps a squared root length to the multiplicity of every root of
     that length at phase t; a length it omits, or that no root of rs has,
-    carries nothing there.  norm maps each root to its squared length, for a
-    caller that has computed it already.
+    carries nothing there.  Each distinct length of rs.lengths is looked up
+    once per sector.
     """
-    if norm is None:
-        norm = {v: inner(v, v, rs.gram) for v in rs.roots}
-    sectors = tuple(Sector(Fraction(t), {v: m[norm[v]] for v in sorted(norm) if norm[v] in m})
-                    for t, m in table)
-    return GradedRootDatum(name, rs, sectors, order)
+    ordered = sorted(rs.lengths.items())
+    distinct = {n: Fraction(n, rs.gram.form[1]) for n in set(rs.lengths.values())}
+    picks = ((t, {n: m[q] for n, q in distinct.items() if q in m}) for t, m in table)
+    return GradedRootDatum(name, rs, tuple(
+        Sector(Fraction(t), {v: pick[n] for v, n in ordered if n in pick}) for t, pick in picks),
+        order)
 
 
 def _bc_of(p, q) -> RootSystem:
@@ -236,8 +248,7 @@ def _build_isotropy(label=None, mults=None):
     except ValueError as exc:
         raise BadParameters(str(exc)) from exc
     rs = build_root_system(lab)
-    norm = {v: inner(v, v, rs.gram) for v in rs.roots}
-    lengths = sorted(set(norm.values()))
+    lengths = sorted(Fraction(n, rs.gram.form[1]) for n in set(rs.lengths.values()))
     if mults is None:
         mults = dict.fromkeys(lengths, 1)
     else:
@@ -247,7 +258,7 @@ def _build_isotropy(label=None, mults=None):
                 f"multiplicity table keys {sorted(mults)} must be the squared lengths {lengths}")
         if any(type(v) is not int or v < 1 for v in mults.values()):
             raise BadParameters("multiplicities must be positive integers")
-    return _graded(f"isotropy:{lab}", rs, 1, ((0, mults),), norm)
+    return _graded(f"isotropy:{lab}", rs, 1, ((0, mults),))
 
 
 @dataclass(frozen=True)

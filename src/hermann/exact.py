@@ -1,4 +1,4 @@
-"""Exact rational-pi arithmetic, Gram inner products, certified intervals.
+"""Exact rational-pi arithmetic, Gram matrices, certified intervals.
 
 Every angle in the orbit-geometry formulas is a rational multiple of pi,
 so an angle is its coefficient of pi, a plain Fraction, and every
@@ -9,9 +9,10 @@ mpmath.libmp interval calls (mpf_pi and from_int rounded floor and
 ceiling, mpi_mul, mpi_div, mpi_cos_sin): the calls mpmath's interval
 context makes for the same expression, in the same order, so every
 endpoint is the one that context would give.  Every exact elimination
-(solves, ranks, the dual basis) is one `row_reduce`.  A Gram matrix keeps
-its integer form, integer rows over one denominator, and inner products
-and coroot rows are computed on it.
+(alcove vertices, the dual basis) is one integer `eliminate`.  A Gram
+matrix keeps its integer form, integer rows over one denominator; squared
+root lengths and coroot rows are computed on it, and it is tested positive
+definite by the Bareiss leading minors of those rows.
 """
 
 from __future__ import annotations
@@ -150,25 +151,24 @@ def pairing(alpha, x):
     return sum(map(mul, alpha, x))
 
 
-def inner(u, v, g: "GramMatrix") -> Fraction:
-    """Exact inner product u^T g v in simple-root coordinates, on g's integer form."""
-    r = g.rank
-    if len(u) != r or len(v) != r:
-        raise DimensionMismatch(f"vectors of length {len(u)}, {len(v)} against rank {r}")
-    rows, den = g.form
-    return Fraction(pairing(u, (pairing(row, v) for row in rows)), den)
-
-
 def row_reduce(rows):
     """Reduced row-echelon form over Fraction and its pivot columns.
 
-    The rows are scaled to integers and eliminated in integers, each divided
-    by its gcd; each entry is made a Fraction once, at the end.
+    The rows are scaled to integers and eliminated by eliminate; each entry
+    is made a Fraction once, at the end.
     """
     m = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (den // x.denominator) for x in row])
+    pivots = eliminate(m)
+    return ([[Fraction(x, m[r][c]) for x in m[r]] for r, c in enumerate(pivots)]
+            + [[Fraction(0)] * len(row) for row in m[len(pivots):]]), tuple(pivots)
+
+
+def eliminate(m) -> list:
+    """Gauss-Jordan elimination of the integer rows m, in place, each new row
+    divided by its gcd; the pivot columns, row r's pivot at pivots[r]."""
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -183,22 +183,7 @@ def row_reduce(rows):
                 g = gcd(*new) or 1
                 m[i] = [x // g for x in new]
         pivots.append(c)
-    return ([[Fraction(x, m[r][c]) for x in m[r]] for r, c in enumerate(pivots)]
-            + [[Fraction(0)] * len(row) for row in m[len(pivots):]]), tuple(pivots)
-
-
-def solve_exact(rows, rhs):
-    """The solution x of the square system rows . x = rhs; None if rows is singular."""
-    n = len(rows)
-    m, pivots = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots != tuple(range(n)):
-        return None
-    return tuple(row[n] for row in m)
-
-
-def matrix_rank(vectors) -> int:
-    """Rank of a list of rational vectors."""
-    return len(row_reduce(vectors)[1])
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -219,15 +204,23 @@ class GramMatrix:
         for row in ent:
             if len(row) != r:
                 raise DimensionMismatch("Gram matrix is not square")
+        den = lcm(*(x.denominator for row in ent for x in row))
+        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in ent)
         for i in range(r):
             for j in range(i):
-                if ent[i][j] != ent[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise SingularGram(f"not symmetric at ({i},{j})")
-        ldl(ent)  # raises SingularGram unless positive definite
-        den = lcm(*(x.denominator for row in ent for x in row))
-        object.__setattr__(self, "form", (
-            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in ent),
-            den))
+        # Sylvester's criterion: Bareiss elimination without pivoting leaves
+        # the leading (j+1)-minor of the rows, den^(j+1) times G's, at (j, j)
+        m, prev = [list(row) for row in rows], 1
+        for j, top in enumerate(m):
+            if top[j] <= 0:
+                raise SingularGram(f"leading {j + 1}x{j + 1} minor is not positive")
+            for row in m[j + 1:]:
+                row[j + 1:] = [(top[j] * x - row[j] * y) // prev
+                               for x, y in zip(row[j + 1:], top[j + 1:])]
+            prev = top[j]
+        object.__setattr__(self, "form", (rows, den))
 
     @property
     def rank(self) -> int:

@@ -5,7 +5,8 @@ geometry lives entirely in the Gram matrix of that basis.  Non-reduced (BC)
 systems are supported throughout.  A subsystem keeps those coordinates and
 carries its own simple roots.  Every reflection pairs with one kernel, the
 coroot row 2 G alpha / (alpha, alpha): s_alpha(v) = v - (row . v) alpha.
-A loop that reflects in one root computes its row once.
+A loop that reflects in one root computes its row once, and each root's
+squared length v . G . v is computed once, in integers (RootSystem.lengths).
 
 A Weyl group is its integer Cartan matrix.  Its order is Kostant's height
 formula over the positive roots of that matrix, and -id is tested by the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .exact import GramMatrix, inner, pairing
+from .exact import GramMatrix, pairing
 
 FAMILIES = ("A", "B", "BC", "C", "D", "G")
 
@@ -80,6 +81,11 @@ class RootSystem:
         """The coroot row of each positive root, computed once."""
         return {alpha: coroot(alpha, self.gram) for alpha in self.positive_roots}
 
+    @cached_property
+    def lengths(self) -> dict:
+        """v . G . v of each root v, in integers on G's form (times gram.form[1])."""
+        return squared_lengths(self.roots, self.gram)
+
 
 @dataclass(frozen=True)
 class WeylGroup:
@@ -132,25 +138,25 @@ class Component:
 def reference_gram(label: CartanLabel) -> GramMatrix:
     r = label.rank
     f = label.family
-    g = [[Fraction(0)] * r for _ in range(r)]
+    g = [[0] * r for _ in range(r)]
     for i in range(r):
-        g[i][i] = Fraction(2)
+        g[i][i] = 2
     if f == "G":
-        return GramMatrix(((Fraction(2), Fraction(-3)), (Fraction(-3), Fraction(6))))
+        return GramMatrix(((2, -3), (-3, 6)))
     if f == "D":
         for i in range(r - 2):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
+            g[i][i + 1] = g[i + 1][i] = -1
         if r >= 3:
-            g[r - 3][r - 1] = g[r - 1][r - 3] = Fraction(-1)
+            g[r - 3][r - 1] = g[r - 1][r - 3] = -1
         return GramMatrix(tuple(tuple(row) for row in g))
     for i in range(r - 1):
-        g[i][i + 1] = g[i + 1][i] = Fraction(-1)
+        g[i][i + 1] = g[i + 1][i] = -1
     if f in ("B", "BC"):
-        g[r - 1][r - 1] = Fraction(1)
+        g[r - 1][r - 1] = 1
     elif f == "C":
-        g[r - 1][r - 1] = Fraction(4)
+        g[r - 1][r - 1] = 4
         if r >= 2:
-            g[r - 2][r - 1] = g[r - 1][r - 2] = Fraction(-2)
+            g[r - 2][r - 1] = g[r - 1][r - 2] = -2
     return GramMatrix(tuple(tuple(row) for row in g))
 
 
@@ -168,7 +174,13 @@ def coroot(alpha, gram: GramMatrix):
 
 def _reflect_by(v, alpha, k):
     """v - k alpha: the reflection of v in alpha when k = <v, alpha^vee>."""
-    return tuple(x - k * a for x, a in zip(v, alpha))
+    return tuple([x - k * a for x, a in zip(v, alpha)])
+
+
+def squared_lengths(vectors, gram: GramMatrix) -> dict:
+    """v . G . v of each vector v, in integers on G's form (see RootSystem.lengths)."""
+    rows = gram.form[0]
+    return {v: pairing(v, [pairing(row, v) for row in rows]) for v in vectors}
 
 
 def _unit(i, r):
@@ -203,9 +215,10 @@ def _root_closure(cartan) -> set:
     frontier = list(simples)
     while frontier:
         v = frontier.pop()
-        for s, col in zip(simples, cols):
-            w = _reflect_by(v, s, pairing(col, v))
-            if w not in roots:
+        for i, col in enumerate(cols):
+            k = pairing(col, v)
+            w = v[:i] + (v[i] - k,) + v[i + 1:]  # s_i moves coordinate i alone
+            if k and w not in roots:
                 if len(roots) >= DEFAULT_BUDGET:
                     raise ClosureBudgetExceeded(f"root closure exceeded {DEFAULT_BUDGET}")
                 roots.add(w)
@@ -217,12 +230,13 @@ def build_root_system(label: CartanLabel) -> RootSystem:
     gram = reference_gram(label)
     r = label.rank
     simples = tuple(_unit(i, r) for i in range(r))
-    roots = _root_closure(cartan_matrix(simples, gram))
-    if label.family == "BC":
-        short = [v for v in roots if inner(v, v, gram) == 1]
-        roots.update(tuple(2 * x for x in v) for v in short)
-    positives = frozenset(v for v in roots if _is_positive(v))
-    return RootSystem(r, gram, frozenset(roots), simples, positives)
+    lengths = squared_lengths(_root_closure(cartan_matrix(simples, gram)), gram)
+    if label.family == "BC":  # twice each short root, of squared length 1 (form[1] is 1)
+        lengths.update([(tuple([2 * x for x in v]), 4) for v, n in lengths.items() if n == 1])
+    positives = frozenset(v for v in lengths if _is_positive(v))
+    rs = RootSystem(r, gram, frozenset(lengths), simples, positives)
+    rs.__dict__["lengths"] = lengths  # the cached_property, filled by the table just made
+    return rs
 
 
 def well_shaped(rs: RootSystem) -> bool:

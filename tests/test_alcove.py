@@ -31,9 +31,11 @@ from hermann.alcove import (
     reduce_to_alcove,
 )
 from hermann.datum import catalog, parse_datum, positive_sector_roots, validate
-from hermann.exact import DimensionMismatch, inner, matrix_rank, pairing, solve_exact
+from hermann.exact import DimensionMismatch, pairing
 from hermann.geometry import orbit_report
 from hermann.roots import DEFAULT_BUDGET, ClosureBudgetExceeded, coroot
+
+from setup_reference import inner, matrix_rank, solve_exact
 
 Q = Fraction
 

@@ -19,7 +19,7 @@ from hermann.datum import (
     serialize_datum,
     validate,
 )
-from hermann.exact import inner
+from setup_reference import inner
 
 HALF = Fraction(1, 2)
 

@@ -14,15 +14,13 @@ from hermann.exact import (
     cot_eval,
     dual_basis,
     format_interval,
-    inner,
-    matrix_rank,
     mpf_to_fraction,
     parse_rational,
     row_reduce,
-    solve_exact,
 )
 
 from interval_reference import format_interval_reference, interval_from_iv, iv_context
+from setup_reference import inner, matrix_rank, solve_exact
 
 HALF = Fraction(1, 2)
 

@@ -20,7 +20,7 @@ from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
 import hermann.geometry as geometry
 from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, _ratio, cot_eval,
-                           format_interval, inner, mpf_to_fraction, pairing)
+                           format_interval, mpf_to_fraction, pairing)
 from hermann.geometry import (
     CotTerm,
     TriState,
@@ -41,6 +41,7 @@ from hermann.geometry import (
 )
 
 from interval_reference import interval_from_iv, iv_context, iv_from_interval
+from setup_reference import inner
 
 Q = Fraction
 

@@ -4,7 +4,8 @@
 
 Runs each command in process through `hermann.cli.main`, with the package
 imported from DIR (default: this tree's `src`), in a temporary working
-directory, and prints one line:
+directory that also holds the rejected datum files of REJECTED, and prints
+one line:
 
     <sha256> <lines> lines <commands> commands
 
@@ -12,13 +13,15 @@ The sha256 covers, per command, its argv, stdout, stderr and exit code, and
 for `diagram` the bytes of the SVG it writes (to a relative `--out`, so no
 path reaches stdout); the line count is that of stdout and stderr together.
 Two trees that print the same line print identical bytes for every command
-and picture.  `--quick` runs a three-command subset.
+and picture, every datum document and every rejection's exit code and
+message.  `--quick` runs a three-command subset.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -37,6 +40,31 @@ POINTS = (
     (["--triad", "so_even", "--p", "7", "--q", "5"], ("3/5,-2/7", "5/3,7/4", "200,3"),
      ("1/35,13/70", "1/6,1/12", "0,0")),
 )
+def _doc(rank, gram, sectors, order=1):
+    """A datum document; sectors holds (phase, [(root, multiplicity), ...])."""
+    return {"name": "rejected", "rank": rank, "gram": gram, "order": order,
+            "sectors": [{"phi": phi, "roots": [{"v": v, "m": m} for v, m in roots]}
+                        for phi, roots in sectors]}
+
+
+A2 = [[1, 0], [0, 1], [1, 1]]
+# B2 (long a1, short a2) + A2 with a1 alone at phase 1/4: s_a2 sends
+# (a1, 1/4) to (a1 + 2 a2, 1/4), which carries nothing
+B2A2 = [[0, 1, 0, 0], [1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
+# datum files that validation rejects, one per kind of violation that a
+# file can reach (coverage and support cannot: parsing builds the roots of
+# sigma from the sectors'), each analyzed at the origin
+REJECTED = {
+    "affine": _doc(4, [[2, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+                   [("1/4", [([1, 0, 0, 0], 1)]), ("0", [(v, 1) for v in B2A2])], order=4),
+    "duality": _doc(2, [[2, -1], [-1, 2]], [("0", [(v, 1) for v in A2] + [([-1, 0], 2)])]),
+    "phase": _doc(2, [[2, -1], [-1, 2]], [("3/4", [(v, 1) for v in A2])]),
+    "order": _doc(1, [[2]], [("1/3", [([1], 1)])], order=2),
+    "axioms-root": _doc(2, [[2, -1], [-1, 2]], [("0", [(v, 1) for v in A2[:2]])]),
+    "axioms-whole": _doc(2, [[2, -1], [-1, 3]], [("0", [(v, 1) for v in A2])]),
+    "gram": _doc(2, [[2, -3], [-3, 2]], [("0", [(v, 1) for v in A2])]),
+    "gram-symmetry": _doc(2, [[2, -1], ["-1/2", 2]], [("0", [(v, 1) for v in A2])]),
+}
 # rank-1 and rank-2 data to draw, each at two widths
 DIAGRAMS = (["--triad", "so8_g2"], ["--triad", "isotropy:BC1"], ["--triad", "isotropy:A1"],
             ["--triad", "isotropy:B2"], ["--triad", "isotropy:G2"],
@@ -47,7 +75,8 @@ def commands():
     """The full command set: whole face tables and scans over the catalog,
     point queries inside and far outside the alcove, the rank-8 origin, every
     face of a rank-9 datum, four minimal-orbit searches (two of them climb
-    the precision ladder) and the rank-1 and rank-2 pictures."""
+    the precision ladder), the rank-1 and rank-2 pictures, the document of
+    every datum these use and an analysis of each rejected datum file."""
     data = [(["--triad", "so8_g2"], 2)]
     data += [(["--triad", f"isotropy:{lab}"], int(lab.lstrip("ABCDG"))) for lab in ISOTROPY]
     data += [(["--triad", key, "--p", str(q + 2), "--q", str(q)], (q - 1) // 2)
@@ -75,6 +104,16 @@ def commands():
             ["find-minimal", "--triad", "su_sp", "--p", "7", "--q", "5", "--tolerance=1e-120"]]
     out += [["diagram", *triad, "--out", "picture.svg", "--width", str(w)]
             for triad in DIAGRAMS for w in (480, 600)]
+    shown = []
+    for argv in out:
+        i = argv.index("--triad")
+        triad = argv[i:i + 2] + (argv[argv.index("--p"):argv.index("--p") + 4]
+                                 if "--p" in argv else [])
+        if triad not in shown:
+            shown.append(triad)
+    out += [["catalog", "show", *triad] for triad in shown]
+    out += [["analyze", "--triad", f"@{name}.json", "--point=" + ",".join("0" * doc["rank"])]
+            for name, doc in REJECTED.items()]
     return out
 
 
@@ -90,6 +129,8 @@ def digest(argvs, main):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            for name, doc in REJECTED.items():
+                Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
             for argv in argvs:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stderr(err):
