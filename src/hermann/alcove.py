@@ -266,15 +266,15 @@ def alcove_grid(d: GradedRootDatum, den: int):
     return [k for k in product(*box) if all(s <= 0 for s in _sides(a.facets, den, k))]
 
 
-def sector_angles(d: GradedRootDatum, point: AlcovePoint, items):
+def sector_angles(d: GradedRootDatum, scaled, items):
     """D and the numerators n of the angles (alpha . x + t) mod 1 = n/D of items.
 
-    Each item starts with a root alpha and its sector phase t.  The point is
-    scaled once to integers k over D = lcm(its denominators, d.order), and
-    order * t is whole for every phase of a valid datum, so each angle is
-    (alpha . k + t*D) mod D in integers.
+    Each item starts with a root alpha and its sector phase t.  scaled is
+    _scaled(d, point, d.order): integers k over D = lcm(d.order, x's
+    denominators).  order * t is whole for every phase of a valid datum, so
+    each angle is (alpha . k + t*D) mod D in integers.
     """
-    den, k = _scaled(d, point, d.order)
+    den, k = scaled
     return den, [(pairing(alpha, k) + t.numerator * (den // t.denominator)) % den
                  for alpha, t, *_ in items]
 
@@ -288,7 +288,7 @@ def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     # by the duality m(-alpha, eps^-1) = m(alpha, eps), a negative root is
     # active exactly when its negative is, at minus its angle
     stream = positive_sector_roots(d)
-    _, nums = sector_angles(d, point, stream)
+    _, nums = sector_angles(d, _scaled(d, point, d.order), stream)
     active = {alpha for (alpha, _, _), n in zip(stream, nums) if n == 0}
     union = sorted(v for alpha in active for v in (alpha, tuple(-x for x in alpha)))
     system = subsystem(union, d.sigma.gram)
@@ -300,8 +300,13 @@ def active_walls(d: GradedRootDatum, point: AlcovePoint) -> ActiveWalls:
 
     A point outside the closed alcove raises ValueError.
     """
+    return _walls(d, point, _scaled(d, point))
+
+
+def _walls(d: GradedRootDatum, point: AlcovePoint, scaled) -> ActiveWalls:
+    """active_walls at the point, given also as integers (D, k) over any D."""
     a = _alcove_data(d)
-    sides = list(_sides(a.facets, *_scaled(d, point)))
+    sides = list(_sides(a.facets, *scaled))
     if any(s > 0 for s in sides):
         raise ValueError(f"point {point} is outside the closed alcove")
     tight = [i for i, s in enumerate(sides) if s == 0]

@@ -254,8 +254,8 @@ def _build_isotropy(label=None, mults=None):
     else:
         mults = {Fraction(k): v for k, v in mults.items()}
         if sorted(mults) != lengths:
-            raise BadParameters(
-                f"multiplicity table keys {sorted(mults)} must be the squared lengths {lengths}")
+            raise BadParameters(f"multiplicity table keys [{', '.join(map(str, sorted(mults)))}] "
+                                f"must be the squared lengths [{', '.join(map(str, lengths))}]")
         if any(type(v) is not int or v < 1 for v in mults.values()):
             raise BadParameters("multiplicities must be positive integers")
     return _graded(f"isotropy:{lab}", rs, 1, ((0, mults),))

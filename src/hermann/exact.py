@@ -1,18 +1,15 @@
 """Exact rational-pi arithmetic, Gram matrices, certified intervals.
 
-Every angle in the orbit-geometry formulas is a rational multiple of pi,
-so an angle is its coefficient of pi, a plain Fraction, and every
-membership test (in pi.Z, in (pi/2).Z) is exact Fraction arithmetic.  The
-only real-number evaluations are cotangent values, served as certified
-enclosures with dyadic-rational endpoints.  They are made by raw
-mpmath.libmp interval calls (mpf_pi and from_int rounded floor and
-ceiling, mpi_mul, mpi_div, mpi_cos_sin): the calls mpmath's interval
-context makes for the same expression, in the same order, so every
-endpoint is the one that context would give.  Every exact elimination
-(alcove vertices, the dual basis) is one integer `eliminate`.  A Gram
-matrix keeps its integer form, integer rows over one denominator; squared
-root lengths and coroot rows are computed on it, and it is tested positive
-definite by the Bareiss leading minors of those rows.
+An angle is its coefficient of pi, a plain Fraction, so every membership
+test (in pi.Z, in (pi/2).Z) is exact.  The only real-number evaluations
+are cotangents, certified enclosures with dyadic ends made by raw
+mpmath.libmp calls: theta = pi * n / D by the mpf_mul and mpf_div calls that
+mpi_mul and mpi_div make on positive operands, then mpi_cos_sin and mpi_div,
+so every end is the one mpmath's interval context gives.  A dyadic Fraction
+becomes an mpf by one from_man_exp, the value mpf_div by its power of two
+gives.  Every exact elimination is one integer `eliminate`.  A Gram matrix
+keeps its integer form, integer rows over one denominator, on which squared
+lengths, coroot rows and the Bareiss test of positive definiteness run.
 """
 
 from __future__ import annotations
@@ -23,8 +20,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_le, mpf_pi, mpf_sub,
-                          mpi_cos_sin, mpi_div, mpi_mul, round_ceiling, round_floor,
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_pi,
+                          mpf_sub, mpi_cos_sin, mpi_div, round_ceiling, round_floor,
                           round_nearest, to_str)
 
 #: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
@@ -83,33 +80,34 @@ class RealInterval:
 def mpf_to_fraction(t) -> Fraction:
     """Exact conversion of a finite raw mpf value (an mpf's _mpf_) to Fraction."""
     sign, man, exp, _ = t
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
+    if not man and exp:
         raise ValueError(f"non-finite value {t!r}")
-    if sign:
-        man = -man
+    man = -man if sign else man
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _int_interval(n: int, prec: int):
-    """The raw enclosure of the integer n at prec bits, as the interval context converts it."""
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
 def ratio_interval(lo: int, hi: int, den: int, prec: int):
     """The raw enclosure of [lo/den, hi/den], 0 <= lo <= hi, den > 0, at prec bits:
     the two mpi_div calls of the interval context's mpf(p) / q, p/q in lowest terms."""
-    g, h = gcd(lo, den), gcd(hi, den)
-    return (mpf_div(from_int(lo // g, prec, round_floor), from_int(den // g, prec, round_ceiling),
-                    prec, round_floor),
-            mpf_div(from_int(hi // h, prec, round_ceiling), from_int(den // h, prec, round_floor),
-                    prec, round_ceiling))
+    s = (den & -den).bit_length() - 1
+    odd, ends = den >> s, []
+    for n in (lo, hi):  # den = odd * 2^s: a gcd with odd, and a shift for the power of two
+        k, g = min(((n & -n) or den).bit_length() - 1, s), gcd(n, odd)
+        ends += (n >> k) // g, (odd // g) << (s - k)
+    a, b, c, e = ends
+    return (mpf_div(from_int(a, prec, round_floor), from_int(b, prec, round_ceiling), prec,
+                    round_floor),
+            mpf_div(from_int(c, prec, round_ceiling), from_int(e, prec, round_floor), prec,
+                    round_ceiling))
 
 
 def _ratio(q: Fraction, prec: int):
-    """mpf(q.numerator) / q.denominator at prec bits, rounded to nearest."""
-    return mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator), prec,
+    """mpf(q.numerator) / q.denominator at prec bits, rounded to nearest; a
+    division by 2^k is exact, so a dyadic q is its numerator rounded once."""
+    den = q.denominator
+    if den & (den - 1) == 0:
+        return from_man_exp(q.numerator, 1 - den.bit_length(), prec, round_nearest)
+    return mpf_div(from_int(q.numerator, prec, round_nearest), from_int(den), prec,
                    round_nearest)
 
 
@@ -118,20 +116,21 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     """Certified enclosure of cot(a*pi), width <= 2^(8 - precision_bits).
 
     a is the angle's coefficient of pi, so the cache key is exact.  Each
-    working precision encloses theta = pi * n / D with mpf_pi rounded down
-    and up, mpi_mul and mpi_div by integer enclosures, takes cos and sin
-    from one mpi_cos_sin, and divides them with mpi_div: the calls, in order,
-    of the interval context's pi * n / D, cos, sin and quotient.
+    working precision encloses theta = pi * n / D, n/D = a mod 1, with the
+    calls of mpi_mul and mpi_div on positive operands (mpf_pi times from_int
+    n, over from_int D, rounded down for the lower end and up for the upper,
+    the divisor the other way), takes cos and sin from one mpi_cos_sin, divides them
+    with mpi_div: the interval context's pi * n / D, cos, sin and quotient.
     """
-    coeff = a % 1
-    if coeff == 0:
+    num, den = a.numerator % a.denominator, a.denominator
+    if num == 0:
         raise PoleError(f"cot has a pole at {a}*pi")
     target = from_man_exp(1, 8 - precision_bits)
     work = precision_bits + 16
     for _ in range(16):
-        pi = mpf_pi(work, round_floor), mpf_pi(work, round_ceiling)
-        theta = mpi_div(mpi_mul(pi, _int_interval(coeff.numerator, work), work),
-                        _int_interval(coeff.denominator, work), work)
+        theta = [mpf_div(mpf_mul(mpf_pi(work, rnd), from_int(num, work, rnd), work, rnd),
+                         from_int(den, work, other), work, rnd)
+                 for rnd, other in ((round_floor, round_ceiling), (round_ceiling, round_floor))]
         cos, sin = mpi_cos_sin(theta, work)
         # sin(theta) > 0 on (0, pi); an enclosure whose lower end is negative
         # or zero means the working precision cannot separate it yet

@@ -1,11 +1,12 @@
 """Orbit invariants over the alcove: spectrum, mean curvature, classifications.
 
-All bookkeeping runs over positive roots with a nonzero angle; a root whose
-wall passes through the point contributes nothing.  One angle pass groups
-the terms by angle n/D, D the point's one denominator, for the mean
-curvature's one cotangent per angle, and builds one integer table: per
-class (n, alpha) with n/D = min(theta, 1 - theta) < 1/2, the multiplicity
-at theta minus that at 1 - theta.
+All bookkeeping runs over positive roots with a nonzero angle.  An orbit
+report scales its point once, to integers over D = lcm(order, its
+denominators); the facet sides and one angle pass read that.  The pass
+groups the terms by angle n/D, for the mean curvature's one cotangent per
+angle, whose coefficient ends stay integers over one 2^e, and builds one
+table: per class (n, alpha), n/D = min(theta, 1 - theta) < 1/2, the
+multiplicity at theta minus that at 1 - theta.
 
 In direction xi the principal curvatures are -<alpha, xi> cot(pi theta).
 The identities cot(pi - x) = -cot x and cot(pi/2) = 0 make the multiset
@@ -35,7 +36,6 @@ that mpmath's lu_solve makes.  A call that cannot change a bit (0 + v,
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -46,8 +46,9 @@ from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_add, 
                           mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub,
                           mpf_sum, mpi_sqrt, round_nearest, to_str)
 
-from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, active_walls, alcove_barycenter,
-                     alcove_grid, fundamental_alcove, point_in_alcove, sector_angles)
+from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, _scaled, _walls, active_walls,
+                     alcove_barycenter, alcove_grid, fundamental_alcove, point_in_alcove,
+                     sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
                     RealInterval, _ratio, cot_eval, mpf_to_fraction, pairing, ratio_interval)
@@ -84,26 +85,27 @@ class CotTerm:
 def _classes(den: int, stream, nums):
     """The nonzero numerators n of nums, each with its terms' (alpha, mult) in
     first-appearance order, and the class table the module docstring defines."""
-    groups, table = {}, Counter()
+    groups, table = {}, {}
     for (alpha, _, m), n in zip(stream, nums):
         if n:
             groups.setdefault(n, []).append((alpha, m))
             if 2 * n != den:
-                table[min(n, den - n), alpha] += m if 2 * n < den else -m
+                key = min(n, den - n), alpha
+                table[key] = table.get(key, 0) + (m if 2 * n < den else -m)
     return groups, table
 
 
-def _angle_pass(d: GradedRootDatum, point: AlcovePoint):
-    """The point's one denominator D, and its angle numerators and class table."""
+def _angle_pass(d: GradedRootDatum, scaled):
+    """D, the angle numerators and the class table at scaled = _scaled(d, point, d.order)."""
     stream = positive_sector_roots(d)
-    den, nums = sector_angles(d, point, stream)
+    den, nums = sector_angles(d, scaled, stream)
     return (den, *_classes(den, stream, nums))
 
 
 def cot_terms(d: GradedRootDatum, point: AlcovePoint):
     """Nonzero-angle terms over positive roots, sector by sector."""
     stream = positive_sector_roots(d)
-    den, nums = sector_angles(d, point, stream)
+    den, nums = sector_angles(d, _scaled(d, point, d.order), stream)
     return tuple(CotTerm(alpha, Fraction(n, den), m) for (alpha, _, m), n in zip(stream, nums)
                  if n)
 
@@ -141,7 +143,7 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport
         raise DimensionMismatch(f"xi of length {len(xi)} against rank {d.rank}")
     xi = tuple(Fraction(x) for x in xi)
     stream = positive_sector_roots(d)
-    den, nums = sector_angles(d, point, stream)
+    den, nums = sector_angles(d, _scaled(d, point, d.order), stream)
     cots, terms = {}, []
     for (alpha, _, m), n in zip(stream, nums):
         if n:
@@ -156,8 +158,17 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport
 
 @dataclass(frozen=True)
 class MeanCurvature:
-    coeffs: tuple
+    """The ends (lo, hi) of m_H's coefficients, integers over 2^scale, and its norm."""
+
+    ends: tuple
+    scale: int
     norm: RealInterval
+
+    @property
+    def coeffs(self) -> tuple:
+        one = 1 << self.scale
+        return tuple(RealInterval(Fraction(lo, one), Fraction(hi, one), self.norm.precision_bits)
+                     for lo, hi in self.ends)
 
 
 def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -> MeanCurvature:
@@ -166,10 +177,12 @@ def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -
     Every cot_eval endpoint [a, b] is dyadic, so each coefficient interval is
     two integers over one 2^e, and the squared norm is integers over 2^(2e)
     times the Gram form's denominator: the rationals of interval sums and
-    products over Fraction.  A term adds k*[a, b], k = -mult * alpha_j, ends
-    swapped when k < 0; an angle adds K+*[a, b] + K-*[b, a], K+ and K- the
-    sums of its positive and negative k: the same integers.  The norm is
-    mpi_sqrt at precision_bits + 16 of the squared norm's ratio_interval.
+    products over Fraction.  A term adds k*[a, b], k = -mult * alpha_j <= 0
+    (the roots are positive), ends swapped; an angle adds -K*[b, a], K the
+    sum of its mult * alpha_j.  The Gram sum takes each unordered pair once,
+    an off-diagonal entry twice, whose sign picks the least or the largest
+    of the four end products for each end.  The norm is mpi_sqrt at
+    precision_bits + 16 of the squared norm's ratio_interval.
     """
     r = d.rank
     cots = [cot_eval(Fraction(n, den), precision_bits) for n in groups]
@@ -177,38 +190,41 @@ def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -
     lo, hi = [0] * r, [0] * r
     for c, pairs in zip(cots, groups.values()):
         a, b = (q.numerator << (e + 1 - q.denominator.bit_length()) for q in (c.lo, c.hi))
-        pos, neg = [0] * r, [0] * r
+        ks = [0] * r
         for alpha, m in pairs:
             for j, x in enumerate(alpha):
                 if x:
-                    (pos if x < 0 else neg)[j] -= m * x
-        for j, (kp, kn) in enumerate(zip(pos, neg)):
-            if kp or kn:
-                lo[j] += kp * a + kn * b
-                hi[j] += kp * b + kn * a
+                    ks[j] += m * x
+        for j, k in enumerate(ks):
+            if k:
+                lo[j] -= k * b
+                hi[j] -= k * a
     rows, gden = d.sigma.gram.form
     n_lo = n_hi = 0
-    for i, j in product(range(r), repeat=2):
-        if rows[i][j]:
-            p = [rows[i][j] * y * z for y in (lo[i], hi[i]) for z in (lo[j], hi[j])]
-            n_lo += min(p)
-            n_hi += max(p)
-    one, work = 1 << e, precision_bits + 16
-    coeffs = tuple(RealInterval(Fraction(x, one), Fraction(y, one), precision_bits)
-                   for x, y in zip(lo, hi))
+    for i, (row, a, b) in enumerate(zip(rows, lo, hi)):
+        for j, g in enumerate(row[i:], i):
+            if g:
+                c, f = lo[j], hi[j]
+                p = (a * c, a * f, b * c, b * f)
+                g = g if i == j else 2 * g
+                small, big = (min(p), max(p)) if g > 0 else (max(p), min(p))
+                n_lo += g * small
+                n_hi += g * big
+    work = precision_bits + 16
     root = mpi_sqrt(ratio_interval(max(n_lo, 0), max(n_hi, 0), gden << 2 * e, work), work)
-    return MeanCurvature(coeffs, RealInterval(*map(mpf_to_fraction, root), precision_bits))
+    return MeanCurvature(tuple(zip(lo, hi)), e,
+                         RealInterval(*map(mpf_to_fraction, root), precision_bits))
 
 
 def mean_curvature(d: GradedRootDatum, point: AlcovePoint,
                    precision_bits: int = DEFAULT_PRECISION_BITS) -> MeanCurvature:
     """Certified enclosure of m_H = -sum mult*cot(theta)*alpha and its norm."""
-    return _mean_curvature(d, *_angle_pass(d, point)[:2], precision_bits)
+    return _mean_curvature(d, *_angle_pass(d, _scaled(d, point, d.order))[:2], precision_bits)
 
 
 def is_totally_geodesic(d: GradedRootDatum, point: AlcovePoint) -> bool:
     """True when every sector angle lands in (pi/2) Z: the class table is empty."""
-    return not _angle_pass(d, point)[2]
+    return not _angle_pass(d, _scaled(d, point, d.order))[2]
 
 
 def _austere(table) -> TriState:
@@ -230,15 +246,15 @@ def _austere(table) -> TriState:
 
 def is_austere(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     """Exact yes/no test for invariance of the curvature multiset under -1."""
-    return _austere(_angle_pass(d, point)[2])
+    return _austere(_angle_pass(d, _scaled(d, point, d.order))[2])
 
 
 def _minimal(table, norm: RealInterval) -> TriState:
     """Yes when, for each n, the entries (n, alpha) times alpha sum to zero."""
-    sums = Counter()
+    sums = {}
     for (n, alpha), m in table.items():
         for j, c in enumerate(alpha):
-            sums[n, j] += m * c
+            sums[n, j] = sums.get((n, j), 0) + m * c
     if not any(sums.values()):
         return TriState.YES
     if norm.certainly_positive:
@@ -254,7 +270,7 @@ def is_minimal(d: GradedRootDatum, point: AlcovePoint) -> TriState:
     Austerity forces that classwise cancellation, so austere yes implies
     minimal yes.
     """
-    den, groups, table = _angle_pass(d, point)
+    den, groups, table = _angle_pass(d, _scaled(d, point, d.order))
     return _minimal(table, _mean_curvature(d, den, groups, DEFAULT_PRECISION_BITS).norm)
 
 
@@ -326,10 +342,12 @@ def orbit_report(d: GradedRootDatum, point: AlcovePoint) -> OrbitReport:
     """Every classification of one orbit of the closed alcove.
 
     The curvature verdicts come from the one angle pass of the point, and
-    the type, arid* and WR* from the facet walls through it.
+    the type, arid* and WR* from the facet walls through it, both read off
+    one scaling of the point.
     """
-    den, groups, table = _angle_pass(d, point)
-    walls = active_walls(d, point)
+    scaled = _scaled(d, point, d.order)
+    den, groups, table = _angle_pass(d, scaled)
+    walls = _walls(d, point, scaled)
     mc = _mean_curvature(d, den, groups, DEFAULT_PRECISION_BITS)
     flags = symmetry_flags(d, point, walls)
     return OrbitReport(point,

@@ -1,18 +1,29 @@
-"""Reference routes through mpmath's contexts, for the tests.
+"""Reference routes through mpmath's contexts and interval calls, for the tests.
 
-hermann makes its enclosures with raw mpmath.libmp interval calls; these
-helpers make the same enclosures through `MPIntervalContext` operators, so
-a test can compare the two endpoint for endpoint.  format_interval_reference
+hermann makes its enclosures with raw mpmath.libmp calls; these helpers
+make the same enclosures through `MPIntervalContext` operators, so a test
+can compare the two endpoint for endpoint.  format_interval_reference
 renders an interval through `mpmath.mp` operators and `nstr`, the route that
 `format_interval`'s raw calls stand for.
+
+The raw routes that the certified path took before it carried each value
+in the form the next step reads are kept here too: ratio_reference, mpf_div
+of from_int ends for every Fraction; theta_reference and cot_eval_reference,
+pi * n / D through mpi_mul and mpi_div of integer enclosures; and
+mean_curvature_reference, the r x r Gram loop over ordered pairs with
+eager coefficient intervals and plain gcds for the squared norm's ratio.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_le, mpf_pi, mpf_sub, mpi_cos_sin,
+                          mpi_div, mpi_mul, mpi_sqrt, round_ceiling, round_floor, round_nearest)
 
-from hermann.exact import RealInterval
+from hermann.exact import PoleError, PrecisionExhausted, RealInterval, cot_eval, mpf_to_fraction
 
 _CONTEXTS: dict[int, MPIntervalContext] = {}
 
@@ -62,3 +73,83 @@ def format_interval_reference(r: RealInterval) -> str:
         bound = max(abs(r.lo), abs(r.hi))
         return f"<={mpmath.nstr(mpmath.mpf(bound.numerator) / bound.denominator, 3)}" \
                f"@{r.precision_bits}b"
+
+
+def ratio_reference(q: Fraction, prec: int):
+    """mpf(q.numerator) / q.denominator at prec bits, rounded to nearest, by mpf_div."""
+    return mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator), prec,
+                   round_nearest)
+
+
+def _int_interval(n: int, prec: int):
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def theta_reference(num: int, den: int, prec: int):
+    """The raw enclosure of pi * num / den: mpi_mul of the mpf_pi ends by the
+    integer enclosure of num, then mpi_div by that of den."""
+    pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+    return mpi_div(mpi_mul(pi, _int_interval(num, prec), prec), _int_interval(den, prec), prec)
+
+
+def cot_eval_reference(a: Fraction, bits: int) -> RealInterval:
+    """cot_eval's ladder, target and quotient on theta_reference, uncached."""
+    coeff = a % 1
+    if coeff == 0:
+        raise PoleError(f"cot has a pole at {a}*pi")
+    target = from_man_exp(1, 8 - bits)
+    work = bits + 16
+    for _ in range(16):
+        cos, sin = mpi_cos_sin(theta_reference(coeff.numerator, coeff.denominator, work), work)
+        if sin[0][0] or not sin[0][1]:
+            work *= 2
+            continue
+        lo, hi = mpi_div(cos, sin, work)
+        if mpf_le(mpf_sub(hi, lo), target):
+            return RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), bits)
+        work *= 2
+    raise PrecisionExhausted(f"no reference enclosure for {a} at {bits} bits")
+
+
+def ratio_interval_reference(lo: int, hi: int, den: int, prec: int):
+    """[lo/den, hi/den] by mpf_div of from_int ends, each ratio put in lowest
+    terms by a gcd with den."""
+    g, h = gcd(lo, den), gcd(hi, den)
+    return (mpf_div(from_int(lo // g, prec, round_floor), from_int(den // g, prec, round_ceiling),
+                    prec, round_floor),
+            mpf_div(from_int(hi // h, prec, round_ceiling), from_int(den // h, prec, round_floor),
+                    prec, round_ceiling))
+
+
+def mean_curvature_reference(d, den: int, groups, bits: int):
+    """The mean curvature's coefficient ends lo, hi over 2^e, e, the coefficient
+    intervals and the certified norm: per angle K+*[a, b] + K-*[b, a], every
+    ordered pair (i, j) of the Gram form with the least and the largest of
+    its four products, and mpi_sqrt of ratio_interval_reference."""
+    r = d.rank
+    cots = [cot_eval(Fraction(n, den), bits) for n in groups]
+    e = max((q.denominator.bit_length() - 1 for c in cots for q in (c.lo, c.hi)), default=0)
+    lo, hi = [0] * r, [0] * r
+    for c, pairs in zip(cots, groups.values()):
+        a, b = (q.numerator << (e + 1 - q.denominator.bit_length()) for q in (c.lo, c.hi))
+        pos, neg = [0] * r, [0] * r
+        for alpha, m in pairs:
+            for j, x in enumerate(alpha):
+                if x:
+                    (pos if x < 0 else neg)[j] -= m * x
+        for j, (kp, kn) in enumerate(zip(pos, neg)):
+            if kp or kn:
+                lo[j] += kp * a + kn * b
+                hi[j] += kp * b + kn * a
+    rows, gden = d.sigma.gram.form
+    n_lo = n_hi = 0
+    for i, j in product(range(r), repeat=2):
+        if rows[i][j]:
+            p = [rows[i][j] * y * z for y in (lo[i], hi[i]) for z in (lo[j], hi[j])]
+            n_lo += min(p)
+            n_hi += max(p)
+    one, work = 1 << e, bits + 16
+    coeffs = tuple(RealInterval(Fraction(x, one), Fraction(y, one), bits) for x, y in zip(lo, hi))
+    root = mpi_sqrt(ratio_interval_reference(max(n_lo, 0), max(n_hi, 0), gden << 2 * e, work),
+                    work)
+    return lo, hi, e, coeffs, RealInterval(*map(mpf_to_fraction, root), bits)

@@ -595,3 +595,38 @@ def test_stdout_digest_quick_is_well_formed():
     sha, lines, word, commands, word2 = proc.stdout.decode("ascii").split()
     assert len(sha) == 64 and set(sha) <= set("0123456789abcdef")
     assert (word, commands, word2) == ("lines", "3", "commands") and int(lines) > 0
+
+
+def _ab_paired(a_src, b_src, *args):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "ab_paired.py"
+    return subprocess.run([sys.executable, str(tool), str(a_src), str(b_src), *args],
+                          capture_output=True, timeout=120, text=True)
+
+
+@pytest.mark.parametrize("workload", ["point-queries", "minimal-search"])
+def test_ab_paired_of_this_tree_against_itself(workload):
+    # two CLI commands, or two find_minimal results compared by value across
+    # the two packages' classes
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = _ab_paired(src, src, "--workload", workload, "--limit", "2", "--repeats", "2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"workload {workload}  seed 1  ops 2  repeats 2"
+    assert [ln.split(": ")[1].split()[1] for ln in lines[1:3]] == ["ops/s", "ops/s"]
+    assert re.fullmatch(r"B/A \d+\.\d{4}  differing outputs 0", lines[3])
+
+
+def test_ab_paired_reports_a_differing_output(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    other = tmp_path / "hermann"
+    other.mkdir()
+    for path in (src / "hermann").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "exact.py":
+            text = text.replace("to_str(mid, 12)", "to_str(mid, 11)")
+        (other / path.name).write_text(text, encoding="utf-8")
+    proc = _ab_paired(src, tmp_path, "--workload", "point-queries", "--limit", "2",
+                      "--repeats", "1")
+    assert proc.returncode == 1
+    assert proc.stdout.count("DIFFERS hermann analyze") == 2
+    assert proc.stdout.splitlines()[-1].endswith("differing outputs 2")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from hermann.datum import (
     BadParameters,
+    GradedRootDatum,
     ParseError,
+    Sector,
     UnknownKey,
     ValidationError,
     catalog,
@@ -114,6 +116,44 @@ def test_catalog_errors():
         with pytest.raises(BadParameters):
             catalog("isotropy", label="A2", mults={2: v})
     assert catalog("isotropy", label="A2", mults={2: 3}) is not None
+
+
+@pytest.mark.parametrize("label, mults, text", [
+    ("BC1", {1: 4}, "multiplicity table keys [1] must be the squared lengths [1, 4]"),
+    ("A1", {1: 1, 4: 1}, "multiplicity table keys [1, 4] must be the squared lengths [2]"),
+    ("G2", {2: 1, Fraction(3, 2): 2},
+     "multiplicity table keys [3/2, 2] must be the squared lengths [2, 6]"),
+])
+def test_isotropy_multiplicity_keys_are_printed_as_rationals(label, mults, text):
+    with pytest.raises(BadParameters) as err:
+        catalog("isotropy", label=label, mults=mults)
+    assert str(err.value) == text
+
+
+def _resectored(d, change):
+    """d with each sector's root table replaced by change(table)."""
+    return GradedRootDatum(d.name, d.sigma, tuple(Sector(s.phi, change(dict(s.roots)))
+                                                  for s in d.sectors), d.order)
+
+
+def test_validate_reports_a_root_that_no_sector_carries():
+    # the catalog builders alone can leave a root out: a datum file's roots
+    # are read off its sectors
+    d = catalog("su_sp", p=7, q=5)
+    assert len(d.sectors) == 4 and validate(d) == ()
+    bad = _resectored(d, lambda roots: {v: m for v, m in roots.items() if v != (1, 1)})
+    got = validate(bad)
+    assert [v.kind for v in got] == ["coverage"] + ["duality"] * 4
+    assert got[0].detail == "1 roots carry no sector, e.g. (1, 1)"
+    assert got[1].detail == "m((1, 1), phase 1/4*pi) = None but m((-1, -1), phase -1/4*pi) = 4"
+
+
+def test_validate_reports_a_sector_vector_that_is_not_a_root():
+    d = catalog("isotropy", label="A2")
+    bad = _resectored(d, lambda roots: {**roots, (2, 0): 1, (-2, 0): 1})
+    assert [(v.kind, v.detail) for v in validate(bad)] == [
+        ("support", "(2, 0) in sector 0*pi is not a root"),
+        ("support", "(-2, 0) in sector 0*pi is not a root")]
 
 
 @pytest.mark.parametrize("key,params", [

@@ -11,15 +11,18 @@ from hermann.exact import (
     PoleError,
     RealInterval,
     SingularGram,
+    _ratio,
     cot_eval,
     dual_basis,
     format_interval,
     mpf_to_fraction,
     parse_rational,
+    ratio_interval,
     row_reduce,
 )
 
-from interval_reference import format_interval_reference, interval_from_iv, iv_context
+from interval_reference import (cot_eval_reference, format_interval_reference, interval_from_iv,
+                                iv_context, ratio_interval_reference, ratio_reference)
 from setup_reference import inner, matrix_rank, solve_exact
 
 HALF = Fraction(1, 2)
@@ -230,3 +233,62 @@ def test_format_interval_matches_the_mp_context_route(a, b, bits):
     assert format_interval(r) == format_interval_reference(r)
     point = RealInterval(a, a, bits)
     assert format_interval(point) == format_interval_reference(point)
+
+
+# ties at 53 bits, a numerator of a single bit, zero, whole numbers and
+# negative ends, on both sides of the dyadic test
+RATIO_CASES = [Fraction(2 ** 53 + 1, 2 ** 60), Fraction(2 ** 54 + 2, 2 ** 3),
+               Fraction(-(2 ** 53 + 3), 2 ** 100), Fraction(1, 2 ** 1200), Fraction(0),
+               Fraction(7), Fraction(-5, 1), Fraction(1, 3),
+               Fraction(-(10 ** 40 + 1), 3 * 2 ** 70)]
+
+
+@given(st.one_of(st.sampled_from(RATIO_CASES), interval_ends,
+                 st.builds(lambda man, exp: Fraction(man, 2 ** exp),
+                           st.integers(min_value=-(2 ** 2000), max_value=2 ** 2000),
+                           st.integers(min_value=0, max_value=2000))),
+       st.one_of(st.sampled_from((53, 208, 1536)), st.integers(min_value=53, max_value=1536)))
+@settings(max_examples=400, deadline=None)
+def test_ratio_matches_the_mpf_div_route(q, prec):
+    assert _ratio(q, prec) == ratio_reference(q, prec)
+
+
+# angles n/D with D up to 2^200, dyadic times a grading order as
+# find_minimal's certified points give them, or any D, and D too wide to be
+# exact at the working precision; n may lie outside (0, D), and the edge
+# angles lie so near 0 or 1 that the ladder climbs
+cot_angles = st.one_of(
+    st.sampled_from((Fraction(1, 2 ** 200), Fraction(2 ** 200 - 1, 2 ** 200),
+                     Fraction(-1, 3 << 199), Fraction(1, 2 ** 200 - 1),
+                     Fraction(2 ** 199 + 1, 2 ** 200), Fraction(5, 12))),
+    st.builds(lambda n, den: Fraction(n % (3 * den) - den, den),
+              st.integers(min_value=0, max_value=2 ** 1800),
+              st.one_of(st.builds(lambda k, o: o << k, st.integers(min_value=0, max_value=200),
+                                  st.sampled_from((1, 2, 3, 4, 6, 8, 12))),
+                        st.integers(min_value=1, max_value=2 ** 200),
+                        # wider than the working precision, so from_int rounds
+                        st.integers(min_value=2 ** 1560, max_value=2 ** 1700))))
+
+
+@given(cot_angles, st.one_of(st.sampled_from((192, 208, 1536)),
+                             st.integers(min_value=192, max_value=1536)))
+@settings(max_examples=150, deadline=None)
+def test_cot_eval_matches_the_mpi_mul_mpi_div_route(a, bits):
+    if a.denominator == 1:
+        with pytest.raises(PoleError):
+            cot_eval(a, bits)
+        return
+    got = cot_eval(a, bits)
+    want = cot_eval_reference(a, bits)
+    assert (got.lo, got.hi, got.precision_bits) == (want.lo, want.hi, want.precision_bits)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 500), st.integers(min_value=0, max_value=2 ** 500),
+       st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=0, max_value=400),
+       st.integers(min_value=53, max_value=1552))
+@settings(max_examples=300, deadline=None)
+def test_ratio_interval_matches_plain_gcds(x, y, odd, shift, prec):
+    # lo or hi may be 0, and den may be odd, a power of two or both
+    lo, hi = sorted((x >> (x % 300), y))
+    den = odd << shift
+    assert ratio_interval(lo, hi, den, prec) == ratio_interval_reference(lo, hi, den, prec)

@@ -14,7 +14,7 @@ from mpmath.libmp import from_int, from_man_exp, fzero, mpf_neg, mpf_shift
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hermann.alcove import (AlcovePoint, active_roots, active_walls, alcove_barycenter,
+from hermann.alcove import (AlcovePoint, _scaled, active_roots, active_walls, alcove_barycenter,
                             alcove_grid, alcove_vertices, faces, point_in_alcove)
 from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
@@ -40,7 +40,8 @@ from hermann.geometry import (
     type_label,
 )
 
-from interval_reference import interval_from_iv, iv_context, iv_from_interval
+from interval_reference import (interval_from_iv, iv_context, iv_from_interval,
+                                mean_curvature_reference)
 from setup_reference import inner
 
 Q = Fraction
@@ -681,9 +682,9 @@ def test_orbit_report_builds_the_terms_once(monkeypatch):
     calls = []
     original = geometry._angle_pass
 
-    def counting(d, point):
-        calls.append(point)
-        return original(d, point)
+    def counting(d, scaled):
+        calls.append(scaled)
+        return original(d, scaled)
 
     monkeypatch.setattr(geometry, "_angle_pass", counting)
     r = orbit_report(_so_even(), AlcovePoint((Q(1, 4), 0, 0)))
@@ -696,9 +697,9 @@ def test_orbit_report_makes_one_angle_pass(monkeypatch):
     calls = []
     original = alcove.sector_angles
 
-    def counting(d, point, items):
-        calls.append(point)
-        return original(d, point, items)
+    def counting(d, scaled, items):
+        calls.append(scaled)
+        return original(d, scaled, items)
 
     for mod in (alcove, geometry):
         monkeypatch.setattr(mod, "sector_angles", counting)
@@ -893,7 +894,7 @@ def test_integer_kernels_match_fraction_formulas(i, drawn):
                  for theta in [(pairing(alpha, x) + t) % 1] if theta != 0)
     terms = cot_terms(d, point)
     assert terms == want
-    den, groups, table = _angle_pass(d, point)
+    den, groups, table = _angle_pass(d, _scaled(d, point, d.order))
     assert den == lcm(d.order, *(c.denominator for c in x))
     assert list(groups.items()) == list(_groups(terms, den).items())
     union = sorted({v for s in d.sectors for v in s.roots
@@ -913,8 +914,63 @@ def test_grouped_kernel_matches_per_term_reference_at_rank_nine():
     reps = [f.representative for f in faces(d)]
     assert len(reps) == 1023
     for point in reps[::31]:
-        den, groups, _ = _angle_pass(d, point)
+        den, groups, _ = _angle_pass(d, _scaled(d, point, d.order))
         _checked_kernel(d, den, groups, cot_terms(d, point), 192)
+
+
+def _matches_parent_route(d, point, bits):
+    """_mean_curvature at the point, asserted equal, end for end, to the r x r
+    Gram loop with eager coefficients."""
+    den, groups, _ = _angle_pass(d, _scaled(d, point, d.order))
+    mc = geometry._mean_curvature(d, den, groups, bits)
+    lo, hi, e, coeffs, norm = mean_curvature_reference(d, den, groups, bits)
+    assert (mc.ends, mc.scale) == (tuple(zip(lo, hi)), e), point
+    assert mc.coeffs == coeffs, point
+    assert (mc.norm.lo, mc.norm.hi, mc.norm.precision_bits) == (norm.lo, norm.hi, bits), point
+
+
+@pytest.mark.parametrize("i", range(len(KERNEL_DATA)),
+                         ids=[":".join([key, *(str(v) for _, v in params)])
+                              for key, params in KERNEL_DATA])
+def test_mean_curvature_matches_the_parent_route_at_every_face(i):
+    d, reps = _kernel_datum(i)
+    for point in reps:
+        _matches_parent_route(d, point, 192)
+
+
+# data of ranks 1 to 4
+ROUTE_DATA = (
+    ("isotropy", (("label", "A1"),)),
+    ("isotropy", (("label", "BC1"),)),
+    ("so8_g2", ()),
+    ("isotropy", (("label", "BC2"),)),
+    ("so_even", (("p", 9), ("q", 7))),
+    ("isotropy", (("label", "C3"),)),
+    ("isotropy", (("label", "A4"),)),
+    ("isotropy", (("label", "D4"),)),
+    ("su_sp", (("p", 11), ("q", 9))),
+)
+
+
+@cache
+def _route_datum(i):
+    key, params = ROUTE_DATA[i]
+    d = catalog(key, **dict(params))
+    return d, alcove_vertices(d)
+
+
+@given(st.integers(min_value=0, max_value=len(ROUTE_DATA) - 1), st.data(),
+       st.sampled_from((192, 192, 495, 990)))
+@settings(max_examples=80, deadline=None)
+def test_mean_curvature_matches_the_parent_route_inside(i, data, bits):
+    d, verts = _route_datum(i)
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=60),
+                                 min_size=len(verts), max_size=len(verts)))
+    total = sum(weights)
+    point = AlcovePoint(tuple(sum(w * v.coeffs[j] for w, v in zip(weights, verts)) / total
+                              for j in range(d.rank)))
+    assert point_in_alcove(d, point, strict=True)
+    _matches_parent_route(d, point, bits)
 
 
 def test_orbit_report_evaluates_each_distinct_angle_once(monkeypatch):
