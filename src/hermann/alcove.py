@@ -27,8 +27,8 @@ point, is the reference.
 
 Bounds, facet tests, vertex solves and folding compute in integers: a
 bound is an integer over d.order * gcd(alpha), read off the phase p =
-order * t mod order, and a point x is scaled once to integers k over D =
-lcm(d.order, its denominators).  A facet's side at k is s = order * D *
+order * t mod order (datum.sector_phases), and a point x is scaled once
+to integers k over D = lcm(d.order, its denominators).  A facet's side at k is s = order * D *
 (c.x + t - n), negated when c points inward, so the reflection in its wall
 is k - (s // order) * its outward coroot row; the facet test reads integer
 rows made once per datum, and each vertex is one integer elimination.
@@ -45,7 +45,7 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 from typing import NamedTuple
 
-from .datum import GradedRootDatum, positive_sector_roots
+from .datum import GradedRootDatum, sector_phases
 from .exact import DimensionMismatch, eliminate, pairing
 from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, cartan_matrix,
                     cartan_type, decompose_and_classify, linked_components,
@@ -135,21 +135,21 @@ def _slabs(d: GradedRootDatum):
     """
     best = {}
     o = d.order
-    for alpha, t, _ in positive_sector_roots(d):
-        p = t.numerator * (o // t.denominator) % o
-        n = int(t.numerator >= 0)  # the upper wall; the lower one is n - 1
+    for alpha, ot, _ in sector_phases(d):
+        p = ot % o
+        n = int(ot >= 0)  # the upper wall; the lower one is n - 1
         g = gcd(*alpha)
         up = tuple([x // g for x in alpha])
         for vec, num, sign in ((up, o - p, 1), (tuple([-x for x in up]), p, -1)):
             cur = best.get(vec)
             if cur is None or num * cur[1] < cur[0] * g:
-                best[vec] = (num, g, alpha, t, n - (sign < 0), sign, [g])
+                best[vec] = (num, g, alpha, ot, n - (sign < 0), sign, [g])
             elif num * cur[1] == cur[0] * g:
                 cur[6].append(g)
     out = []
-    for vec, (num, g, alpha, t, n, sign, ties) in sorted(best.items()):
+    for vec, (num, g, alpha, ot, n, sign, ties) in sorted(best.items()):
         c = min(ties)
-        out.append(Facet(vec, num, o * g, Wall(alpha, t, n),
+        out.append(Facet(vec, num, o * g, Wall(alpha, Fraction(ot, o), n),
                          tuple([sign * x for x in d.sigma.coroots[alpha]]),
                          tuple([c * x for x in vec]), 2 * c in ties))
     return out
@@ -269,14 +269,14 @@ def alcove_grid(d: GradedRootDatum, den: int):
 def sector_angles(d: GradedRootDatum, scaled, items):
     """D and the numerators n of the angles (alpha . x + t) mod 1 = n/D of items.
 
-    Each item starts with a root alpha and its sector phase t.  scaled is
+    Each item starts with a root alpha and the integer order * t of its
+    sector phase t, as datum.sector_phases gives them.  scaled is
     _scaled(d, point, d.order): integers k over D = lcm(d.order, x's
-    denominators).  order * t is whole for every phase of a valid datum, so
-    each angle is (alpha . k + t*D) mod D in integers.
+    denominators), so each angle is (alpha . k + t*D) mod D in integers.
     """
     den, k = scaled
-    return den, [(pairing(alpha, k) + t.numerator * (den // t.denominator)) % den
-                 for alpha, t, *_ in items]
+    step = den // d.order
+    return den, [(pairing(alpha, k) + ot * step) % den for alpha, ot, *_ in items]
 
 
 def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
@@ -287,7 +287,7 @@ def active_roots(d: GradedRootDatum, point: AlcovePoint) -> ActiveRoots:
     """
     # by the duality m(-alpha, eps^-1) = m(alpha, eps), a negative root is
     # active exactly when its negative is, at minus its angle
-    stream = positive_sector_roots(d)
+    stream = sector_phases(d)
     _, nums = sector_angles(d, _scaled(d, point, d.order), stream)
     active = {alpha for (alpha, _, _), n in zip(stream, nums) if n == 0}
     union = sorted(v for alpha in active for v in (alpha, tuple(-x for x in alpha)))
@@ -348,10 +348,9 @@ def reduce_to_alcove(d: GradedRootDatum, point: AlcovePoint):
     """
     a = _alcove_data(d)
     den, x = _scaled(d, point, d.order)
-    budget = 8
-    for alpha, t, _ in positive_sector_roots(d):
-        p = pairing(alpha, x) + t.numerator * (den // t.denominator)
-        budget += 2 + abs(p) // den
+    budget, step = 8, den // d.order
+    for alpha, ot, _ in sector_phases(d):
+        budget += 2 + abs(pairing(alpha, x) + ot * step) // den
     if budget > DEFAULT_BUDGET:
         raise ClosureBudgetExceeded(f"folding may need {budget} reflections, "
                                     f"more than the budget of {DEFAULT_BUDGET}")

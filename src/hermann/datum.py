@@ -90,19 +90,29 @@ def inverse_phase(t: Fraction) -> Fraction:
 _STREAMS = weakref.WeakKeyDictionary()
 
 
-def positive_sector_roots(d: GradedRootDatum) -> tuple:
-    """Deterministic (alpha, t, mult) tuple over positive roots by sector.
+def _streams(d: GradedRootDatum) -> tuple:
+    """positive_sector_roots(d) and sector_phases(d), built once per datum and kept
+    next to it like alcove._ALCOVE_CACHE; a datum is not changed once built."""
+    streams = _STREAMS.get(d)
+    if streams is None:
+        stream = tuple((alpha, sector.phi, sector.roots[alpha])
+                       for sector in sorted(d.sectors, key=lambda s: s.phi)
+                       for alpha in sorted(sector.roots) if _is_positive(alpha))
+        phases = tuple((alpha, t.numerator * (d.order // t.denominator), m)
+                       for alpha, t, m in stream)
+        streams = _STREAMS[d] = stream, phases
+    return streams
 
-    Built once per datum and kept next to it, like the alcove of
-    alcove._ALCOVE_CACHE; a datum is not changed after it is built.
-    """
-    stream = _STREAMS.get(d)
-    if stream is None:
-        stream = _STREAMS[d] = tuple(
-            (alpha, sector.phi, sector.roots[alpha])
-            for sector in sorted(d.sectors, key=lambda s: s.phi)
-            for alpha in sorted(sector.roots) if _is_positive(alpha))
-    return stream
+
+def positive_sector_roots(d: GradedRootDatum) -> tuple:
+    """Deterministic (alpha, t, mult) tuple over positive roots by sector."""
+    return _streams(d)[0]
+
+
+def sector_phases(d: GradedRootDatum) -> tuple:
+    """positive_sector_roots(d) with each phase t as the integer order * t:
+    (alpha, order * t, mult), whole for every phase of a valid datum."""
+    return _streams(d)[1]
 
 
 def validate(d: GradedRootDatum):

@@ -2,12 +2,11 @@
 
 An angle is its coefficient of pi, a plain Fraction, so every membership
 test (in pi.Z, in (pi/2).Z) is exact.  The only real-number evaluations
-are cotangents, certified enclosures with dyadic ends made by raw
-mpmath.libmp calls: theta = pi * n / D by the mpf_mul and mpf_div calls that
-mpi_mul and mpi_div make on positive operands, then mpi_cos_sin and mpi_div,
-so every end is the one mpmath's interval context gives.  A dyadic Fraction
-becomes an mpf by one from_man_exp, the value mpf_div by its power of two
-gives.  Every exact elimination is one integer `eliminate`.  A Gram matrix
+are cotangents, certified enclosures with dyadic ends that cot_eval makes
+by raw mpmath.libmp calls, each end the one mpmath's interval context
+gives.  A dyadic Fraction becomes an mpf by one from_man_exp, the value
+mpf_div by its power of two gives.  Every exact elimination is one integer
+`eliminate`.  A Gram matrix
 keeps its integer form, integer rows over one denominator, on which squared
 lengths, coroot rows and the Bareiss test of positive definiteness run.
 """
@@ -20,9 +19,10 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_pi,
-                          mpf_sub, mpi_cos_sin, mpi_div, round_ceiling, round_floor,
-                          round_nearest, to_str)
+from mpmath.libmp import (fnone, fone, from_int, from_man_exp, mpf_add, mpf_cos_sin, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_pi, mpf_shift, mpf_sub,
+                          round_ceiling, round_floor, round_nearest, to_str)
+from mpmath.libmp.libmpi import cos_sin_quadrant
 
 #: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
 #: caps the precision ladder of find_minimal (four times this, at most).
@@ -53,6 +53,8 @@ class RealInterval:
     lo: Fraction
     hi: Fraction
     precision_bits: int
+    #: the raw mpf ends (lo, hi) the interval was made from, when it was
+    raw: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -111,16 +113,40 @@ def _ratio(q: Fraction, prec: int):
                    round_nearest)
 
 
+@lru_cache(maxsize=64)
+def _trig_constants(work: int):
+    """pi's ends at work bits, their halves, and the factors 1 +- 2^(10 - wp),
+    wp = work + 20, by which mpi_cos_sin pushes its ends out."""
+    lo, hi, wp = mpf_pi(work, round_floor), mpf_pi(work, round_ceiling), work + 20
+    return (lo, hi, mpf_shift(lo, -1), mpf_shift(hi, -1),
+            from_man_exp((1 << wp) + (1 << 10), -wp), from_man_exp((1 << wp) - (1 << 10), -wp))
+
+
+def _int_ends(n: int, work: int):
+    """from_int(n, work) rounded down and up: one call when n has at most work bits."""
+    lo = from_int(n, work, round_floor)
+    return lo, lo if n.bit_length() <= work else from_int(n, work, round_ceiling)
+
+
+def _outward(v, rnd, prec: int, more, less):
+    """mpi_cos_sin's last step: v times more or less, away from 0 on the side of
+    rnd, at prec bits; a magnitude of at least 1 becomes -1 or 1."""
+    v = mpf_mul(v, more if bool(v[0]) == (rnd == round_floor) else less, prec, rnd)
+    return (fnone if v[0] else fone) if v[2] + v[3] >= 1 else v
+
+
 @lru_cache(maxsize=8192)
 def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealInterval:
-    """Certified enclosure of cot(a*pi), width <= 2^(8 - precision_bits).
+    """Certified enclosure of cot(a*pi), width <= 2^(8 - precision_bits), its
+    raw mpf ends kept as raw.
 
     a is the angle's coefficient of pi, so the cache key is exact.  Each
-    working precision encloses theta = pi * n / D, n/D = a mod 1, with the
-    calls of mpi_mul and mpi_div on positive operands (mpf_pi times from_int
-    n, over from_int D, rounded down for the lower end and up for the upper,
-    the divisor the other way), takes cos and sin from one mpi_cos_sin, divides them
-    with mpi_div: the interval context's pi * n / D, cos, sin and quotient.
+    working precision encloses theta = pi * n / D, n/D = a mod 1, by the calls
+    of mpi_mul and mpi_div on positive operands (mpf_pi times n, over D, each
+    end rounded outward), then makes the ends of mpi_cos_sin and mpi_div, bit
+    for bit, by only the calls that set a bit: one from_int for an integer of
+    at most the working precision's bits, one mpf_cos_sin per end of theta,
+    cos only once sin > 0, and mpi_div's branch for a positive divisor.
     """
     num, den = a.numerator % a.denominator, a.denominator
     if num == 0:
@@ -128,18 +154,35 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     target = from_man_exp(1, 8 - precision_bits)
     work = precision_bits + 16
     for _ in range(16):
-        theta = [mpf_div(mpf_mul(mpf_pi(work, rnd), from_int(num, work, rnd), work, rnd),
-                         from_int(den, work, other), work, rnd)
-                 for rnd, other in ((round_floor, round_ceiling), (round_ceiling, round_floor))]
-        cos, sin = mpi_cos_sin(theta, work)
+        pi_lo, pi_hi, half_lo, half_hi, more, less = _trig_constants(work)
+        (n_lo, n_hi), (d_lo, d_hi) = _int_ends(num, work), _int_ends(den, work)
+        wp, ends = work + 20, []
+        for t in (mpf_div(mpf_mul(pi_lo, n_lo, work, round_floor), d_hi, work, round_floor),
+                  mpf_div(mpf_mul(pi_hi, n_hi, work, round_ceiling), d_lo, work, round_ceiling)):
+            # cos_sin_quadrant(t, wp), its quadrant read off the bounds of pi/2 and pi
+            q = 0 if mpf_lt(t, half_lo) else 1 if mpf_gt(t, half_hi) and mpf_lt(t, pi_lo) else -1
+            ends.append((*mpf_cos_sin(t, wp), q) if q >= 0 else cos_sin_quadrant(t, wp))
+        (ca, sa, na), (cb, sb, nb) = ends
+        ca, cb = (cb, ca) if mpf_lt(cb, ca) else (ca, cb)
+        sa, sb = (sb, sa) if mpf_lt(sb, sa) else (sa, sb)
+        if na != nb:  # mpi_cos_sin: an extremum of cos or sin lies between the ends
+            ca, cb, sa, sb = (v if (na - k) // 4 == (nb - k) // 4 else e for v, k, e in
+                              ((ca, 2, fnone), (cb, 0, fone), (sa, 3, fnone), (sb, 1, fone)))
+        sa = _outward(sa, round_floor, work, more, less)
         # sin(theta) > 0 on (0, pi); an enclosure whose lower end is negative
         # or zero means the working precision cannot separate it yet
-        if sin[0][0] or not sin[0][1]:
+        if sa[0] or not sa[1]:
             work *= 2
             continue
-        lo, hi = mpi_div(cos, sin, work)
+        sb = _outward(sb, round_ceiling, work, more, less)
+        ca = _outward(ca, round_floor, work, more, less)
+        cb = _outward(cb, round_ceiling, work, more, less)
+        # mpi_div by sin > 0: each end's divisor is read off the signs of cos's ends
+        lo = mpf_div(ca, sa if ca[0] else sb, work, round_floor)
+        hi = mpf_div(cb, sb if ca[0] and (cb[0] or not cb[1]) else sa, work, round_ceiling)
         if mpf_le(mpf_sub(hi, lo), target):  # at prec 0 mpf_sub is exact
-            return RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), precision_bits)
+            return RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), precision_bits,
+                                (lo, hi))
         work *= 2
     raise PrecisionExhausted(f"cot enclosure did not reach width "
                              f"{Fraction(1, 2 ** (precision_bits - 8))} for {a}*pi")

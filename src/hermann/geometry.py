@@ -2,11 +2,12 @@
 
 All bookkeeping runs over positive roots with a nonzero angle.  An orbit
 report scales its point once, to integers over D = lcm(order, its
-denominators); the facet sides and one angle pass read that.  The pass
-groups the terms by angle n/D, for the mean curvature's one cotangent per
-angle, whose coefficient ends stay integers over one 2^e, and builds one
-table: per class (n, alpha), n/D = min(theta, 1 - theta) < 1/2, the
-multiplicity at theta minus that at 1 - theta.
+denominators); the facet sides and one angle pass read that, with each
+sector phase t as the integer order * t.  The pass groups the terms by
+angle n/D, for the mean curvature's one cotangent per angle, whose raw ends
+it reads as integers over one 2^e, and builds one table: per class (n,
+alpha), n/D = min(theta, 1 - theta) < 1/2, the multiplicity at theta minus
+that at 1 - theta.
 
 In direction xi the principal curvatures are -<alpha, xi> cot(pi theta).
 The identities cot(pi - x) = -cot x and cot(pi/2) = 0 make the multiset
@@ -25,12 +26,7 @@ Tits table cross-checks.
 
 find_minimal's Newton ascent is not certified, only its last point is, but
 its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
-values, each step the mpf_* call, in operand order, of the mpf operator it
-stands for, with one pairing alpha . x per root, the gradient and the
-Hessian through _pairing on the terms' root columns (Hessian row i on the
-terms with a_i != 0), and the Newton step from _lu_solve, the libmp calls
-that mpmath's lu_solve makes.  A call that cannot change a bit (0 + v,
-1 * v on a value already rounded to the rung) is skipped.
+values, each step the libmp call of the mpf operator it stands for.
 """
 
 from __future__ import annotations
@@ -43,13 +39,13 @@ from math import gcd, lcm
 
 from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
                           mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub,
-                          mpf_sum, mpi_sqrt, round_nearest, to_str)
+                          mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sqrt,
+                          mpf_sub, mpf_sum, mpi_sqrt, round_nearest, to_str)
 
 from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, _scaled, _walls, active_walls,
                      alcove_barycenter, alcove_grid, fundamental_alcove, point_in_alcove,
                      sector_angles)
-from .datum import GradedRootDatum, positive_sector_roots
+from .datum import GradedRootDatum, positive_sector_roots, sector_phases
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
                     RealInterval, _ratio, cot_eval, mpf_to_fraction, pairing, ratio_interval)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
@@ -97,14 +93,14 @@ def _classes(den: int, stream, nums):
 
 def _angle_pass(d: GradedRootDatum, scaled):
     """D, the angle numerators and the class table at scaled = _scaled(d, point, d.order)."""
-    stream = positive_sector_roots(d)
+    stream = sector_phases(d)
     den, nums = sector_angles(d, scaled, stream)
     return (den, *_classes(den, stream, nums))
 
 
 def cot_terms(d: GradedRootDatum, point: AlcovePoint):
     """Nonzero-angle terms over positive roots, sector by sector."""
-    stream = positive_sector_roots(d)
+    stream = sector_phases(d)
     den, nums = sector_angles(d, _scaled(d, point, d.order), stream)
     return tuple(CotTerm(alpha, Fraction(n, den), m) for (alpha, _, m), n in zip(stream, nums)
                  if n)
@@ -142,7 +138,7 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport
     if len(xi) != d.rank:
         raise DimensionMismatch(f"xi of length {len(xi)} against rank {d.rank}")
     xi = tuple(Fraction(x) for x in xi)
-    stream = positive_sector_roots(d)
+    stream = sector_phases(d)
     den, nums = sector_angles(d, _scaled(d, point, d.order), stream)
     cots, terms = {}, []
     for (alpha, _, m), n in zip(stream, nums):
@@ -174,22 +170,23 @@ class MeanCurvature:
 def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -> MeanCurvature:
     """The certified enclosure, summed in Python ints, one cot_eval per angle n/den.
 
-    Every cot_eval endpoint [a, b] is dyadic, so each coefficient interval is
-    two integers over one 2^e, and the squared norm is integers over 2^(2e)
-    times the Gram form's denominator: the rationals of interval sums and
-    products over Fraction.  A term adds k*[a, b], k = -mult * alpha_j <= 0
-    (the roots are positive), ends swapped; an angle adds -K*[b, a], K the
-    sum of its mult * alpha_j.  The Gram sum takes each unordered pair once,
-    an off-diagonal entry twice, whose sign picks the least or the largest
-    of the four end products for each end.  The norm is mpi_sqrt at
-    precision_bits + 16 of the squared norm's ratio_interval.
+    Every cot_eval endpoint [a, b] is dyadic, read off its raw (man, exp), so
+    each coefficient interval is two integers over one 2^e, and the squared
+    norm is integers over 2^(2e) times the Gram form's denominator: the
+    rationals of interval sums and products over Fraction.  A term adds
+    k*[a, b], k = -mult * alpha_j <= 0 (the roots are positive), ends
+    swapped; an angle adds -K*[b, a], K the sum of its mult * alpha_j.  The
+    Gram sum takes each unordered pair once, an off-diagonal entry twice,
+    whose sign picks the least or the largest of the four end products for
+    each end.  The norm is mpi_sqrt at precision_bits + 16 of the squared
+    norm's ratio_interval.
     """
     r = d.rank
-    cots = [cot_eval(Fraction(n, den), precision_bits) for n in groups]
-    e = max((q.denominator.bit_length() - 1 for c in cots for q in (c.lo, c.hi)), default=0)
+    cots = [cot_eval(Fraction(n, den), precision_bits).raw for n in groups]
+    e = max([0, *(-exp for c in cots for _, _, exp, _ in c)])
     lo, hi = [0] * r, [0] * r
     for c, pairs in zip(cots, groups.values()):
-        a, b = (q.numerator << (e + 1 - q.denominator.bit_length()) for q in (c.lo, c.hi))
+        a, b = ((-man if sign else man) << (e + exp) for sign, man, exp, _ in c)
         ks = [0] * r
         for alpha, m in pairs:
             for j, x in enumerate(alpha):
@@ -366,22 +363,30 @@ class MinimalOrbit:
 
 
 _RND = round_nearest
-_ONE, _TWO, _FOUR = from_int(1), from_int(2), from_int(4)
+_ONE, _FOUR = from_int(1), from_int(4)
+
+
+def _mul_int(v, m: int, prec: int):
+    """mpf_mul_int(v, m, prec, round_nearest), m != 0: for m = +-2^k and v of at
+    most prec bits the exact product, v's exponent moved by k and sign by m."""
+    sign, man, exp, bc = v
+    k = -m if m < 0 else m
+    if bc > prec or k & (k - 1):
+        return mpf_mul_int(v, m, prec, _RND)
+    return (sign ^ (m < 0), man, exp + k.bit_length() - 1, bc) if man else v
 
 
 def _pairing(alpha, x, prec: int):
     """pairing(alpha, x) for raw x: sum(a * y) from 0, zero coefficients skipped.
 
-    1 * y, -1 * y and 0 + v are y, mpf_neg(y) and v when y has at most prec
-    bits, as normalize at prec would return them, so those calls are skipped.
+    a * y is _mul_int, and 0 + v is v, so for y of at most prec bits the
+    products 1 * y (y itself), -1 * y and 2 * y and that sum make no libmp call.
     """
     acc = None
     for a, y in zip(alpha, x):
         if a:
-            if y[3] > prec or (a != 1 and a != -1):
-                y = mpf_mul_int(y, a, prec, _RND)
-            elif a == -1:
-                y = mpf_neg(y)
+            if a != 1 or y[3] > prec:
+                y = _mul_int(y, a, prec)
             acc = y if acc is None else mpf_add(acc, y, prec, _RND)
     return fzero if acc is None else acc
 
@@ -453,17 +458,18 @@ def _rung(terms, prec: int):
 
 def _log_volume(roots, rung, x, prec: int):
     """Log volume sum m*log|sin(pi p)| at x and each term's (cos, sin), from one
-    cos_sin per term with p = alpha . x + phase and one pairing per root."""
+    cos_sin per term with p = alpha . x + phase and one pairing per root.  A
+    pairing has at most prec bits, so p is the pairing itself at phase 0."""
     pi = mpf_pi(prec, _RND)
     pairs = [_pairing(alpha, x, prec) for alpha in roots]
     total = None
     trig = []
     for k, phase, m in rung:
-        c, s = mpf_cos_sin(mpf_mul(pi, mpf_add(pairs[k], phase, prec, _RND), prec, _RND),
-                           prec, _RND)
+        p = mpf_add(pairs[k], phase, prec, _RND) if phase[1] else pairs[k]
+        c, s = mpf_cos_sin(mpf_mul(pi, p, prec, _RND), prec, _RND)
         log = mpf_log(mpf_abs(s), prec, _RND)
         if m != 1:
-            log = mpf_mul_int(log, m, prec, _RND)
+            log = _mul_int(log, m, prec)
         total = log if total is None else mpf_add(total, log, prec, _RND)
         trig.append((c, s))
     return fzero if total is None else total, trig
@@ -486,9 +492,11 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     mpf operator it stands for makes (int * mpf is mpf_mul_int, a sum from 0
     starts at fzero), so every iterate has the bits of plain mpf
     arithmetic.  A call that normalize at the rung's bits would return
-    unchanged is skipped: 0 + v, and 1 * v (-1 * v is mpf_neg) on a value of
-    at most that many bits, as every value is but the Newton step.  The step
-    is _lu_solve, mpmath's LU 10 bits above the rung.
+    unchanged is skipped: 0 + v (a phase of 0 too), and a product with +-2^k
+    (multiplicities, root coefficients, the line search's halving) of a value
+    of at most that many bits, as every value is but the Newton step, made as
+    an exponent shift (_mul_int).  The step is _lu_solve, mpmath's LU 10 bits
+    above the rung.
     """
     tol = Fraction(tolerance)
     if tol <= 0:
@@ -523,7 +531,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                 ct = mpf_div(cos, sin, prec, _RND)
                 w = mpf_add(mpf_mul(ct, ct, prec, _RND), _ONE, prec, _RND)
                 if m != 1:
-                    ct, w = mpf_mul_int(ct, m, prec, _RND), mpf_mul_int(w, m, prec, _RND)
+                    ct, w = _mul_int(ct, m, prec), _mul_int(w, m, prec)
                 mcts.append(ct)
                 ws.append(w)
             grad = [mpf_mul(pi, _pairing(col, mcts, prec), prec, _RND) for col in cols]
@@ -542,7 +550,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                         return MinimalOrbit(exact, mc.norm, total_iter, prec)
                 break
             # (w * a_i) * a_j over the terms with a_i != 0: the two orders round apart
-            was = [[ws[t] if a == 1 else mpf_mul_int(ws[t], a, prec, _RND)
+            was = [[ws[t] if a == 1 else _mul_int(ws[t], a, prec)
                     for t, a in zip(nz, sub[i])] for i, (nz, sub) in enumerate(zip(nzs, subs))]
             hess = [[mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND) for c in sub]
                     for wa, sub in zip(was, subs)]
@@ -563,7 +571,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                 if mpf_gt(value, base):
                     x, base, trig = trial, value, trial_trig
                     break
-                lam = mpf_div(lam, _TWO, prec, _RND)
+                lam = mpf_shift(lam, -1)  # lam / 2, exact: lam has at most prec bits
             else:
                 break
         prec *= 2
@@ -587,8 +595,7 @@ def scan_austere(d: GradedRootDatum, denominator: int):
         raise ValueError("denominator must be a positive integer")
     g = gcd(denominator, 2 * d.order)
     den = lcm(g, d.order)  # k/g is k * (den // g) over den, as sector_angles would scale it
-    stream = [(alpha, t.numerator * (den // t.denominator), m)
-              for alpha, t, m in positive_sector_roots(d)]
+    stream = [(alpha, ot * (den // d.order), m) for alpha, ot, m in sector_phases(d)]
     hits = []
     for combo in alcove_grid(d, g):
         nums = [(pairing(alpha, combo) * (den // g) + t) % den for alpha, t, _ in stream]

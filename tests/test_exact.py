@@ -79,6 +79,38 @@ def test_cot_eval_matches_interval_quotient(bits):
         assert got == cot_eval(a % 1, bits), a
 
 
+#: angles within 2^-300 of 0, 1/2 and 1, and within 2^-1100 of 1/2, whose
+#: numerators are longer than the working precision at 192 bits (and at 990
+#: for 2^1100 +- 1), so from_int rounds n down and up apart
+EDGE_ANGLES = ([Fraction(2 ** k + s, 2 ** (k + 1)) for k in (300, 1100) for s in (1, -1)]
+               + [Fraction(1, 2 ** 301), Fraction(3, 2 ** 302), Fraction(2 ** 301 - 1, 2 ** 301),
+                  Fraction(-1, 3 << 300), Fraction(2 ** 300 + 1, 3 << 300)])
+
+
+@pytest.mark.parametrize("bits", [192, 495, 990])
+def test_cot_eval_at_its_edges_matches_the_interval_route(bits, monkeypatch):
+    # next to pi/2 the ends of theta straddle the bounds of pi/2, so their
+    # quadrants come from mpmath's cos_sin_quadrant
+    import hermann.exact as exact
+    calls = []
+    original = exact.cos_sin_quadrant
+
+    def counting(t, wp):
+        calls.append(t)
+        return original(t, wp)
+
+    monkeypatch.setattr(exact, "cos_sin_quadrant", counting)
+    cot_eval.cache_clear()
+    try:
+        for a in EDGE_ANGLES:
+            got, want = cot_eval(a, bits), cot_eval_reference(a, bits)
+            assert (got.lo, got.hi, got.precision_bits) == (want.lo, want.hi, bits), a
+            assert tuple(map(mpf_to_fraction, got.raw)) == (got.lo, got.hi), a
+    finally:
+        cot_eval.cache_clear()
+    assert calls
+
+
 def test_mpf_to_fraction_is_exact():
     values = [from_int(0), from_int(1), from_int(-3), from_int(3 << 70), from_int(-5 << 90),
               from_rational(1, 3, 200, round_floor), from_rational(-7, 1 << 80, 64),

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_neg, mpf_shift
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_neg, mpf_shift,
+                          round_nearest)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -603,6 +604,34 @@ def test_pairing_kernel_matches_mpf_operators_bit_for_bit(prec, size, data):
         with mpmath.mp.workprec(prec):
             want = sum((a * make(y) for a, y in zip(alpha[:k], x)), mpmath.mpf(0))
         assert geometry._pairing(alpha[:k], x, prec) == want._mpf_
+
+
+@given(st.sampled_from((53, 192, 495, 990)), st.sampled_from((1, -1, 2, -2, 4, -4, 3, 6)),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_mul_int_shift_is_mpf_mul_int_bit_for_bit(prec, m, data):
+    # a product with +-2^k of a value of at most prec bits is an exponent
+    # shift; a wider value (the Newton step has prec + 10 bits) or another m
+    # goes through mpf_mul_int
+    bits = data.draw(st.sampled_from((prec, prec + 10)))
+    v = data.draw(st.one_of(_dyadic(prec), _dyadic(prec, bits)))
+    calls = []
+    original = geometry.mpf_mul_int
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    geometry.mpf_mul_int = counting
+    try:
+        got = geometry._mul_int(v, m, prec)
+    finally:
+        geometry.mpf_mul_int = original
+    assert got == original(v, m, prec, round_nearest)
+    assert bool(calls) == (v[3] > prec or m in (3, 6))
+    if v[3] <= prec:  # the line search's halving and a phase-0 sum change no bit
+        assert mpf_shift(v, -1) == mpf_div(v, from_int(2), prec, round_nearest)
+        assert mpf_add(v, fzero, prec, round_nearest) == v
 
 
 def test_no_convergence_names_the_tolerance_as_mpmath_nstr_does(monkeypatch):

@@ -74,9 +74,10 @@ DIAGRAMS = (["--triad", "so8_g2"], ["--triad", "isotropy:BC1"], ["--triad", "iso
 def commands():
     """The full command set: whole face tables and scans over the catalog,
     point queries inside and far outside the alcove, the rank-8 origin, every
-    face of a rank-9 datum, four minimal-orbit searches (two of them climb
-    the precision ladder), the rank-1 and rank-2 pictures, the document of
-    every datum these use and an analysis of each rejected datum file."""
+    face of a rank-9 datum, six minimal-orbit searches (two of them climb
+    the precision ladder), two cotangents next to pi/2, the rank-1 and rank-2
+    pictures, the document of every datum these use and an analysis of each
+    rejected datum file."""
     data = [(["--triad", "so8_g2"], 2)]
     data += [(["--triad", f"isotropy:{lab}"], int(lab.lstrip("ABCDG"))) for lab in ISOTROPY]
     data += [(["--triad", key, "--p", str(q + 2), "--q", str(q)], (q - 1) // 2)
@@ -101,7 +102,16 @@ def commands():
             # each climbs a rung, through a failing line search, with the
             # Newton step's LU at up to 1000 bits: 296 -> 592 and 495 -> 990
             ["find-minimal", "--triad", "isotropy:D4", "--tolerance=1e-60"],
-            ["find-minimal", "--triad", "su_sp", "--p", "7", "--q", "5", "--tolerance=1e-120"]]
+            ["find-minimal", "--triad", "su_sp", "--p", "7", "--q", "5", "--tolerance=1e-120"],
+            # rank 4: multiplicities 2 (so_even) and 4 (su_sp), root
+            # coefficients 2 and phase-0 terms, certified at the first rung
+            ["find-minimal", "--triad", "so_even", "--p", "11", "--q", "9", "--tolerance=1e-60"],
+            ["find-minimal", "--triad", "su_sp", "--p", "11", "--q", "9", "--tolerance=1e-60"]]
+    # angles within 2^-k of 1/2 with numerators longer than the working
+    # precision: at k = 300 the ends of theta straddle pi/2, so cot_eval reads
+    # their quadrants through mpmath, and the norm prints as a <= bound
+    out += [["analyze", "--triad", "isotropy:A1", "--xi=1", f"--point={2 ** k + 1}/{2 ** (k + 1)}"]
+            for k in (300, 200)]
     out += [["diagram", *triad, "--out", "picture.svg", "--width", str(w)]
             for triad in DIAGRAMS for w in (480, 600)]
     shown = []
