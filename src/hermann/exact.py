@@ -6,9 +6,9 @@ are cotangents, certified enclosures with dyadic ends that cot_eval makes
 by raw mpmath.libmp calls, each end the one mpmath's interval context
 gives.  A dyadic Fraction becomes an mpf by one from_man_exp, the value
 mpf_div by its power of two gives.  Every exact elimination is one integer
-`eliminate`.  A Gram matrix
-keeps its integer form, integer rows over one denominator, on which squared
-lengths, coroot rows and the Bareiss test of positive definiteness run.
+`eliminate`.  A Gram matrix keeps its integer form, integer rows over one
+denominator, on which squared lengths, coroot rows and the Bareiss test of
+positive definiteness run.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ renders an interval through `mpmath.mp` operators and `nstr`, the route that
 The raw routes that the certified path took before it carried each value
 in the form the next step reads are kept here too: ratio_reference, mpf_div
 of from_int ends for every Fraction; theta_reference and cot_eval_reference,
-pi * n / D through mpi_mul and mpi_div of integer enclosures; and
+pi * n / D through mpi_mul and mpi_div of integer enclosures, then whole
+mpi_cos_sin and mpi_div calls, of which cot_eval makes only the parts that
+set a bit; and
 mean_curvature_reference, the r x r Gram loop over ordered pairs with
 eager coefficient intervals and plain gcds for the squared norm's ratio.
 """

@@ -80,8 +80,8 @@ def test_cot_eval_matches_interval_quotient(bits):
 
 
 #: angles within 2^-300 of 0, 1/2 and 1, and within 2^-1100 of 1/2, whose
-#: numerators are longer than the working precision at 192 bits (and at 990
-#: for 2^1100 +- 1), so from_int rounds n down and up apart
+#: numerators are longer than the working precision (2^300 +- 1 at 192 bits,
+#: 2^1100 +- 1 at each), so from_int rounds n down and up apart
 EDGE_ANGLES = ([Fraction(2 ** k + s, 2 ** (k + 1)) for k in (300, 1100) for s in (1, -1)]
                + [Fraction(1, 2 ** 301), Fraction(3, 2 ** 302), Fraction(2 ** 301 - 1, 2 ** 301),
                   Fraction(-1, 3 << 300), Fraction(2 ** 300 + 1, 3 << 300)])
