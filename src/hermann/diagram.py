@@ -210,8 +210,9 @@ def _append_wall(group, alpha, level, emb, box, to_px):
     if seg is None:
         return
     a, b = to_px(seg[0]), to_px(seg[1])
-    ET.SubElement(group, "line", {
-        "x1": _fmt(a[0]), "y1": _fmt(a[1]), "x2": _fmt(b[0]), "y2": _fmt(b[1])})
+    line = {"x1": _fmt(a[0]), "y1": _fmt(a[1]), "x2": _fmt(b[0]), "y2": _fmt(b[1])}
+    if all(drawn.attrib != line for drawn in group):  # alpha and 2 alpha share walls
+        ET.SubElement(group, "line", line)
 
 
 def _order_polygon(pts):

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -495,6 +496,29 @@ def test_diagram_bytes_stable(tmp_path):
     _run(["diagram", "--triad", "so8_g2", "--out", str(a)])
     _run(["diagram", "--triad", "so8_g2", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _digest_diagrams():
+    """The rank-1 and rank-2 data that tools/stdout_digest.py draws."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "stdout_digest.py"
+    spec = importlib.util.spec_from_file_location("stdout_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.DIAGRAMS
+
+
+@pytest.mark.parametrize("triad", _digest_diagrams(), ids=" ".join)
+def test_diagram_draws_each_wall_of_a_group_once(triad, tmp_path):
+    # the walls of alpha and 2 alpha in one phase group coincide
+    out_path = tmp_path / "walls.svg"
+    assert _run(["diagram", *triad, "--out", str(out_path)])[0] == 0
+    root = ET.parse(out_path).getroot()
+    tag = root.tag.split("}")[0] + "}"
+    groups = [g for g in root.iter(tag + "g") if g.get("class") == "walls"]
+    assert groups
+    for g in groups:
+        lines = [tuple(sorted(e.attrib.items())) for e in g.iter(tag + "line")]
+        assert lines and len(lines) == len(set(lines)), g.get("data-phase")
 
 
 SU_SP_RANK_6 = ["--triad", "su_sp", "--p", "15", "--q", "13"]
