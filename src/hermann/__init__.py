@@ -34,7 +34,6 @@ from .datum import (
     serialize_datum,
     validate,
 )
-from .diagram import RankTooHigh, render_svg
 from .exact import (
     DimensionMismatch,
     GramMatrix,
@@ -83,3 +82,11 @@ from .roots import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # diagram, and xml.etree with it, is imported on first use
+    if name in ("RankTooHigh", "render_svg"):
+        from . import diagram
+        return getattr(diagram, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ from .alcove import AlcovePoint, NonTermination, alcove_vertices, \
     faces, point_in_alcove, reduce_to_alcove
 from .datum import BadParameters, CATALOG, ParseError, UnknownKey, \
     ValidationError, catalog, parse_datum, serialize_datum
-from .diagram import MARGIN, RankTooHigh, render_svg
 from .exact import PrecisionExhausted, format_interval, parse_rational
 from .geometry import InternalInconsistency, NoConvergence, TriState, \
     find_minimal, orbit_report, scan_austere, shape_spectrum
@@ -233,6 +232,8 @@ def _cmd_reduce(args, write):
 
 
 def _cmd_diagram(args, write):
+    from .diagram import MARGIN, RankTooHigh, render_svg  # loads xml.etree
+
     if args.width <= 2 * MARGIN:
         raise _UsageError(f"--width must be above {2 * MARGIN:g}, twice the margin")
     d = _load_datum(args)
@@ -240,6 +241,8 @@ def _cmd_diagram(args, write):
     reports = (orbit_report(d, v) for v in alcove_vertices(d))
     try:
         path = render_svg(d, reports, args.out, width=args.width)
+    except RankTooHigh as exc:
+        raise _UsageError(str(exc)) from exc
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     write(f"wrote {path} ({len(alcove_vertices(d))} markers)\n")
@@ -311,7 +314,7 @@ def main(argv=None, stdout=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args, out.write)
-    except (_UsageError, UnknownKey, BadParameters, RankTooHigh) as exc:
+    except (_UsageError, UnknownKey, BadParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValidationError, UnrecognizedType) as exc:

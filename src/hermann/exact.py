@@ -4,24 +4,26 @@ An angle is its coefficient of pi, a plain Fraction, so every membership
 test (in pi.Z, in (pi/2).Z) is exact.  The only real-number evaluations
 are cotangents, certified enclosures with dyadic ends that cot_eval makes
 by raw mpmath.libmp calls, each end the one mpmath's interval context
-gives.  A dyadic Fraction becomes an mpf by one from_man_exp, the value
-mpf_div by its power of two gives.  Every exact elimination is one integer
-`eliminate`.  A Gram matrix keeps its integer form, integer rows over one
-denominator, on which squared lengths, coroot rows and the Bareiss test of
-positive definiteness run.
+gives, and the mean curvature's norm, whose ends sqrt_ratio_interval makes
+by one integer square root each.  Both keep their raw ends, of which a
+RealInterval makes Fractions only when they are read.  A dyadic Fraction
+becomes an mpf by one from_man_exp, the value mpf_div by its power of two
+gives.  Every exact elimination is one integer `eliminate`.  A Gram matrix
+keeps its integer form, integer rows over one denominator, on which squared
+lengths, coroot rows and the Bareiss test of positive definiteness run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from mpmath.libmp import (fnone, fone, from_int, from_man_exp, mpf_add, mpf_cos_sin, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_pi, mpf_shift, mpf_sub,
-                          round_ceiling, round_floor, round_nearest, to_str)
+from mpmath.libmp import (fnone, fone, from_int, from_man_exp, fzero, mpf_add, mpf_cos_sin,
+                          mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
+                          mpf_sub, round_ceiling, round_floor, round_nearest, to_str)
 from mpmath.libmp.libmpi import cos_sin_quadrant
 
 #: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
@@ -46,19 +48,54 @@ class SingularGram(ValueError):
     """Gram matrix is not positive definite."""
 
 
-@dataclass(frozen=True)
 class RealInterval:
-    """Certified enclosure [lo, hi] with dyadic-rational endpoints."""
+    """Certified enclosure [lo, hi] with dyadic-rational endpoints, immutable.
 
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int
-    #: the raw mpf ends (lo, hi) the interval was made from, when it was
-    raw: tuple = field(default=None, compare=False, repr=False)
+    Built from two Fractions, or by from_raw from two raw mpf ends, kept as
+    raw, whose Fractions are made on first read of lo or hi; ==, hash and
+    repr read the Fractions, so both builds of one interval are equal.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction, precision_bits: int):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        self.__dict__.update(lo=lo, hi=hi, precision_bits=precision_bits, raw=None)
+
+    @classmethod
+    def from_raw(cls, lo, hi, precision_bits: int) -> "RealInterval":
+        """The interval between the finite raw mpf values lo <= hi."""
+        if mpf_lt(hi, lo):
+            raise ValueError(f"interval endpoints out of order: "
+                             f"{mpf_to_fraction(lo)} > {mpf_to_fraction(hi)}")
+        self = object.__new__(cls)
+        self.__dict__.update(precision_bits=precision_bits, raw=(lo, hi))
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def lo(self) -> Fraction:
+        return mpf_to_fraction(self.raw[0])
+
+    @cached_property
+    def hi(self) -> Fraction:
+        return mpf_to_fraction(self.raw[1])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.precision_bits) == (other.lo, other.hi,
+                                                          other.precision_bits)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.precision_bits))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(lo={self.lo!r}, hi={self.hi!r}, "
+                f"precision_bits={self.precision_bits!r})")
 
     @property
     def width(self) -> Fraction:
@@ -66,10 +103,16 @@ class RealInterval:
 
     @property
     def contains_zero(self) -> bool:
+        if self.raw:  # lo is negative or zero, hi is not negative
+            (lo_sign, lo_man, _, _), hi = self.raw
+            return bool(lo_sign or not lo_man) and not hi[0]
         return self.lo <= 0 <= self.hi
 
     @property
     def certainly_positive(self) -> bool:
+        if self.raw:
+            sign, man, _, _ = self.raw[0]
+            return not sign and bool(man)
         return self.lo > 0
 
     def scale(self, c) -> "RealInterval":
@@ -88,19 +131,48 @@ def mpf_to_fraction(t) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def ratio_interval(lo: int, hi: int, den: int, prec: int):
-    """The raw enclosure of [lo/den, hi/den], 0 <= lo <= hi, den > 0, at prec bits:
-    the two mpi_div calls of the interval context's mpf(p) / q, p/q in lowest terms."""
+def _round_int(n: int, prec: int, up: bool):
+    """(m, k) with m * 2^k the integer n > 0 rounded to prec bits, up or down."""
+    k = n.bit_length() - prec
+    if k <= 0:
+        return n, 0
+    m = n >> k
+    return m + (up and m << k != n), k
+
+
+def _root_end(n: int, odd: int, s: int, prec: int, up: bool):
+    """mpf_sqrt(mpf_div(from_int(p), from_int(q))) for p/q = n/den in lowest
+    terms, den = odd * 2^s, each of the four steps rounded up or down (q the
+    other way) at prec bits; all in integers, and every step is correctly
+    rounded, so the ends are those of the libmp calls."""
+    if not n:
+        return fzero
+    k, g = min((n & -n).bit_length() - 1, s), gcd(n, odd)
+    (a, ea), (b, eb) = _round_int((n >> k) // g, prec, up), \
+        _round_int((odd // g) << (s - k), prec, not up)
+    # a / b to prec + 1 or prec + 2 bits by one divmod, then to prec: an exact
+    # quotient has no more bits than a, so only rem makes it round up
+    sh = prec + 1 + b.bit_length() - a.bit_length()
+    q, rem = divmod(a << sh, b)
+    d = q.bit_length() - prec
+    m, exp = (q >> d) + (up and rem > 0), ea - eb - sh + d
+    if exp & 1:
+        m, exp = m << 1, exp - 1
+    # the root of m * 2^exp from at least prec bits of one isqrt: an exact
+    # root has at most half of m's bits, so only a remainder makes it round up
+    j = prec - (m.bit_length() >> 1)  # m has at most prec + 2 bits
+    x = m << 2 * j
+    r = isqrt(x)
+    d = r.bit_length() - prec
+    return from_man_exp((r >> d) + (up and r * r != x), (exp >> 1) - j + d)
+
+
+def sqrt_ratio_interval(lo: int, hi: int, den: int, prec: int):
+    """The raw enclosure of [sqrt(lo/den), sqrt(hi/den)], 0 <= lo <= hi, den > 0,
+    at prec bits: what mpi_sqrt makes, at prec bits, of the two mpi_div calls of
+    the interval context's mpf(p) / q, p/q = lo/den or hi/den in lowest terms."""
     s = (den & -den).bit_length() - 1
-    odd, ends = den >> s, []
-    for n in (lo, hi):  # den = odd * 2^s: a gcd with odd, and a shift for the power of two
-        k, g = min(((n & -n) or den).bit_length() - 1, s), gcd(n, odd)
-        ends += (n >> k) // g, (odd // g) << (s - k)
-    a, b, c, e = ends
-    return (mpf_div(from_int(a, prec, round_floor), from_int(b, prec, round_ceiling), prec,
-                    round_floor),
-            mpf_div(from_int(c, prec, round_ceiling), from_int(e, prec, round_floor), prec,
-                    round_ceiling))
+    return (_root_end(lo, den >> s, s, prec, False), _root_end(hi, den >> s, s, prec, True))
 
 
 def _ratio(q: Fraction, prec: int):
@@ -181,8 +253,7 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
         lo = mpf_div(ca, sa if ca[0] else sb, work, round_floor)
         hi = mpf_div(cb, sb if ca[0] and (cb[0] or not cb[1]) else sa, work, round_ceiling)
         if mpf_le(mpf_sub(hi, lo), target):  # at prec 0 mpf_sub is exact
-            return RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), precision_bits,
-                                (lo, hi))
+            return RealInterval.from_raw(lo, hi, precision_bits)
         work *= 2
     raise PrecisionExhausted(f"cot enclosure did not reach width "
                              f"{Fraction(1, 2 ** (precision_bits - 8))} for {a}*pi")
@@ -331,13 +402,20 @@ def format_interval(r: RealInterval) -> str:
     The midpoint to 12 significant digits when r is certainly positive,
     else <=B with B a bound on |r|: the raw mpmath.libmp calls, in order, that
     mpmath.mp makes for the same expressions and nstr under workprec(max(80, bits)).
+    Each end is rounded to nearest once, a raw end by from_man_exp, a Fraction
+    end by _ratio; the rounding keeps signs, sends no nonzero end to 0, and
+    is monotone and odd, so the rounded bound is the larger rounded |end|.
     """
-    prec = max(80, r.precision_bits)
-    if r.lo == r.hi == 0:
-        return f"0@{r.precision_bits}b"
-    if r.certainly_positive:
-        mid = mpf_div(mpf_add(_ratio(r.lo, prec), _ratio(r.hi, prec), prec, round_nearest),
-                      from_int(2), prec, round_nearest)
-        return f"{to_str(mid, 12)}@{r.precision_bits}b"
-    bound = max(abs(r.lo), abs(r.hi))
-    return f"<={to_str(_ratio(bound, prec), 3)}@{r.precision_bits}b"
+    prec, bits = max(80, r.precision_bits), r.precision_bits
+    if r.raw:
+        lo, hi = (from_man_exp(-man if sign else man, exp, prec, round_nearest)
+                  for sign, man, exp, _ in r.raw)
+    else:
+        lo, hi = _ratio(r.lo, prec), _ratio(r.hi, prec)
+    if lo == hi == fzero:
+        return f"0@{bits}b"
+    if not lo[0] and lo[1]:  # lo > 0; mpf_div of the sum by 2 is this exact halving
+        mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
+        return f"{to_str(mid, 12)}@{bits}b"
+    lo = mpf_neg(lo)  # lo <= 0, so |lo|; hi <= 0 makes |hi| <= |lo|
+    return f"<={to_str(hi if mpf_lt(lo, hi) else lo, 3)}@{bits}b"

@@ -40,14 +40,15 @@ from math import gcd, lcm
 from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
                           mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
                           mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sqrt,
-                          mpf_sub, mpf_sum, mpi_sqrt, round_nearest, to_str)
+                          mpf_sub, mpf_sum, round_nearest, to_str)
 
 from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, _scaled, _walls, active_walls,
                      alcove_barycenter, alcove_grid, fundamental_alcove, point_in_alcove,
                      sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots, sector_phases
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
-                    RealInterval, _ratio, cot_eval, mpf_to_fraction, pairing, ratio_interval)
+                    RealInterval, _ratio, cot_eval, mpf_to_fraction, pairing,
+                    sqrt_ratio_interval)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
 
@@ -178,8 +179,8 @@ def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -
     swapped; an angle adds -K*[b, a], K the sum of its mult * alpha_j.  The
     Gram sum takes each unordered pair once, an off-diagonal entry twice,
     whose sign picks the least or the largest of the four end products for
-    each end.  The norm is mpi_sqrt at precision_bits + 16 of the squared
-    norm's ratio_interval.
+    each end.  The norm's raw ends are sqrt_ratio_interval of the squared
+    norm at precision_bits + 16, one integer square root per end.
     """
     r = d.rank
     cots = [cot_eval(Fraction(n, den), precision_bits).raw for n in groups]
@@ -207,10 +208,8 @@ def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -
                 small, big = (min(p), max(p)) if g > 0 else (max(p), min(p))
                 n_lo += g * small
                 n_hi += g * big
-    work = precision_bits + 16
-    root = mpi_sqrt(ratio_interval(max(n_lo, 0), max(n_hi, 0), gden << 2 * e, work), work)
-    return MeanCurvature(tuple(zip(lo, hi)), e,
-                         RealInterval(*map(mpf_to_fraction, root), precision_bits))
+    root = sqrt_ratio_interval(max(n_lo, 0), max(n_hi, 0), gden << 2 * e, precision_bits + 16)
+    return MeanCurvature(tuple(zip(lo, hi)), e, RealInterval.from_raw(*root, precision_bits))
 
 
 def mean_curvature(d: GradedRootDatum, point: AlcovePoint,

@@ -611,6 +611,21 @@ def test_closed_stdout_exits_141_without_traceback():
     assert err == b""
 
 
+def test_cli_import_leaves_the_diagram_and_xml_unloaded():
+    # -X importtime lists every module an import loads, on stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import hermann.cli"],
+                          capture_output=True, env=_src_env(), timeout=120, text=True)
+    assert proc.returncode == 0 and "hermann.cli" in proc.stderr
+    assert "xml.etree" not in proc.stderr and "hermann.diagram" not in proc.stderr
+    # the package names still resolve, through the module's __getattr__
+    import hermann
+    import hermann.diagram
+    assert hermann.render_svg is hermann.diagram.render_svg
+    assert hermann.RankTooHigh is hermann.diagram.RankTooHigh
+    with pytest.raises(AttributeError):
+        hermann.no_such_name
+
+
 def test_stdout_digest_quick_is_well_formed():
     tool = Path(__file__).resolve().parents[1] / "tools" / "stdout_digest.py"
     proc = subprocess.run([sys.executable, str(tool), "--quick"], capture_output=True,
@@ -638,6 +653,21 @@ def test_ab_paired_of_this_tree_against_itself(workload):
     assert lines[0] == f"workload {workload}  seed 1  ops 2  repeats 2"
     assert [ln.split(": ")[1].split()[1] for ln in lines[1:3]] == ["ops/s", "ops/s"]
     assert re.fullmatch(r"B/A \d+\.\d{4}  differing outputs 0", lines[3])
+
+
+def test_ab_paired_reports_quartiles_repeats_and_wins():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = _ab_paired(src, src, "--workload", "face-tables", "--limit", "2", "--repeats", "3")
+    assert proc.returncode == 0 and proc.stderr == ""
+    fields = {}
+    for line in proc.stdout.splitlines()[1:3]:
+        m = re.fullmatch(r"([AB]) \S+: (\d+\.\d\d) ops/s  quartiles (\d+\.\d\d) (\d+\.\d\d)  "
+                         r"repeats ((?:\d+\.\d\d ?){3})(  won (\d) of 3)?", line)
+        assert m, line
+        q1, q3, per = float(m[3]), float(m[4]), [float(v) for v in m[5].split()]
+        assert len(per) == 3 and min(per) <= q1 <= q3 <= max(per)
+        fields[m[1]] = m[6]
+    assert fields["A"] is None and 0 <= int(fields["B"].split()[1]) <= 3
 
 
 def test_ab_paired_reports_a_differing_output(tmp_path):

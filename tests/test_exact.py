@@ -1,9 +1,12 @@
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import finf, fnan, fninf, from_int, from_rational, mpf_neg, round_floor
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_rational, mpf_neg,
+                          mpi_sqrt, round_floor)
 
 from hermann.exact import (
     DimensionMismatch,
@@ -17,8 +20,8 @@ from hermann.exact import (
     format_interval,
     mpf_to_fraction,
     parse_rational,
-    ratio_interval,
     row_reduce,
+    sqrt_ratio_interval,
 )
 
 from interval_reference import (cot_eval_reference, format_interval_reference, interval_from_iv,
@@ -191,6 +194,61 @@ def test_interval_operations():
     assert a.scale(Fraction(-2)).lo == Fraction(-1)
 
 
+# raw ends of both signs, 0, short and long mantissas, wide exponents
+raw_ends = st.builds(lambda man, exp: from_man_exp(man, exp),
+                     st.one_of(st.just(0), st.integers(min_value=-(2 ** 400), max_value=2 ** 400)),
+                     st.integers(min_value=-1300, max_value=200))
+
+
+@given(raw_ends, raw_ends, st.sampled_from((8, 80, 192, 990)))
+@settings(max_examples=200, deadline=None)
+def test_raw_interval_compares_hashes_and_prints_as_the_fraction_one(a, b, bits):
+    x, y = mpf_to_fraction(a), mpf_to_fraction(b)
+    if x > y:
+        (a, x), (b, y) = (b, y), (a, x)
+    raw, plain = RealInterval.from_raw(a, b, bits), RealInterval(x, y, bits)
+    # the signs are read before any Fraction is made
+    assert (raw.certainly_positive, raw.contains_zero) == \
+        (plain.certainly_positive, plain.contains_zero)
+    assert not {"lo", "hi"} & vars(raw).keys()
+    assert raw.raw == (a, b) and plain.raw is None
+    assert raw == plain and plain == raw and hash(raw) == hash(plain)
+    assert repr(raw) == repr(plain) == \
+        f"RealInterval(lo={x!r}, hi={y!r}, precision_bits={bits})"
+    assert (raw.lo, raw.hi, raw.width) == (x, y, y - x)
+    assert raw != RealInterval(x, y, bits + 1) and raw != (x, y, bits)
+    for r in (raw, plain):
+        assert pickle.loads(pickle.dumps(r)) == r
+        for name, value in (("lo", y), ("hi", x), ("precision_bits", 1), ("raw", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, value)
+        with pytest.raises(FrozenInstanceError):
+            del r.lo
+    assert (raw.lo, raw.hi, raw.raw) == (x, y, (a, b))
+    if x < y:
+        with pytest.raises(ValueError, match="out of order"):
+            RealInterval.from_raw(b, a, bits)
+        with pytest.raises(ValueError, match="out of order"):
+            RealInterval(y, x, bits)
+
+
+@example(from_int(0), from_int(0), 192)
+@example(from_int(-5 << 90), from_rational(1, 3, 300, round_floor), 192)
+@example(from_int(0), from_rational(1, 3, 300, round_floor), 80)
+@given(raw_ends, raw_ends, st.one_of(st.sampled_from((8, 80, 192, 208, 990)),
+                                     st.integers(min_value=1, max_value=2000)))
+@settings(max_examples=300, deadline=None)
+def test_format_interval_reads_raw_ends_as_their_fractions(a, b, bits):
+    # zero, positive, negative and mixed-sign intervals, and points
+    x, y = mpf_to_fraction(a), mpf_to_fraction(b)
+    if x > y:
+        (a, x), (b, y) = (b, y), (a, x)
+    for (p, q), (u, v) in ((a, b), (x, y)), ((a, a), (x, x)), ((b, b), (y, y)):
+        got = format_interval(RealInterval.from_raw(p, q, bits))
+        assert got == format_interval(RealInterval(u, v, bits)) == \
+            format_interval_reference(RealInterval(u, v, bits))
+
+
 def test_gram_matrix_rejects_non_positive_definite():
     with pytest.raises(SingularGram):
         GramMatrix(((1, 2), (2, 1)))
@@ -323,4 +381,34 @@ def test_ratio_interval_matches_plain_gcds(x, y, odd, shift, prec):
     # lo or hi may be 0, and den may be odd, a power of two or both
     lo, hi = sorted((x >> (x % 300), y))
     den = odd << shift
-    assert ratio_interval(lo, hi, den, prec) == ratio_interval_reference(lo, hi, den, prec)
+    assert sqrt_ratio_interval(lo, hi, den, prec) == \
+        mpi_sqrt(ratio_interval_reference(lo, hi, den, prec), prec)
+
+
+# squared norms as _mean_curvature makes them: 0, short and long ends, with
+# common factors of den, over den = odd * 2^s with s up to twice a wide
+# exponent, and the working precisions of the ladder's rungs
+norm_ends = st.one_of(st.just(0), st.integers(min_value=1, max_value=2 ** 64),
+                      st.integers(min_value=2 ** 1500, max_value=2 ** 4000),
+                      st.builds(lambda m, k: m << k, st.integers(min_value=1, max_value=2 ** 300),
+                                st.integers(min_value=0, max_value=3000)))
+
+
+# exact squares over a power of two, a root that the upward rounding
+# carries to a power of two, and odd dens that share factors with the ends
+@example(4, 9, 1, 0, 208)
+@example(9, 9 << 40, 1, 40, 208)
+@example((1 << 208) - 1, (1 << 208) - 1, 1, 0, 208)
+@example(0, 0, 7, 0, 1552)
+@example(0, 3 * 25, 3, 2, 1552)
+@given(norm_ends, norm_ends,
+       st.one_of(st.sampled_from((1, 3, 5, 6, 12, 105)),
+                 st.integers(min_value=1, max_value=2 ** 80)),
+       st.integers(min_value=0, max_value=3200),
+       st.one_of(st.sampled_from((208, 1552)), st.integers(min_value=208, max_value=1552)))
+@settings(max_examples=400, deadline=None)
+def test_sqrt_ratio_interval_matches_mpi_sqrt_bit_for_bit(x, y, odd, shift, prec):
+    lo, hi = sorted((x, y))
+    den = odd << shift
+    assert sqrt_ratio_interval(lo, hi, den, prec) == \
+        mpi_sqrt(ratio_interval_reference(lo, hi, den, prec), prec)

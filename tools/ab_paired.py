@@ -10,8 +10,11 @@ the operations of one pass of a benchmark workload from
 operation on both trees back to back, each from a cleared `cot_eval`
 cache, and the tree that goes first flips from one repeat to the next, so
 a swing in the host's speed falls on both sides alike.  A side's ops/s is
-the number of operations over the sum of their median latencies; the
-last line is the ratio B/A.
+the number of operations over the sum of their median latencies; its
+line also gives the lower and upper quartiles of its per-repeat ops/s
+(the operations over the sum of their latencies in that repeat) and
+each repeat's value, and B's line the number of repeats in which B's
+per-repeat ops/s beat A's.  The last line is the ratio B/A.
 
 The data of find_minimal operations and their alcoves are built once per
 tree before the first repeat, as the benchmark's set-up builds them.  A CLI command's
@@ -83,6 +86,17 @@ class Side:
     def ops_per_s(self) -> float:
         return len(self.latency) / sum(statistics.median(v) for v in self.latency.values())
 
+    def repeat_ops_per_s(self) -> list:
+        return [len(self.latency) / sum(t) for t in zip(*self.latency.values())]
+
+
+def side_line(name: str, src: str, side: Side) -> str:
+    """The side's ops/s, the quartiles of its per-repeat ops/s and those values."""
+    per = side.repeat_ops_per_s()
+    q1, q3 = statistics.quantiles(per, n=4)[::2] if len(per) > 1 else per * 2
+    return (f"{name} {src}: {side.ops_per_s():.2f} ops/s  quartiles {q1:.2f} {q3:.2f}  "
+            f"repeats {' '.join(f'{v:.2f}' for v in per)}")
+
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -109,8 +123,9 @@ def main(argv=None) -> int:
     for key in sorted(differ):
         print(f"DIFFERS {key}")
     print(f"workload {args.workload}  seed {args.seed}  ops {len(ops)}  repeats {args.repeats}")
-    print(f"A {args.a_src}: {a.ops_per_s():.2f} ops/s")
-    print(f"B {args.b_src}: {b.ops_per_s():.2f} ops/s")
+    won = sum(y > x for x, y in zip(a.repeat_ops_per_s(), b.repeat_ops_per_s()))
+    print(side_line("A", args.a_src, a))
+    print(f"{side_line('B', args.b_src, b)}  won {won} of {args.repeats}")
     print(f"B/A {b.ops_per_s() / a.ops_per_s():.4f}  differing outputs {len(differ)}")
     return 1 if differ else 0
 
