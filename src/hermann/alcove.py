@@ -4,36 +4,27 @@ Points are tuples of rational coefficients x with H = pi * sum x_i H_i in
 the dual basis, so the pairing <alpha, H>/pi of a root alpha = sum c_j a_j
 with H is the exact rational c . x, and a phase is its coefficient of pi,
 the Fraction t.  Each (root, sector) pair confines the alcove to one slab
-n0 < c.x + t < n0 + 1; the alcove is the interior of a rational polytope
-and reduction to it is by reflections in facet walls,
-x -> x - (c.x + t - n) coroot(c), with the one coroot row of `roots`.
+n0 < c.x + t < n0 + 1, and reduction to the alcove is by reflections in
+facet walls, x -> x - (c.x + t - n) coroot(c).
 
-The polytope is read off its walls.  Validation makes the pairs of a datum
-an affine root system, so its alcove is a product of simplices (Bourbaki,
-Lie groups, ch. VI, sec. 2; Macdonald 1972).  A slab is a facet when the
-reflection of one interior point in its wall breaks that slab alone;
-facets whose normals are not Gram-orthogonal bound one simplex factor.  A
-vertex is tight at every facet but one per factor, and a face is a facet
-set that misses at least one facet of each factor.  No vertex enumeration
-and no LP is run.
+Validation makes the pairs of a datum an affine root system, so its alcove
+is a product of simplices (Bourbaki, Lie groups, ch. VI, sec. 2; Macdonald
+1972), laid out once per datum without vertex enumeration or LP.  A slab is
+a facet when the reflection of one interior point in its wall breaks it
+alone, as the Cartan numbers of the roots tell; facets whose roots are not
+orthogonal bound one simplex factor.  One integer elimination gives a vertex
+and its edges; each other vertex is one step per factor.  A face is a facet
+set that misses a facet of each factor.  The facets through a point carry a
+base of its active roots (Bourbaki, ch. V, sec. 3.3); active_roots, which
+pairs every root with the point, is the reference.
 
-The facets through a point carry a base of its active roots: on each
-facet's line the least root active on the wall, signed along the outward
-normal (Bourbaki, ch. V, sec. 3.3).  The slab pass makes one Facet record
-per slab with its bound, wall, outward coroot row and that root, and each
-datum's facets and their Cartan matrix are built once, into the table
-that every query reads.  active_roots, which pairs every root with the
-point, is the reference.
-
-Bounds, facet tests, vertex solves and folding compute in integers: a
-bound is an integer over d.order * gcd(alpha), read off the phase p =
-order * t mod order (datum.sector_phases), and a point x is scaled once
-to integers k over D = lcm(d.order, its denominators).  A facet's side at k is s = order * D *
-(c.x + t - n), negated when c points inward, so the reflection in its wall
-is k - (s // order) * its outward coroot row; the facet test reads integer
-rows made once per datum, and each vertex is one integer elimination.
-Each result is made a Fraction once, at the end: the same exact rational
-as Fraction arithmetic gives.
+Bounds, facet tests, vertices and folding compute in integers: a bound is
+an integer over d.order * gcd(alpha), read off the phase p = order * t mod
+order (datum.sector_phases), and a point x is scaled once to integers k
+over D = lcm(d.order, its denominators).  A facet's side at k is s = order
+* D * (c.x + t - n), negated when c points inward, so the reflection in its
+wall is k - (s // order) * its outward coroot row.  Each result is made a
+Fraction once, at the end: the same exact rational as Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -45,11 +36,10 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 from typing import NamedTuple
 
-from .datum import GradedRootDatum, sector_phases
+from .datum import GradedRootDatum, positive_sector_roots, sector_phases
 from .exact import DimensionMismatch, eliminate, pairing
-from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, cartan_matrix,
-                    cartan_type, decompose_and_classify, linked_components,
-                    subsystem)
+from .roots import (DEFAULT_BUDGET, ClosureBudgetExceeded, RootSystem, cartan_type,
+                    decompose_and_classify, linked_components, subsystem)
 
 
 class NonTermination(RuntimeError):
@@ -127,31 +117,29 @@ class Facet(NamedTuple):
 
 
 def _slabs(d: GradedRootDatum):
-    """One Facet per primitive normal, sorted by normal: its least slab, over
-    d.order * gcd(alpha), with the wall of its first root.  The alcove lies
-    in every slab, so a root c * normal, c > 0, is active on the wall
-    exactly when its bound ties.  With p = order * t mod order, (alpha, t)
-    bounds alpha . x by (order - p) / order and -alpha . x by p / order.
+    """One Facet per primitive normal, sorted by normal: its least slab, over d.order *
+    gcd(alpha), with the wall of its first root.  The alcove lies in every slab, so a root
+    c * normal, c > 0, is active on the wall exactly when its bound ties.  With p = order *
+    t mod order, (alpha, t) bounds alpha . x by (order - p) / order and -alpha . x by p / order.
     """
     best = {}
     o = d.order
-    for alpha, ot, _ in sector_phases(d):
-        p = ot % o
-        n = int(ot >= 0)  # the upper wall; the lower one is n - 1
+    for (alpha, t, _), (_, ot, _) in zip(positive_sector_roots(d), sector_phases(d)):
+        p, n = ot % o, int(ot >= 0)  # n is the upper wall; the lower one is n - 1
         g = gcd(*alpha)
         up = tuple([x // g for x in alpha])
         for vec, num, sign in ((up, o - p, 1), (tuple([-x for x in up]), p, -1)):
             cur = best.get(vec)
             if cur is None or num * cur[1] < cur[0] * g:
-                best[vec] = (num, g, alpha, ot, n - (sign < 0), sign, [g])
+                best[vec] = (num, g, alpha, t, n - (sign < 0), sign, [g])
             elif num * cur[1] == cur[0] * g:
                 cur[6].append(g)
     out = []
-    for vec, (num, g, alpha, ot, n, sign, ties) in sorted(best.items()):
-        c = min(ties)
-        out.append(Facet(vec, num, o * g, Wall(alpha, Fraction(ot, o), n),
-                         tuple([sign * x for x in d.sigma.coroots[alpha]]),
-                         tuple([c * x for x in vec]), 2 * c in ties))
+    for vec, (num, g, alpha, t, n, sign, ties) in sorted(best.items()):
+        c, row = min(ties), d.sigma.coroots[alpha]
+        out.append(Facet(vec, num, o * g, Wall(alpha, t, n),
+                         row if sign > 0 else tuple([-x for x in row]),
+                         vec if c == 1 else tuple([c * x for x in vec]), 2 * c in ties))
     return out
 
 
@@ -163,21 +151,22 @@ def _sides(facets, den: int, k):
 def _facets(d: GradedRootDatum, slabs):
     """The slabs that the reflection of b = (1, ..., 1)/e in their wall breaks alone.
 
-    With e = d.order * (1 + the largest root height), alpha . b + t lies in
-    (t, t + 1/order) for every pair, so b is inside the alcove.  A facet wall
-    reflects it into the alcove across that facet alone, as reflections
-    permute the walls (Bourbaki, Lie groups, ch. V, sec. 1), and a point
-    that breaks one slab alone shows that slab to be a facet.
+    With e = d.order * (1 + the largest root height), alpha . b + t lies in (t, t + 1/order)
+    for every pair, so b is inside the alcove.  A facet wall reflects it into the alcove
+    across that facet alone, as reflections permute the walls (Bourbaki, Lie groups, ch. V,
+    sec. 1), and a point that breaks one slab alone shows that slab to be a facet.  Slab j,
+    of side S_j < 0 at e*b and signed wall root s_j alpha_j, has the side S_j - S_i s_i s_j
+    <alpha_j, alpha_i^vee> at the image in wall i.
     """
     e = d.order * (1 + max(sum(alpha) for alpha in d.sigma.positive_roots))
-    # the side of slab f at y / e, as _sides gives it, is n . y - c on the row (n, c)
-    rows = [([f.den * x for x in f.normal], f.num * e) for f in slabs]
+    rows = [(f.wall.alpha, 1 if max(f.normal) > 0 else -1, f.den * sum(f.normal) - f.num * e)
+            for f in slabs]
     out, found = [], []
-    for i, (f, (normal, level)) in enumerate(zip(slabs, rows)):
-        y = [1 - (sum(normal) - level) // d.order * x for x in f.coroot]  # e times b's image
+    for i, (f, (alpha, sign, side)) in enumerate(zip(slabs, rows)):
+        numbers, w = d.sigma.cartan_numbers[alpha], side * sign
         # an image outside the alcove breaks a facet, so try those found first
-        if not any(pairing(n, y) > c for n, c in found) and all(
-                (pairing(n, y) > c) == (j == i) for j, (n, c) in enumerate(rows)):
+        if not any(s > w * t * numbers.get(a, 0) for a, t, s in found) and all(
+                (s > w * t * numbers.get(a, 0)) == (j == i) for j, (a, t, s) in enumerate(rows)):
             out.append(f)
             found.append(rows[i])
     return out
@@ -197,24 +186,48 @@ class _Alcove(NamedTuple):
 _ALCOVE_CACHE = weakref.WeakKeyDictionary()
 
 
+def _facet_cartan(facets) -> tuple:
+    """<r_i, r_j^vee> of the facet roots: r_j^vee is f.coroot times gcd(wall root) / gcd(r_j)."""
+    rows = [[gcd(*f.wall.alpha) // gcd(*f.root) * x for x in f.coroot] for f in facets]
+    return tuple(tuple(pairing(row, f.root) for row in rows) for f in facets)
+
+
+def _vertices(facets, factors):
+    """The vertices, sorted, and their tight facet sets.  One elimination of
+    the rows tight at v0 (all but the first facet f of each factor), with the
+    identity, gives v0 and the inverse's columns c_t, over p; each factor
+    moves v0 by 0 or by lam c_t (a = f.den * f.normal), lam making f tight."""
+    r, n = len(facets[0].normal), len(facets)
+    kept = [k for k in range(n) if k not in {c[0] for c in factors}]
+    m = [[facets[k].den * x for x in facets[k].normal] + [facets[k].num]
+         + [int(i == t) for i in range(r)] for t, k in enumerate(kept)]
+    eliminate(m)
+    p = lcm(*(row[i] for i, row in enumerate(m)))
+    v0, *cols = zip(*([x * (p // row[i]) for x in row[r:]] for i, row in enumerate(m)))
+    col = dict(zip(kept, cols))  # the inverse's column of each row's facet
+    moves = []  # per factor: (omitted facet, gap, a . c_t, c_t) per choice
+    for first, *rest in factors:
+        a = [facets[first].den * x for x in facets[first].normal]
+        gap = facets[first].num * p - pairing(a, v0)
+        moves.append([(first, 0, 1, v0)] + [(k, gap, pairing(a, col[k]), col[k]) for k in rest])
+    q = lcm(*(den for move in moves for _, _, den, _ in move))  # vertices are over p * q
+    pairs = sorted(([q * y + sum(g * (q // den) * c[i] for _, g, den, c in choice)
+                     for i, y in enumerate(v0)],
+                    frozenset(range(n)).difference(k for k, *_ in choice))
+                   for choice in product(*moves))
+    return (tuple(AlcovePoint(tuple(Fraction(y, p * q) for y in x)) for x, _ in pairs),
+            tuple(t for _, t in pairs))
+
+
 def _alcove_data(d: GradedRootDatum) -> _Alcove:
     """The facet table of d, built once and kept next to it."""
     cached = _ALCOVE_CACHE.get(d)
     if cached is not None:
         return cached
     facets = tuple(_facets(d, _slabs(d)))
-    cartan = cartan_matrix([f.root for f in facets], d.sigma.gram)
+    cartan = _facet_cartan(facets)
     factors = linked_components(len(facets), lambda i, j: cartan[i][j])
-    pairs = []
-    for omitted in product(*factors):
-        # f.den * f.normal . x = f.num on the tight facets, one Fraction per coordinate
-        m = [[q.den * x for x in q.normal] + [q.num]
-             for k, q in enumerate(facets) if k not in omitted]
-        eliminate(m)
-        x = tuple(Fraction(row[-1], row[i]) for i, row in enumerate(m))
-        pairs.append((AlcovePoint(x), frozenset(range(len(facets))) - set(omitted)))
-    verts, tight = zip(*sorted(pairs, key=lambda p: p[0].coeffs))
-    data = _ALCOVE_CACHE[d] = _Alcove(facets, verts, tight,
+    data = _ALCOVE_CACHE[d] = _Alcove(facets, *_vertices(facets, factors),
                                       tuple(frozenset(c) for c in factors), cartan)
     return data
 

@@ -6,9 +6,9 @@ preserve included) or a root system outside the types A, B, BC, C, D, G,
 3 internal inconsistency (folding that outran its proven reflection budget
 included), 4 not certified (find-minimal reached no certified point within
 its precision ladder, a cotangent enclosure missed its width after 16
-precision doublings, a root closure outgrew its element budget, or reduce
-would need more reflections than that budget), 141 stdout closed by
-its reader before the output was written.
+precision doublings, a label named more roots than the element budget or a
+root closure outgrew it, or reduce would need more reflections than that
+budget), 141 stdout closed by its reader before the output was written.
 All output is ASCII and byte-deterministic for a fixed command line.
 """
 

@@ -5,9 +5,9 @@ into phase sectors.  The phase of a sector is recorded as the rational t
 with epsilon = exp(2*pi*i*t), t in (-1/2, 1/2]; the grading order l must
 satisfy l*t in Z for every sector.  Multiplicities live on (root, sector)
 pairs and obey the duality m(-alpha, eps^-1) = m(alpha, eps).  A catalog
-datum reads each root's squared length off RootSystem.lengths, integers
-computed once, and validation checks the affine closure on one sparse
-phase -> m table per root, phases being integers mod l.
+datum reads each root's squared length off RootSystem.lengths, and the
+affine closure check reads the root system's Cartan numbers and compares
+sparse phase -> m tables, phases being integers mod l, each shifted once.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _streams(d: GradedRootDatum) -> tuple:
     if streams is None:
         stream = tuple((alpha, sector.phi, sector.roots[alpha])
                        for sector in sorted(d.sectors, key=lambda s: s.phi)
-                       for alpha in sorted(sector.roots) if _is_positive(alpha))
+                       for alpha in sorted(filter(_is_positive, sector.roots)))
         phases = tuple((alpha, t.numerator * (d.order // t.denominator), m)
                        for alpha, t, m in stream)
         streams = _STREAMS[d] = stream, phases
@@ -129,12 +129,12 @@ def validate(d: GradedRootDatum):
     seen = set()
     for s in d.sectors:
         t = s.phi
-        if not (Fraction(-1, 2) < t <= Fraction(1, 2)):
+        if not -t.denominator < 2 * t.numerator <= t.denominator:  # t in (-1/2, 1/2]
             out.append(Violation("phase", f"phi={t}*pi outside (-1/2, 1/2]"))
         if t in seen:
             out.append(Violation("phase", f"duplicate sector phase {t}*pi"))
         seen.add(t)
-        if d.order >= 1 and (d.order * t).denominator != 1:
+        if d.order >= 1 and d.order % t.denominator:
             out.append(Violation("order", f"phase {t}*pi is not killed by order {d.order}"))
         for v, m in s.roots.items():
             if v not in d.sigma.roots:
@@ -146,8 +146,7 @@ def validate(d: GradedRootDatum):
         out.append(Violation("coverage", f"{len(missing)} roots carry no sector, e.g. {sorted(missing)[0]}"))
     by_phase = {s.phi: s.roots for s in d.sectors}
     for s in d.sectors:
-        t = s.phi
-        tinv = inverse_phase(t)
+        t, tinv = s.phi, inverse_phase(s.phi)
         dual = by_phase.get(tinv, {})
         for v, m in s.roots.items():
             nv = tuple([-x for x in v])
@@ -155,9 +154,7 @@ def validate(d: GradedRootDatum):
             if dm != m:
                 out.append(Violation("duality",
                                      f"m({nv}, phase {tinv}*pi) = {dm} but m({v}, phase {t}*pi) = {m}"))
-    if not out:
-        out.extend(_closure_violations(d))
-    return tuple(out)
+    return tuple(out or _closure_violations(d))
 
 
 def _closure_violations(d: GradedRootDatum):
@@ -168,40 +165,47 @@ def _closure_violations(d: GradedRootDatum):
     Macdonald 1972): the wall of (alpha, s) sends (beta, t) to (beta - k alpha,
     t - k s mod 1), k = <beta, alpha^vee>.  Phases are integers mod d.order.
     As s_-alpha = s_alpha and duality pairs (-beta, -t) with (beta, t), alpha
-    and beta run over the positive roots.
+    and beta run over the positive roots.  Root v has the key v . (1, b, b^2, ...),
+    b over twice any root's or image's coordinate: beta - k alpha has key(beta) - k key(alpha).
     """
-    o = d.order
-    at = {}  # root -> its phase table, phase -> m, in sector order
+    o, cartan = d.order, d.sigma.cartan_numbers
+    b = 1 + 2 * max(max(map(abs, v)) for v in d.sigma.roots) * (
+        1 + int(max(max(map(abs, ks.values())) for ks in cartan.values())))
+    powers = [b ** i for i in range(d.rank)]
+    key = {v: pairing(v, powers) for v in d.sigma.roots}
+    at = {}  # root key -> its phase table, phase -> m, in sector order
     for s in d.sectors:
         p = s.phi.numerator * (o // s.phi.denominator) % o
         for v, m in s.roots.items():
-            at.setdefault(v, {})[p] = m
+            at.setdefault(key[v], {})[p] = m
 
     def pair(v, p):
         return f"({v}, {Fraction(p, o) - (2 * p > o)}*pi)"
 
-    positives = sorted(d.sigma.positive_roots)
-    for alpha in positives:
-        row = d.sigma.coroots[alpha]
-        # s_alpha fixes each (beta, t) with k = 0
-        for beta, k in [(beta, k) for beta in positives if (k := pairing(row, beta))]:
+    shifted = {}  # (beta's key, k*s mod order) -> beta's table shifted by k*s, made once
+    for alpha, numbers in cartan.items():
+        alpha_key, phases = key[alpha], at[key[alpha]]
+        for beta, k in numbers.items():  # s_alpha fixes each (beta, t) with k = 0
             if k.denominator != 1:
                 return [Violation("axioms", f"<{beta}, {alpha}^vee> = {k} is not whole")]
-            image = _reflect_by(beta, alpha, k)
-            table = at.get(image)
+            beta_key = key[beta]
+            table, source = at.get(beta_key - k * alpha_key), at[beta_key]
             if table is None:
                 return [Violation("axioms", f"the reflection of {beta} in {alpha}, "
-                                            f"{image}, is not a root")]
-            source = at[beta]
-            for s in at[alpha]:
-                ks = k * s % o
+                                            f"{_reflect_by(beta, alpha, k)}, is not a root")]
+            for s in phases:
                 # one comparison: the image's table against beta's shifted by k*s;
                 # an extra phase of the image is no violation at this pair
-                if table == ({(t - ks) % o: m for t, m in source.items()} if ks else source):
+                ks = k * s % o
+                shift = shifted.get((beta_key, ks)) if ks else source
+                if shift is None:
+                    shift = shifted[beta_key, ks] = {(t - ks) % o: m for t, m in source.items()}
+                if table == shift:
                     continue
                 for t, m in source.items():
                     q = (t - ks) % o
                     if table.get(q, 0) != m:
+                        image = _reflect_by(beta, alpha, k)
                         return [Violation("affine", f"the reflection of {pair(beta, t)} in "
                                                     f"{pair(alpha, s)} is {pair(image, q)}, which "
                                                     f"carries m = {table.get(q, 0)}, not {m}")]

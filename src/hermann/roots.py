@@ -5,8 +5,8 @@ geometry lives entirely in the Gram matrix of that basis.  Non-reduced (BC)
 systems are supported throughout.  A subsystem keeps those coordinates and
 carries its own simple roots.  Every reflection pairs with one kernel, the
 coroot row 2 G alpha / (alpha, alpha): s_alpha(v) = v - (row . v) alpha.
-A loop that reflects in one root computes its row once, and each root's
-squared length v . G . v is computed once, in integers (RootSystem.lengths).
+Each root system computes its rows and Cartan numbers once, and a built
+root's squared length is that of the simple root it is raised from.
 
 A Weyl group is its integer Cartan matrix.  Its order is Kostant's height
 formula over the positive roots of that matrix, and -id is tested by the
@@ -82,9 +82,17 @@ class RootSystem:
         return {alpha: coroot(alpha, self.gram) for alpha in self.positive_roots}
 
     @cached_property
+    def cartan_numbers(self) -> dict:
+        """{alpha: {beta: <beta, alpha^vee> if not 0}} over sorted positive roots."""
+        positives = sorted(self.positive_roots)
+        return {alpha: {beta: k for beta in positives if (k := pairing(row, beta))}
+                for alpha, row in sorted(self.coroots.items())}
+
+    @cached_property
     def lengths(self) -> dict:
         """v . G . v of each root v, in integers on G's form (times gram.form[1])."""
-        return squared_lengths(self.roots, self.gram)
+        rows = self.gram.form[0]
+        return {v: pairing(v, [pairing(row, v) for row in rows]) for v in self.roots}
 
 
 @dataclass(frozen=True)
@@ -177,19 +185,12 @@ def _reflect_by(v, alpha, k):
     return tuple([x - k * a for x, a in zip(v, alpha)])
 
 
-def squared_lengths(vectors, gram: GramMatrix) -> dict:
-    """v . G . v of each vector v, in integers on G's form (see RootSystem.lengths)."""
-    rows = gram.form[0]
-    return {v: pairing(v, [pairing(row, v) for row in rows]) for v in vectors}
-
-
 def _unit(i, r):
     return tuple(1 if j == i else 0 for j in range(r))
 
 
 def _is_positive(v) -> bool:
-    lead = next((x for x in v if x != 0), 0)
-    return lead > 0
+    return v > (0,) * len(v)  # its first nonzero coordinate is positive
 
 
 def cartan_matrix(simple_roots, gram: GramMatrix) -> tuple:
@@ -205,32 +206,34 @@ def cartan_matrix(simple_roots, gram: GramMatrix) -> tuple:
     return tuple(tuple(int(k) for k in line) for line in cartan)
 
 
-def _root_closure(cartan) -> set:
-    """The roots of a Cartan matrix: the simple roots closed under the simple
-    reflections, s_i(v) = v - <v, a_i^vee> a_i in simple-root coordinates."""
+def _root_closure(cartan) -> dict:
+    """The roots of a Cartan matrix, each mapped to the simple root (index) it
+    is raised from by reflections s_i(v) = v - c_i a_i, c_i = <v, a_i^vee> < 0;
+    a root carries its c, which s_i sends to c - c_i A_i, A_i being row i."""
     r = len(cartan)
-    simples = [_unit(i, r) for i in range(r)]
-    cols = list(zip(*cartan))  # column i pairs v with a_i^vee
-    roots = set(simples)
-    frontier = list(simples)
+    roots = {_unit(i, r): i for i in range(r)}
+    frontier = [(v, cartan[i], i) for v, i in roots.items()]
     while frontier:
-        v = frontier.pop()
-        for i, col in enumerate(cols):
-            k = pairing(col, v)
-            w = v[:i] + (v[i] - k,) + v[i + 1:]  # s_i moves coordinate i alone
-            if k and w not in roots:
-                if len(roots) >= DEFAULT_BUDGET:
+        v, c, seed = frontier.pop()
+        for i, k in enumerate(c):
+            if k < 0 and (w := v[:i] + (v[i] - k,) + v[i + 1:]) not in roots:
+                if 2 * (len(roots) + 1) > DEFAULT_BUDGET:
                     raise ClosureBudgetExceeded(f"root closure exceeded {DEFAULT_BUDGET}")
-                roots.add(w)
-                frontier.append(w)
+                roots[w] = seed
+                frontier.append((w, [x - k * y for x, y in zip(c, cartan[i])], seed))
+    roots.update([(tuple([-x for x in v]), seed) for v, seed in roots.items()])
     return roots
 
 
 def build_root_system(label: CartanLabel) -> RootSystem:
+    r = label.rank  # a label with more roots than the budget is refused unbuilt
+    if r * {"A": r + 1, "B": 2 * r, "C": 2 * r, "BC": 2 * r + 2, "D": 2 * r - 2,
+            "G": 6}[label.family] > DEFAULT_BUDGET:
+        raise ClosureBudgetExceeded(f"root closure exceeded {DEFAULT_BUDGET}")
     gram = reference_gram(label)
-    r = label.rank
     simples = tuple(_unit(i, r) for i in range(r))
-    lengths = squared_lengths(_root_closure(cartan_matrix(simples, gram)), gram)
+    form = gram.form[0]  # a root's length is that of the simple root it is raised from
+    lengths = {v: form[i][i] for v, i in _root_closure(cartan_matrix(simples, gram)).items()}
     if label.family == "BC":  # twice each short root, of squared length 1 (form[1] is 1)
         lengths.update([(tuple([2 * x for x in v]), 4) for v, n in lengths.items() if n == 1])
     positives = frozenset(v for v in lengths if _is_positive(v))
@@ -241,9 +244,9 @@ def build_root_system(label: CartanLabel) -> RootSystem:
 
 def well_shaped(rs: RootSystem) -> bool:
     """Roots are nonzero integer vectors, the simple roots among them, Phi+ = -Phi- >= 0."""
-    neg = frozenset(tuple(-x for x in v) for v in rs.positive_roots)
-    return (all(len(v) == rs.rank and any(v) and all(x == int(x) for x in v)
-                for v in rs.roots)
+    neg = frozenset([tuple([-x for x in v]) for v in rs.positive_roots])
+    return (all(len(v) == rs.rank for v in rs.roots) and (0,) * rs.rank not in rs.roots
+            and all(x == int(x) for v in rs.roots for x in v)
             and set(rs.simple_roots) <= rs.roots
             and rs.positive_roots | neg == rs.roots and not rs.positive_roots & neg
             and all(x >= 0 for v in rs.positive_roots for x in v))

@@ -5,9 +5,12 @@ lengths on the Gram matrix's integer form, positive definiteness by Bareiss
 leading minors, the affine closure check on sparse phase tables, and the
 slabs, facets and vertices of the alcove over integer rows.  These are the
 routes they replace, on Fractions, so a test can compare the two record for
-record: inner products through `inner`, the closure loop that walks every
-phase pair, `ldl` as the positive-definiteness check, the slab pass with
-Fraction comparisons and one `solve_exact` per vertex.
+record: inner products through `inner`, the root closure that pairs every
+root with every simple coroot, the closure loop that reflects root tuples and
+walks every phase pair, `ldl` as the positive-definiteness check, the slab
+pass with Fraction comparisons, the facet test that recomputes every side,
+the facet Cartan matrix from coroots made anew and one `solve_exact` per
+vertex.
 """
 
 from fractions import Fraction
@@ -161,9 +164,14 @@ def facets(d, slabs):
     return out
 
 
+def facet_cartan(d, facets):
+    """The Cartan matrix of the facet roots, each coroot made from the Gram matrix."""
+    return cartan_matrix([f.root for f in facets], d.sigma.gram)
+
+
 def vertices(d, facets):
     """(vertices, tight sets), sorted by vertex: one `solve_exact` per vertex."""
-    cartan = cartan_matrix([f.root for f in facets], d.sigma.gram)
+    cartan = facet_cartan(d, facets)
     factors = linked_components(len(facets), lambda i, j: cartan[i][j])
     pairs = []
     for omitted in product(*factors):

@@ -406,6 +406,15 @@ def test_closure_over_budget_exits_four(monkeypatch, capsys):
     assert capsys.readouterr().err == "not certified: root closure exceeded 10\n"
 
 
+def test_label_with_too_many_roots_is_refused_before_it_is_built(capsys):
+    # A99999999999 has about 10^22 roots, and its Gram matrix alone would
+    # take 10^11 rows: the label is refused by its root count, not by memory
+    out = io.StringIO()
+    assert main(["faces", "--triad", "isotropy:A99999999999"], stdout=out) == 4
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "not certified: root closure exceeded 10000000\n"
+
+
 def test_faces_build_no_weyl_closure(monkeypatch):
     # the 20 roots of A4 fit in a budget of 50 and its 120 Weyl elements do
     # not, but -id is read off a walk, so the table is the same

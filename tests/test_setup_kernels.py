@@ -2,9 +2,10 @@
 
 Every command builds its datum, validates it and lays out its alcove before
 the first query.  These tests hold each integer kernel to the Fraction
-route it replaced: on every catalog datum of ranks 1 to 9, on corrupted
-data whose violations must read the same, and on a grading order too large
-for any table with one entry per residue.
+route it replaced: on every catalog datum of ranks 1 to 9, on the products
+of simplices of test_alcove, on corrupted data whose violations must read
+the same, and on a grading order too large for any table with one entry per
+residue.
 """
 
 import json
@@ -24,6 +25,7 @@ from hermann.exact import GramMatrix, SingularGram
 from hermann.roots import CartanLabel, RootSystem
 
 import setup_reference as ref
+from test_alcove import A1_A1, A1_A2, B2_A2
 
 ISOTROPY = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "BC1", "BC2", "BC3",
             "BC4", "BC5", "C3", "C4", "C5", "D4", "D5", "G2")
@@ -73,11 +75,24 @@ def test_integer_set_up_matches_the_fraction_routes(key, params, label, monkeypa
     assert fundamental_alcove(d) == facets
     verts, tight = ref.vertices(d, facets)
     table = _alcove_data(d)
+    assert table.cartan == ref.facet_cartan(d, facets)
     assert (table.vertices, table.tight) == (verts, tight)
     # faces read off a table built by the Fraction routes, on a fresh datum
     twin = catalog(key, **params)
     alcove._ALCOVE_CACHE[twin] = _Alcove(facets, verts, tight, table.factors, table.cartan)
     assert faces(twin) == faces(d)
+
+
+@pytest.mark.parametrize("d", [A1_A1, A1_A2, B2_A2], ids=["A1+A1", "A1+A2", "B2+A2"])
+def test_product_alcoves_match_the_fraction_routes(d):
+    # each vertex of a product of two simplices moves once per factor from
+    # the vertex of the one elimination, so each factor's choice is exercised
+    assert validate(d) == () and ref.closure_violations(d) == []
+    facets = tuple(ref.facets(d, ref.slabs(d)))
+    table = _alcove_data(d)
+    assert table.facets == facets and len(table.factors) == 2
+    assert table.cartan == ref.facet_cartan(d, facets)
+    assert (table.vertices, table.tight) == ref.vertices(d, facets)
 
 
 # -- corrupted data: the same violations as the closure loop and ldl -----------
