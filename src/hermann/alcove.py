@@ -174,13 +174,15 @@ def _facets(d: GradedRootDatum, slabs):
 
 class _Alcove(NamedTuple):
     """A datum's Facet records, its vertices and their tight facet sets, the
-    facet indices of each simplex factor and the Cartan matrix of the roots."""
+    facet indices of each simplex factor, the Cartan matrix of the roots and
+    (D, rows): the vertices as integer rows over one denominator D."""
 
     facets: tuple
     vertices: tuple
     tight: tuple
     factors: tuple
     cartan: tuple
+    rows: tuple
 
 
 _ALCOVE_CACHE = weakref.WeakKeyDictionary()
@@ -193,9 +195,9 @@ def _facet_cartan(facets) -> tuple:
 
 
 def _vertices(facets, factors):
-    """The vertices, sorted, and their tight facet sets.  One elimination of
-    the rows tight at v0 (all but the first facet f of each factor), with the
-    identity, gives v0 and the inverse's columns c_t, over p; each factor
+    """The vertices, sorted, their tight sets and (D, their integer rows).  One
+    elimination of the rows tight at v0 (all but the first facet f of each factor),
+    with the identity, gives v0 and the inverse's columns c_t, over p; each factor
     moves v0 by 0 or by lam c_t (a = f.den * f.normal), lam making f tight."""
     r, n = len(facets[0].normal), len(facets)
     kept = [k for k in range(n) if k not in {c[0] for c in factors}]
@@ -211,12 +213,12 @@ def _vertices(facets, factors):
         gap = facets[first].num * p - pairing(a, v0)
         moves.append([(first, 0, 1, v0)] + [(k, gap, pairing(a, col[k]), col[k]) for k in rest])
     q = lcm(*(den for move in moves for _, _, den, _ in move))  # vertices are over p * q
-    pairs = sorted(([q * y + sum(g * (q // den) * c[i] for _, g, den, c in choice)
-                     for i, y in enumerate(v0)],
+    pairs = sorted((tuple([q * y + sum(g * (q // den) * c[i] for _, g, den, c in choice)
+                           for i, y in enumerate(v0)]),
                     frozenset(range(n)).difference(k for k, *_ in choice))
                    for choice in product(*moves))
     return (tuple(AlcovePoint(tuple(Fraction(y, p * q) for y in x)) for x, _ in pairs),
-            tuple(t for _, t in pairs))
+            tuple(t for _, t in pairs), (p * q, tuple(x for x, _ in pairs)))
 
 
 def _alcove_data(d: GradedRootDatum) -> _Alcove:
@@ -227,8 +229,9 @@ def _alcove_data(d: GradedRootDatum) -> _Alcove:
     facets = tuple(_facets(d, _slabs(d)))
     cartan = _facet_cartan(facets)
     factors = linked_components(len(facets), lambda i, j: cartan[i][j])
-    data = _ALCOVE_CACHE[d] = _Alcove(facets, *_vertices(facets, factors),
-                                      tuple(frozenset(c) for c in factors), cartan)
+    verts, tight, rows = _vertices(facets, factors)
+    data = _ALCOVE_CACHE[d] = _Alcove(facets, verts, tight, tuple(frozenset(c) for c in factors),
+                                      cartan, rows)
     return data
 
 
@@ -250,19 +253,13 @@ def _scaled(d: GradedRootDatum, point: AlcovePoint, order: int = 1):
     return den, tuple(c.numerator * (den // c.denominator) for c in point.coeffs)
 
 
-def _vertex_rows(d: GradedRootDatum, verts):
-    """(D, rows): the vertices as integer rows over one denominator D."""
-    den = lcm(*(_scaled(d, v)[0] for v in verts))
-    return den, [_scaled(d, v, den)[1] for v in verts]
-
-
 def _centroid(den, rows) -> AlcovePoint:
     """The mean of points given as integer rows over den."""
     return AlcovePoint(tuple(Fraction(sum(col), den * len(rows)) for col in zip(*rows)))
 
 
 def alcove_barycenter(d: GradedRootDatum) -> AlcovePoint:
-    return _centroid(*_vertex_rows(d, _alcove_data(d).vertices))
+    return _centroid(*_alcove_data(d).rows)
 
 
 def point_in_alcove(d: GradedRootDatum, point: AlcovePoint, strict: bool = False) -> bool:
@@ -339,7 +336,7 @@ def faces(d: GradedRootDatum):
     come back sorted by dimension, vertices first.
     """
     a = _alcove_data(d)
-    den, rows = _vertex_rows(d, a.vertices)
+    den, rows = a.rows
     proper = [[frozenset(s) for n in range(len(c)) for s in combinations(sorted(c), n)]
               for c in a.factors]
     out = []

@@ -1,16 +1,16 @@
 """Exact rational-pi arithmetic, Gram matrices, certified intervals.
 
 An angle is its coefficient of pi, a plain Fraction, so every membership
-test (in pi.Z, in (pi/2).Z) is exact.  The only real-number evaluations
-are cotangents, certified enclosures with dyadic ends that cot_eval makes
-by raw mpmath.libmp calls, each end the one mpmath's interval context
-gives, and the mean curvature's norm, whose ends sqrt_ratio_interval makes
-by one integer square root each.  Both keep their raw ends, of which a
-RealInterval makes Fractions only when they are read.  A dyadic Fraction
-becomes an mpf by one from_man_exp, the value mpf_div by its power of two
-gives.  Every exact elimination is one integer `eliminate`.  A Gram matrix
-keeps its integer form, integer rows over one denominator, on which squared
-lengths, coroot rows and the Bareiss test of positive definiteness run.
+test (in pi.Z, in (pi/2).Z) is exact.  The only real-number evaluations are
+cotangents, certified enclosures with dyadic ends, each the one mpmath's
+interval context gives, that cot_eval makes in integers around libmp's pi and
+mpf_cos_sin, and the mean curvature's norm, whose ends sqrt_ratio_interval
+makes by one integer square root each.  Both keep their raw ends, of which a
+RealInterval makes Fractions only when read.  A dyadic Fraction becomes an
+mpf by one from_man_exp, the value mpf_div by its power of two gives.  Every
+exact elimination is one integer `eliminate`.  A Gram matrix keeps its
+integer form, integer rows over one denominator, on which squared lengths,
+coroot rows and the Bareiss test of positive definiteness run.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from mpmath.libmp import (fnone, fone, from_int, from_man_exp, fzero, mpf_add, mpf_cos_sin,
-                          mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
-                          mpf_sub, round_ceiling, round_floor, round_nearest, to_str)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_cos_sin, mpf_div, mpf_lt,
+                          mpf_neg, mpf_pi, mpf_shift, round_ceiling, round_floor, round_nearest,
+                          to_str)
 from mpmath.libmp.libmpi import cos_sin_quadrant
 
 #: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
@@ -64,7 +64,8 @@ class RealInterval:
     @classmethod
     def from_raw(cls, lo, hi, precision_bits: int) -> "RealInterval":
         """The interval between the finite raw mpf values lo <= hi."""
-        if mpf_lt(hi, lo):
+        (hs, hm, he, _), (ls, lm, le, _) = hi, lo
+        if _lt(-hm if hs else hm, he, -lm if ls else lm, le):
             raise ValueError(f"interval endpoints out of order: "
                              f"{mpf_to_fraction(lo)} > {mpf_to_fraction(hi)}")
         self = object.__new__(cls)
@@ -140,6 +141,29 @@ def _round_int(n: int, prec: int, up: bool):
     return m + (up and m << k != n), k
 
 
+def _quotient(a: int, b: int, prec: int, up: bool):
+    """(m, k) with m * 2^k the quotient a / b of integers a, b > 0, a of at most
+    prec + 1 bits, rounded to prec bits, up or down: one divmod to prec + 1 or
+    prec + 2 bits, then the dropped bits and the remainder decide the last one."""
+    sh = prec + 1 + b.bit_length() - a.bit_length()
+    q, rem = divmod(a << sh, b)
+    d = q.bit_length() - prec
+    m = q >> d
+    return m + (up and (rem > 0 or m << d != q)), d - sh
+
+
+def _lt(a: int, ea: int, b: int, eb: int) -> bool:
+    """a * 2^ea < b * 2^eb, compared at the smaller exponent."""
+    return a << ea - eb < b if ea > eb else a < b << eb - ea
+
+
+def _mpf(m: int, e: int):
+    """The raw mpf of m * 2^e, normalized as from_man_exp(m, e) makes it."""
+    a = -m if m < 0 else m
+    t = (a & -a).bit_length() - 1
+    return (int(m < 0), a >> t, e + t, a.bit_length() - t) if a else fzero
+
+
 def _root_end(n: int, odd: int, s: int, prec: int, up: bool):
     """mpf_sqrt(mpf_div(from_int(p), from_int(q))) for p/q = n/den in lowest
     terms, den = odd * 2^s, each of the four steps rounded up or down (q the
@@ -150,12 +174,8 @@ def _root_end(n: int, odd: int, s: int, prec: int, up: bool):
     k, g = min((n & -n).bit_length() - 1, s), gcd(n, odd)
     (a, ea), (b, eb) = _round_int((n >> k) // g, prec, up), \
         _round_int((odd // g) << (s - k), prec, not up)
-    # a / b to prec + 1 or prec + 2 bits by one divmod, then to prec: an exact
-    # quotient has no more bits than a, so only rem makes it round up
-    sh = prec + 1 + b.bit_length() - a.bit_length()
-    q, rem = divmod(a << sh, b)
-    d = q.bit_length() - prec
-    m, exp = (q >> d) + (up and rem > 0), ea - eb - sh + d
+    m, exp = _quotient(a, b, prec, up)
+    exp += ea - eb
     if exp & 1:
         m, exp = m << 1, exp - 1
     # the root of m * 2^exp from at least prec bits of one isqrt: an exact
@@ -164,7 +184,7 @@ def _root_end(n: int, odd: int, s: int, prec: int, up: bool):
     x = m << 2 * j
     r = isqrt(x)
     d = r.bit_length() - prec
-    return from_man_exp((r >> d) + (up and r * r != x), (exp >> 1) - j + d)
+    return _mpf((r >> d) + (up and r * r != x), (exp >> 1) - j + d)
 
 
 def sqrt_ratio_interval(lo: int, hi: int, den: int, prec: int):
@@ -186,25 +206,28 @@ def _ratio(q: Fraction, prec: int):
 
 
 @lru_cache(maxsize=64)
-def _trig_constants(work: int):
-    """pi's ends at work bits, their halves, and the factors 1 +- 2^(10 - wp),
-    wp = work + 20, by which mpi_cos_sin pushes its ends out."""
-    lo, hi, wp = mpf_pi(work, round_floor), mpf_pi(work, round_ceiling), work + 20
-    return (lo, hi, mpf_shift(lo, -1), mpf_shift(hi, -1),
-            from_man_exp((1 << wp) + (1 << 10), -wp), from_man_exp((1 << wp) - (1 << 10), -wp))
+def _pi_ends(work: int):
+    """pi rounded down and up at work bits, each as (man, exp)."""
+    return mpf_pi(work, round_floor)[1:3], mpf_pi(work, round_ceiling)[1:3]
 
 
-def _int_ends(n: int, work: int):
-    """from_int(n, work) rounded down and up: one call when n has at most work bits."""
-    lo = from_int(n, work, round_floor)
-    return lo, lo if n.bit_length() <= work else from_int(n, work, round_ceiling)
+def _outward(m: int, e: int, floor: bool, prec: int):
+    """mpi_cos_sin's last step on m * 2^e at prec bits, rounded to floor or ceiling:
+    times 1 +- 2^(10 - wp), wp = prec + 20, + when that moves it toward the
+    rounding's side; a magnitude of at least 1 becomes -1 or 1."""
+    wp, a, away = prec + 20, -m if m < 0 else m, (m < 0) == floor
+    a, k = _round_int((a << wp) + (a << 10) if away else (a << wp) - (a << 10), prec, away)
+    if a.bit_length() + k + e - wp >= 1:
+        return -1 if m < 0 else 1, 0
+    return -a if m < 0 else a, k + e - wp
 
 
-def _outward(v, rnd, prec: int, more, less):
-    """mpi_cos_sin's last step: v times more or less, away from 0 on the side of
-    rnd, at prec bits; a magnitude of at least 1 becomes -1 or 1."""
-    v = mpf_mul(v, more if bool(v[0]) == (rnd == round_floor) else less, prec, rnd)
-    return (fnone if v[0] else fone) if v[2] + v[3] >= 1 else v
+def _divide(a: int, ea: int, b: int, eb: int, prec: int, ceiling: bool):
+    """mpf_div of a * 2^ea by b * 2^eb > 0 at prec bits, rounded to ceiling or floor."""
+    if not a:
+        return 0, 0
+    q, k = _quotient(-a if a < 0 else a, b, prec, ceiling == (a > 0))
+    return -q if a < 0 else q, ea - eb + k
 
 
 @lru_cache(maxsize=8192)
@@ -213,47 +236,50 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     raw mpf ends kept as raw.
 
     a is the angle's coefficient of pi, so the cache key is exact.  Each
-    working precision encloses theta = pi * n / D, n/D = a mod 1, by the calls
-    of mpi_mul and mpi_div on positive operands (mpf_pi times n, over D, each
-    end rounded outward), then makes the ends of mpi_cos_sin and mpi_div, bit
-    for bit, by only the calls that set a bit: one from_int for an integer of
-    at most the working precision's bits, one mpf_cos_sin per end of theta,
-    cos only once sin > 0, and mpi_div's branch for a positive divisor.
+    working precision encloses theta = pi * n / D, n/D = a mod 1, as mpi_mul
+    and mpi_div do on positive operands, then makes the ends of mpi_cos_sin
+    and mpi_div, bit for bit: every step is on integers m * 2^e, rounded as
+    its libmp call rounds, correctly, but pi's ends and one mpf_cos_sin per
+    end of theta (cos_sin_quadrant where pi/2's bounds cannot decide).
     """
     num, den = a.numerator % a.denominator, a.denominator
     if num == 0:
         raise PoleError(f"cot has a pole at {a}*pi")
-    target = from_man_exp(1, 8 - precision_bits)
     work = precision_bits + 16
     for _ in range(16):
-        pi_lo, pi_hi, half_lo, half_hi, more, less = _trig_constants(work)
-        (n_lo, n_hi), (d_lo, d_hi) = _int_ends(num, work), _int_ends(den, work)
+        (p_lo, e_lo), (p_hi, e_hi) = pi = _pi_ends(work)
         wp, ends = work + 20, []
-        for t in (mpf_div(mpf_mul(pi_lo, n_lo, work, round_floor), d_hi, work, round_floor),
-                  mpf_div(mpf_mul(pi_hi, n_hi, work, round_ceiling), d_lo, work, round_ceiling)):
+        for (p, e), up in zip(pi, (False, True)):
+            (n, kn), (d, kd) = _round_int(num, work, up), _round_int(den, work, not up)
+            m, k = _round_int(p * n, work, up)
+            m, km = _quotient(m, d, work, up)
+            e += kn + k - kd + km
             # cos_sin_quadrant(t, wp), its quadrant read off the bounds of pi/2 and pi
-            q = 0 if mpf_lt(t, half_lo) else 1 if mpf_gt(t, half_hi) and mpf_lt(t, pi_lo) else -1
-            ends.append((*mpf_cos_sin(t, wp), q) if q >= 0 else cos_sin_quadrant(t, wp))
+            q = 0 if _lt(m, e + 1, p_lo, e_lo) else \
+                1 if _lt(p_hi, e_hi, m, e + 1) and _lt(m, e, p_lo, e_lo) else -1
+            t = _mpf(m, e)
+            c, s, q = (*mpf_cos_sin(t, wp), q) if q >= 0 else cos_sin_quadrant(t, wp)
+            ends.append(((-c[1] if c[0] else c[1], c[2]), (-s[1] if s[0] else s[1], s[2]), q))
         (ca, sa, na), (cb, sb, nb) = ends
-        ca, cb = (cb, ca) if mpf_lt(cb, ca) else (ca, cb)
-        sa, sb = (sb, sa) if mpf_lt(sb, sa) else (sa, sb)
+        ca, cb = (cb, ca) if _lt(*cb, *ca) else (ca, cb)
+        sa, sb = (sb, sa) if _lt(*sb, *sa) else (sa, sb)
         if na != nb:  # mpi_cos_sin: an extremum of cos or sin lies between the ends
-            ca, cb, sa, sb = (v if (na - k) // 4 == (nb - k) // 4 else e for v, k, e in
-                              ((ca, 2, fnone), (cb, 0, fone), (sa, 3, fnone), (sb, 1, fone)))
-        sa = _outward(sa, round_floor, work, more, less)
+            ca, cb, sa, sb = (v if (na - k) // 4 == (nb - k) // 4 else (e, 0) for v, k, e in
+                              ((ca, 2, -1), (cb, 0, 1), (sa, 3, -1), (sb, 1, 1)))
+        sa = _outward(*sa, True, work)
         # sin(theta) > 0 on (0, pi); an enclosure whose lower end is negative
         # or zero means the working precision cannot separate it yet
-        if sa[0] or not sa[1]:
+        if sa[0] <= 0:
             work *= 2
             continue
-        sb = _outward(sb, round_ceiling, work, more, less)
-        ca = _outward(ca, round_floor, work, more, less)
-        cb = _outward(cb, round_ceiling, work, more, less)
+        sb, ca, cb = _outward(*sb, False, work), _outward(*ca, True, work), \
+            _outward(*cb, False, work)
         # mpi_div by sin > 0: each end's divisor is read off the signs of cos's ends
-        lo = mpf_div(ca, sa if ca[0] else sb, work, round_floor)
-        hi = mpf_div(cb, sb if ca[0] and (cb[0] or not cb[1]) else sa, work, round_ceiling)
-        if mpf_le(mpf_sub(hi, lo), target):  # at prec 0 mpf_sub is exact
-            return RealInterval.from_raw(lo, hi, precision_bits)
+        lo = _divide(*ca, *(sa if ca[0] < 0 else sb), work, False)
+        hi = _divide(*cb, *(sb if ca[0] < 0 and cb[0] <= 0 else sa), work, True)
+        e = min(lo[1], hi[1], 8 - precision_bits)
+        if (hi[0] << hi[1] - e) - (lo[0] << lo[1] - e) <= 1 << 8 - precision_bits - e:
+            return RealInterval.from_raw(_mpf(*lo), _mpf(*hi), precision_bits)
         work *= 2
     raise PrecisionExhausted(f"cot enclosure did not reach width "
                              f"{Fraction(1, 2 ** (precision_bits - 8))} for {a}*pi")

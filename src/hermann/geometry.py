@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
@@ -134,21 +134,23 @@ def shape_spectrum(d: GradedRootDatum, point: AlcovePoint, xi) -> SpectrumReport
     <alpha, xi> is exact; only the cotangent is an interval.  An xi whose
     length is not the rank raises DimensionMismatch.  The terms come in
     cot_terms order, with one cot_eval per distinct angle n/D over the
-    point's one denominator D.
+    point's one denominator D, and one pairing per root with xi in integers.
     """
     if len(xi) != d.rank:
         raise DimensionMismatch(f"xi of length {len(xi)} against rank {d.rank}")
-    xi = tuple(Fraction(x) for x in xi)
+    xd, xk = _scaled(d, AlcovePoint(tuple(xi)))  # xi as integers over xd
     stream = sector_phases(d)
     den, nums = sector_angles(d, _scaled(d, point, d.order), stream)
-    cots, terms = {}, []
+    cots, slopes, terms = {}, {}, []
     for (alpha, _, m), n in zip(stream, nums):
         if n:
             if n not in cots:
                 theta = Fraction(n, den)
                 cots[n] = theta, cot_eval(theta, DEFAULT_PRECISION_BITS)
             theta, cot = cots[n]
-            slope = pairing(alpha, xi)
+            slope = slopes.get(alpha)
+            if slope is None:
+                slope = slopes[alpha] = Fraction(pairing(alpha, xk), xd)
             terms.append(SpectrumTerm(alpha, theta, m, slope, cot.scale(-slope)))
     return SpectrumReport(d.zero_mult, tuple(terms), DEFAULT_PRECISION_BITS)
 
@@ -447,6 +449,16 @@ def _lu_solve(a, b, prec: int):
     return b
 
 
+def _mirror(cols):
+    """The pairs (i, j), j < i, where H[i][j] is H[j][i] bit for bit: on each term
+    with a_i, a_j != 0 their odd parts are equal or one is 1, so (w * a_i) * a_j
+    and (w * a_j) * a_i round alike (a product with +-2^k is an exact shift),
+    and both entries add them over the same terms in the same order."""
+    odd = [[abs(a // (a & -a)) if a else 0 for a in col] for col in cols]
+    return {(j, i) for i, j in combinations(range(len(cols)), 2)
+            if all(p == q or 1 in (p, q) for p, q in zip(odd[i], odd[j]) if p and q)}
+
+
 def _rung(terms, prec: int):
     """The distinct roots of terms, and (root index, raw phase, mult) per term."""
     index = {}
@@ -504,6 +516,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     cols = tuple(zip(*(alpha for alpha, _, _ in terms)))  # per simple root, a_i of each term
     nzs = [[t for t, a in enumerate(col) if a] for col in cols]  # per i, the terms with a_i != 0
     subs = [[[c[t] for t in nz] for c in cols] for nz in nzs]  # and each column on those terms
+    mirror = _mirror(cols)
     facets = fundamental_alcove(d)
     start = alcove_barycenter(d)
     r = d.rank
@@ -548,11 +561,13 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                     if mc.norm.hi < tol:
                         return MinimalOrbit(exact, mc.norm, total_iter, prec)
                 break
-            # (w * a_i) * a_j over the terms with a_i != 0: the two orders round apart
-            was = [[ws[t] if a == 1 else _mul_int(ws[t], a, prec)
-                    for t, a in zip(nz, sub[i])] for i, (nz, sub) in enumerate(zip(nzs, subs))]
-            hess = [[mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND) for c in sub]
-                    for wa, sub in zip(was, subs)]
+            # (w * a_i) * a_j over the terms with a_i != 0, H[i][j] = H[j][i] in mirror
+            hess = []
+            for i, (nz, sub) in enumerate(zip(nzs, subs)):
+                wa = [ws[t] if a == 1 else _mul_int(ws[t], a, prec) for t, a in zip(nz, sub[i])]
+                hess.append([hess[j][i] if (i, j) in mirror else
+                             mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND)
+                             for j, c in enumerate(sub)])
             step = _lu_solve(hess, grad, prec)
             lam = _ONE
             for normal, bound in walls:

@@ -17,13 +17,16 @@ eager coefficient intervals and plain gcds for the squared norm's ratio.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_le, mpf_pi, mpf_sub, mpi_cos_sin,
+from mpmath.libmp import (fnone, fone, from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_gt,
+                          mpf_le, mpf_lt, mpf_mul, mpf_pi, mpf_shift, mpf_sub, mpi_cos_sin,
                           mpi_div, mpi_mul, mpi_sqrt, round_ceiling, round_floor, round_nearest)
+from mpmath.libmp.libmpi import cos_sin_quadrant
 
 from hermann.exact import PoleError, PrecisionExhausted, RealInterval, cot_eval, mpf_to_fraction
 
@@ -111,6 +114,79 @@ def cot_eval_reference(a: Fraction, bits: int) -> RealInterval:
             return RealInterval(mpf_to_fraction(lo), mpf_to_fraction(hi), bits)
         work *= 2
     raise PrecisionExhausted(f"no reference enclosure for {a} at {bits} bits")
+
+
+@lru_cache(maxsize=64)
+def _trig_constants(work: int):
+    """pi's ends at work bits, their halves, and the factors 1 +- 2^(10 - wp),
+    wp = work + 20, by which mpi_cos_sin pushes its ends out."""
+    lo, hi, wp = mpf_pi(work, round_floor), mpf_pi(work, round_ceiling), work + 20
+    return (lo, hi, mpf_shift(lo, -1), mpf_shift(hi, -1),
+            from_man_exp((1 << wp) + (1 << 10), -wp), from_man_exp((1 << wp) - (1 << 10), -wp))
+
+
+def _int_ends(n: int, work: int):
+    """from_int(n, work) rounded down and up: one call when n has at most work bits."""
+    lo = from_int(n, work, round_floor)
+    return lo, lo if n.bit_length() <= work else from_int(n, work, round_ceiling)
+
+
+def _outward(v, rnd, prec: int, more, less):
+    """mpi_cos_sin's last step: v times more or less, away from 0 on the side of
+    rnd, at prec bits; a magnitude of at least 1 becomes -1 or 1."""
+    v = mpf_mul(v, more if bool(v[0]) == (rnd == round_floor) else less, prec, rnd)
+    return (fnone if v[0] else fone) if v[2] + v[3] >= 1 else v
+
+
+def cot_eval_libmp(a: Fraction, precision_bits: int) -> RealInterval:
+    """cot_eval by raw libmp calls, uncached.  Certified enclosure of cot(a*pi),
+    width <= 2^(8 - precision_bits), its raw mpf ends kept as raw.
+
+    a is the angle's coefficient of pi, so the cache key is exact.  Each
+    working precision encloses theta = pi * n / D, n/D = a mod 1, by the calls
+    of mpi_mul and mpi_div on positive operands (mpf_pi times n, over D, each
+    end rounded outward), then makes the ends of mpi_cos_sin and mpi_div, bit
+    for bit, by only the calls that set a bit: one from_int for an integer of
+    at most the working precision's bits, one mpf_cos_sin per end of theta,
+    cos only once sin > 0, and mpi_div's branch for a positive divisor.
+    """
+    num, den = a.numerator % a.denominator, a.denominator
+    if num == 0:
+        raise PoleError(f"cot has a pole at {a}*pi")
+    target = from_man_exp(1, 8 - precision_bits)
+    work = precision_bits + 16
+    for _ in range(16):
+        pi_lo, pi_hi, half_lo, half_hi, more, less = _trig_constants(work)
+        (n_lo, n_hi), (d_lo, d_hi) = _int_ends(num, work), _int_ends(den, work)
+        wp, ends = work + 20, []
+        for t in (mpf_div(mpf_mul(pi_lo, n_lo, work, round_floor), d_hi, work, round_floor),
+                  mpf_div(mpf_mul(pi_hi, n_hi, work, round_ceiling), d_lo, work, round_ceiling)):
+            # cos_sin_quadrant(t, wp), its quadrant read off the bounds of pi/2 and pi
+            q = 0 if mpf_lt(t, half_lo) else 1 if mpf_gt(t, half_hi) and mpf_lt(t, pi_lo) else -1
+            ends.append((*mpf_cos_sin(t, wp), q) if q >= 0 else cos_sin_quadrant(t, wp))
+        (ca, sa, na), (cb, sb, nb) = ends
+        ca, cb = (cb, ca) if mpf_lt(cb, ca) else (ca, cb)
+        sa, sb = (sb, sa) if mpf_lt(sb, sa) else (sa, sb)
+        if na != nb:  # mpi_cos_sin: an extremum of cos or sin lies between the ends
+            ca, cb, sa, sb = (v if (na - k) // 4 == (nb - k) // 4 else e for v, k, e in
+                              ((ca, 2, fnone), (cb, 0, fone), (sa, 3, fnone), (sb, 1, fone)))
+        sa = _outward(sa, round_floor, work, more, less)
+        # sin(theta) > 0 on (0, pi); an enclosure whose lower end is negative
+        # or zero means the working precision cannot separate it yet
+        if sa[0] or not sa[1]:
+            work *= 2
+            continue
+        sb = _outward(sb, round_ceiling, work, more, less)
+        ca = _outward(ca, round_floor, work, more, less)
+        cb = _outward(cb, round_ceiling, work, more, less)
+        # mpi_div by sin > 0: each end's divisor is read off the signs of cos's ends
+        lo = mpf_div(ca, sa if ca[0] else sb, work, round_floor)
+        hi = mpf_div(cb, sb if ca[0] and (cb[0] or not cb[1]) else sa, work, round_ceiling)
+        if mpf_le(mpf_sub(hi, lo), target):  # at prec 0 mpf_sub is exact
+            return RealInterval.from_raw(lo, hi, precision_bits)
+        work *= 2
+    raise PrecisionExhausted(f"cot enclosure did not reach width "
+                             f"{Fraction(1, 2 ** (precision_bits - 8))} for {a}*pi")
 
 
 def ratio_interval_reference(lo: int, hi: int, den: int, prec: int):

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import pickle
+import textwrap
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from hermann.exact import (
     DimensionMismatch,
     GramMatrix,
     PoleError,
+    PrecisionExhausted,
     RealInterval,
     SingularGram,
     _ratio,
@@ -24,8 +28,10 @@ from hermann.exact import (
     sqrt_ratio_interval,
 )
 
-from interval_reference import (cot_eval_reference, format_interval_reference, interval_from_iv,
-                                iv_context, ratio_interval_reference, ratio_reference)
+import hermann.exact as exact
+from interval_reference import (cot_eval_libmp, cot_eval_reference, format_interval_reference,
+                                interval_from_iv, iv_context, ratio_interval_reference,
+                                ratio_reference)
 from setup_reference import inner, matrix_rank, solve_exact
 
 HALF = Fraction(1, 2)
@@ -112,6 +118,65 @@ def test_cot_eval_at_its_edges_matches_the_interval_route(bits, monkeypatch):
     finally:
         cot_eval.cache_clear()
     assert calls
+
+
+#: every angle n/D with D <= 130, and dyadic angles over 2^k, k <= 1100:
+#: next to 0 and to 1/2 for every k, next to 1 for every 11th k (each climbs
+#: the ladder to about k bits), whose numerators outgrow every working
+#: precision below 1,100 bits and whose sines reach 2^-1100
+GRID_ANGLES = sorted({Fraction(n, den) for den in range(2, 131) for n in range(1, den)}
+                     | {Fraction(n, 2 ** k) for k in range(2, 1101)
+                        for n in (1, 2 ** (k - 1) - 1, 2 ** (k - 1) + 1)}
+                     | {Fraction(2 ** k - 1, 2 ** k) for k in range(1, 1101, 11)})
+
+
+def _raw_or_error(f, a, bits):
+    try:
+        return f(a, bits).raw
+    except (PoleError, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bits", [192, 296, 592, 990, 1536])
+def test_cot_eval_matches_the_libmp_route_on_a_grid(bits):
+    # the kernel, uncached, against the raw libmp calls it replaced: the
+    # same raw ends bit for bit, or the same exception
+    kernel = cot_eval.__wrapped__
+    for a in GRID_ANGLES:
+        assert _raw_or_error(kernel, a, bits) == _raw_or_error(cot_eval_libmp, a, bits), a
+
+
+def _calls(fn):
+    """The names that fn's body calls, as plain names or as attributes."""
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            yield f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) \
+                else None
+
+
+def test_cot_eval_calls_only_the_trig_functions_of_libmp():
+    # cot_eval and every exact helper it reaches, RealInterval.from_raw
+    # among them, call no mpmath.libmp function but pi and the trigonometry
+    tree = ast.parse(inspect.getsource(exact))
+    libmp = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             and node.module.startswith("mpmath") for a in node.names}
+    helpers = {"from_raw": exact.RealInterval.from_raw.__func__}
+    helpers.update((name, inspect.unwrap(f)) for name, f in vars(exact).items()
+                   if inspect.isfunction(inspect.unwrap(f)) and f.__module__ == exact.__name__)
+    seen, todo, used = set(), ["cot_eval"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for called in _calls(helpers[name]):
+            if called in libmp:
+                used.add(called)
+            elif called in helpers:
+                todo.append(called)
+    assert {"from_raw", "_pi_ends", "_quotient", "_outward", "_divide", "_mpf"} <= seen
+    assert used == {"mpf_pi", "mpf_cos_sin", "cos_sin_quadrant"}
 
 
 def test_mpf_to_fraction_is_exact():

@@ -459,6 +459,54 @@ def test_find_minimal_cli_replays_stored_benchmark_bytes():
     assert out.getvalue() == _stored(key)
 
 
+# every catalog datum of ranks 1 to 4
+_RANK_1_TO_4 = ([("so8_g2", {})]
+                + [(key, {"p": q + 2, "q": q}) for key in ("so_even", "su_sp")
+                   for q in (3, 5, 7, 9)]
+                + [("isotropy", {"label": lab}) for lab in ("A1", "A2", "A3", "A4", "B2", "B3",
+                                                            "B4", "BC1", "BC2", "BC3", "BC4",
+                                                            "C3", "C4", "D4", "G2")])
+
+
+def _hessians(d, monkeypatch, mirror):
+    """find_minimal's outcome and every Hessian it solves, with _mirror as given."""
+    seen = []
+    solve = geometry._lu_solve
+    monkeypatch.setattr(geometry, "_lu_solve", lambda a, b, prec: seen.append(a) or
+                        solve(a, b, prec))
+    monkeypatch.setattr(geometry, "_mirror", mirror)
+    try:
+        got = find_minimal(d)
+        got = got.point, got.norm, got.iterations, got.precision_bits
+    except geometry.NoConvergence as exc:
+        got = str(exc)
+    monkeypatch.undo()
+    return got, seen
+
+
+@pytest.mark.parametrize("key, params", _RANK_1_TO_4,
+                         ids=[f"{k}{p.get('q', p.get('label', ''))}" for k, p in _RANK_1_TO_4])
+def test_mirrored_hessian_equals_the_full_one(key, params, monkeypatch):
+    d = catalog(key, **params)
+    cols = tuple(zip(*(alpha for alpha, _, _ in positive_sector_roots(d))))
+    # every pair qualifies: G2's only odd coefficient is 3, the rest are +-2^k
+    assert geometry._mirror(cols) == {(j, i) for i in range(d.rank) for j in range(i + 1, d.rank)}
+    full = _hessians(d, monkeypatch, lambda cols: set())
+    mirrored = _hessians(d, monkeypatch, geometry._mirror)
+    assert mirrored == full
+    # the A_n barycenter is certified before any Newton step
+    assert bool(full[1]) == (params.get("label", "")[:1] != "A")
+
+
+def test_hessian_pairs_with_unequal_odd_parts_take_the_full_path():
+    mirror = geometry._mirror
+    # a column pair (3, 5), as E-type coefficients would give, breaks the rule
+    assert mirror(((1, 3, 2), (1, 5, 0))) == set()
+    assert mirror(((1, 3, 2), (1, 6, 4), (2, 5, 1))) == {(1, 0)}
+    # coefficients 1 and +-2^k commute with any other, and pairs that share no term qualify
+    assert mirror(((3, -2, 0), (-1, 6, 0), (0, 0, 5))) == {(1, 0), (2, 0), (2, 1)}
+
+
 def _reference_log_volume(terms, x):
     """The log volume in plain mpf operators, at the context's precision."""
     total = mpmath.mpf(0)

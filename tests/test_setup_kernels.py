@@ -11,6 +11,7 @@ residue.
 import json
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import event, given, settings
@@ -79,7 +80,10 @@ def test_integer_set_up_matches_the_fraction_routes(key, params, label, monkeypa
     assert (table.vertices, table.tight) == (verts, tight)
     # faces read off a table built by the Fraction routes, on a fresh datum
     twin = catalog(key, **params)
-    alcove._ALCOVE_CACHE[twin] = _Alcove(facets, verts, tight, table.factors, table.cartan)
+    den = lcm(*(c.denominator for v in verts for c in v.coeffs))
+    rows = tuple(tuple(c.numerator * (den // c.denominator) for c in v.coeffs) for v in verts)
+    alcove._ALCOVE_CACHE[twin] = _Alcove(facets, verts, tight, table.factors, table.cartan,
+                                         (den, rows))
     assert faces(twin) == faces(d)
 
 
