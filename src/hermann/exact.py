@@ -157,6 +157,43 @@ def _lt(a: int, ea: int, b: int, eb: int) -> bool:
     return a << ea - eb < b if ea > eb else a < b << eb - ea
 
 
+def _near(m: int, e: int, prec: int):
+    """(m, e) rounded to nearest at prec bits, half to even, as libmp's normalize
+    rounds it, trailing zeros kept; of at most prec bits, unchanged."""
+    a = -m if m < 0 else m
+    k = a.bit_length() - prec
+    if k <= 0:
+        return m, e
+    t = a >> k - 1  # the kept bits and the half bit
+    q = t >> 1
+    if t & 1 and (q & 1 or t << k - 1 != a):
+        q += 1
+    return -q if m < 0 else q, e + k
+
+
+def _near_add(a, b, prec: int):
+    """The sum of (m, e) pairs a and b, exact, then rounded by _near."""
+    (am, ae), (bm, be) = a, b
+    if ae < be:
+        return _near(am + (bm << be - ae), ae, prec)
+    return _near((am << ae - be) + bm, be, prec)
+
+
+def _near_mul(a, b, prec: int):
+    """The product of (m, e) pairs a and b, exact, then rounded by _near."""
+    return _near(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _near_div(a, b, prec: int):
+    """a / b for (m, e) pairs, b != 0: the quotient to prec + 2 bits or more and a
+    sticky bit for the remainder, rounded by _near, so a tie is exact."""
+    (am, ae), (bm, be) = a, b
+    sh = max(prec + 2 + bm.bit_length() - am.bit_length(), 0)
+    q, rem = divmod((-am if am < 0 else am) << sh, -bm if bm < 0 else bm)
+    q = q << 1 | (rem > 0)
+    return _near(-q if (am < 0) != (bm < 0) else q, ae - be - sh - 1, prec)
+
+
 def _mpf(m: int, e: int):
     """The raw mpf of m * 2^e, normalized as from_man_exp(m, e) makes it."""
     a = -m if m < 0 else m

@@ -25,8 +25,10 @@ the longest-element walk on their Cartan matrix ends at -c0 too, which the
 Tits table cross-checks.
 
 find_minimal's Newton ascent is not certified, only its last point is, but
-its iterates are reproducible bit for bit: it runs on raw mpmath.libmp
-values, each step the libmp call of the mpf operator it stands for.
+its iterates are reproducible bit for bit: it runs on integer pairs
+(m, e) for m * 2^e, each step the exact result rounded once, as the libmp
+call of the mpf operator it stands for rounds it; libmp makes pi, each
+distinct angle's cos_sin and log, each iterate's sqrt and the LU step.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos_sin,
-                          mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sqrt,
+from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_cos_sin, mpf_div,
+                          mpf_gt, mpf_le, mpf_log, mpf_mul, mpf_pi, mpf_rdiv_int, mpf_sqrt,
                           mpf_sub, mpf_sum, round_nearest, to_str)
 
 from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, _scaled, _walls, active_walls,
@@ -47,8 +48,8 @@ from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, _scaled, _walls, act
                      sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots, sector_phases
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
-                    RealInterval, _ratio, cot_eval, mpf_to_fraction, pairing,
-                    sqrt_ratio_interval)
+                    RealInterval, _lt, _mpf, _near, _near_add, _near_div, _near_mul,
+                    _ratio, cot_eval, mpf_to_fraction, pairing, sqrt_ratio_interval)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
 
@@ -364,32 +365,23 @@ class MinimalOrbit:
 
 
 _RND = round_nearest
-_ONE, _FOUR = from_int(1), from_int(4)
+_ONE = 1, 0
 
 
-def _mul_int(v, m: int, prec: int):
-    """mpf_mul_int(v, m, prec, round_nearest), m != 0: for m = +-2^k and v of at
-    most prec bits the exact product, v's exponent moved by k and sign by m."""
-    sign, man, exp, bc = v
-    k = -m if m < 0 else m
-    if bc > prec or k & (k - 1):
-        return mpf_mul_int(v, m, prec, _RND)
-    return (sign ^ (m < 0), man, exp + k.bit_length() - 1, bc) if man else v
+def _pair(v):
+    """The finite raw mpf v as the pair (m, e) of its value m * 2^e."""
+    sign, man, exp, _ = v
+    return -man if sign else man, exp
 
 
 def _pairing(alpha, x, prec: int):
-    """pairing(alpha, x) for raw x: sum(a * y) from 0, zero coefficients skipped.
-
-    a * y is _mul_int, and 0 + v is v, so for y of at most prec bits the
-    products 1 * y (y itself), -1 * y and 2 * y and that sum make no libmp call.
-    """
-    acc = None
-    for a, y in zip(alpha, x):
+    """pairing(alpha, x) for pairs x: sum(a * y) from 0 in _near arithmetic at prec
+    bits; a zero coefficient adds an exact 0, which rounds to no change."""
+    acc = 0, 0
+    for a, (m, e) in zip(alpha, x):
         if a:
-            if a != 1 or y[3] > prec:
-                y = _mul_int(y, a, prec)
-            acc = y if acc is None else mpf_add(acc, y, prec, _RND)
-    return fzero if acc is None else acc
+            acc = _near_add(acc, _near(a * m, e, prec), prec)
+    return acc
 
 
 def _lu_solve(a, b, prec: int):
@@ -460,54 +452,53 @@ def _mirror(cols):
 
 
 def _rung(terms, prec: int):
-    """The distinct roots of terms, and (root index, raw phase, mult) per term."""
+    """The distinct roots of terms, and (root index, phase pair, mult) per term."""
     index = {}
-    rung = tuple((index.setdefault(alpha, len(index)), _ratio(t, prec), m)
+    rung = tuple((index.setdefault(alpha, len(index)), _pair(_ratio(t, prec)), m)
                  for alpha, t, m in terms)
     return tuple(index), rung
 
 
 def _log_volume(roots, rung, x, prec: int):
-    """Log volume sum m*log|sin(pi p)| at x and each term's (cos, sin), from one
-    cos_sin per term with p = alpha . x + phase and one pairing per root.  A
-    pairing has at most prec bits, so p is the pairing itself at phase 0."""
-    pi = mpf_pi(prec, _RND)
+    """Log volume sum m*log|sin(pi p)| at the pairs x and each term's (cos, sin),
+    all pairs, p = alpha . x + phase: one pairing per root, and one mpf_cos_sin
+    and mpf_log per distinct angle pi * p, looked up by its normalized raw
+    value, so a repeated angle gets the bits of its first call."""
+    pm, pe = _pair(mpf_pi(prec, _RND))
     pairs = [_pairing(alpha, x, prec) for alpha in roots]
-    total = None
-    trig = []
+    total, trig, seen = (0, 0), [], {}
     for k, phase, m in rung:
-        p = mpf_add(pairs[k], phase, prec, _RND) if phase[1] else pairs[k]
-        c, s = mpf_cos_sin(mpf_mul(pi, p, prec, _RND), prec, _RND)
-        log = mpf_log(mpf_abs(s), prec, _RND)
-        if m != 1:
-            log = _mul_int(log, m, prec)
-        total = log if total is None else mpf_add(total, log, prec, _RND)
-        trig.append((c, s))
-    return fzero if total is None else total, trig
+        p, q = _near_add(pairs[k], phase, prec) if phase[0] else pairs[k]
+        t = _mpf(*_near(pm * p, pe + q, prec))
+        hit = seen.get(t)
+        if hit is None:
+            c, s = mpf_cos_sin(t, prec, _RND)
+            hit = seen[t] = (_pair(c), _pair(s)), _pair(mpf_log((0, *s[1:]), prec, _RND))
+        cs, (lm, le) = hit
+        total = _near_add(total, _near(m * lm, le, prec), prec)
+        trig.append(cs)
+    return total, trig
 
 
 def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> MinimalOrbit:
     """Damped Newton ascent of the orbit-volume functional, then certify.
 
-    Each iterate evaluates every term's sine and cosine once and every
-    root's pairing alpha . x once, and sums the gradient and the Hessian
-    with _pairing over the terms' root columns, Hessian row i over the terms
-    with a_i != 0.  A rung that sees no increase in 80 halvings restarts
-    from the barycenter at twice the bits.  The point has exact dyadic
-    coordinates and a certified norm below the tolerance, any value
-    Fraction() accepts (a float is its exact binary value); iterations
+    Each iterate evaluates every root's pairing alpha . x once and each
+    distinct angle's sine, cosine and log once, and sums the gradient and
+    the Hessian with _pairing over the terms' root columns, Hessian row i
+    over the terms with a_i != 0.  A rung that sees no increase in 80
+    halvings restarts from the barycenter at twice the bits.  The point has
+    exact dyadic coordinates and a certified norm below the tolerance, any
+    value Fraction() accepts (a float is its exact binary value); iterations
     counts every rung's iterates and precision_bits is the rung that certified.
 
-    The ascent runs on raw mpmath.libmp values at the rung's bits, rounded
-    to nearest: each step is the mpf_* call, in the operand order, that the
-    mpf operator it stands for makes (int * mpf is mpf_mul_int, a sum from 0
-    starts at fzero), so every iterate has the bits of plain mpf
-    arithmetic.  A call that normalize at the rung's bits would return
-    unchanged is skipped: 0 + v (a phase of 0 too), and a product with +-2^k
-    (multiplicities, root coefficients, the line search's halving) of a value
-    of at most that many bits, as every value is but the Newton step, made as
-    an exponent shift (_mul_int).  The step is _lu_solve, mpmath's LU 10 bits
-    above the rung.
+    The ascent holds every value as a pair (m, e) for m * 2^e, and each
+    step of the mpf operators it stands for (int * mpf and sums from 0
+    included) is the exact result in integers rounded once to the rung's
+    bits by exact._near, to nearest, as libmp rounds it; so every iterate
+    has the bits of plain mpf arithmetic.  libmp makes pi, the per-rung
+    constants, each angle's cos_sin and log and each iterate's sqrt; the
+    step is _lu_solve, mpmath's LU 10 bits above the rung, on raw values.
     """
     tol = Fraction(tolerance)
     if tol <= 0:
@@ -526,36 +517,33 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     prec = bits_needed
     total_iter = 0
     while prec <= 4 * MAX_PRECISION_BITS:
-        pi = mpf_pi(prec, _RND)
-        pi2 = mpf_pow_int(pi, 2, prec, _RND)
+        pi = _pair(mpf_pi(prec, _RND))
+        pi2 = _near_mul(pi, pi, prec)  # mpf_pow_int(pi, 2) rounds the square once
         roots, rung = _rung(terms, prec)
-        gram = [(i, j, from_int(g[i][j].numerator, prec, _RND), from_int(g[i][j].denominator))
+        gram = [(i, j, _pair(from_int(g[i][j].numerator, prec, _RND)), (g[i][j].denominator, 0))
                 for i, j in product(range(r), repeat=2) if g[i][j]]
-        walls = [(q.normal, _ratio(q.bound, prec)) for q in facets]
-        shrink = from_str("0.99", prec, _RND)
-        quarter = mpf_div(_ratio(tol, prec), _FOUR, prec, _RND)
-        x = [_ratio(c, prec) for c in start.coeffs]
+        walls = [(q.normal, _pair(_ratio(q.bound, prec))) for q in facets]
+        shrink = _pair(from_str("0.99", prec, _RND))
+        quarter = _near_div(_pair(_ratio(tol, prec)), (4, 0), prec)
+        x = [_pair(_ratio(c, prec)) for c in start.coeffs]
         base, trig = _log_volume(roots, rung, x, prec)
         for _ in range(60 + 4 * prec):
             total_iter += 1
             mcts, ws = [], []
             for (_, _, m), (cos, sin) in zip(rung, trig):
-                ct = mpf_div(cos, sin, prec, _RND)
-                w = mpf_add(mpf_mul(ct, ct, prec, _RND), _ONE, prec, _RND)
-                if m != 1:
-                    ct, w = _mul_int(ct, m, prec), _mul_int(w, m, prec)
-                mcts.append(ct)
-                ws.append(w)
-            grad = [mpf_mul(pi, _pairing(col, mcts, prec), prec, _RND) for col in cols]
-            mh = [mpf_div(mpf_neg(gi), pi, prec, _RND) for gi in grad]
-            est2 = None
+                cm, ce = ct = _near_div(cos, sin, prec)
+                wm, we = _near_add(_near_mul(ct, ct, prec), _ONE, prec)
+                mcts.append(_near(m * cm, ce, prec))
+                ws.append(_near(m * wm, we, prec))
+            grad = [_near_mul(pi, _pairing(col, mcts, prec), prec) for col in cols]
+            est2 = 0, 0
+            mh = [_near_div((-gm, ge), pi, prec) for gm, ge in grad]
             for i, j, num, den in gram:
-                v = mpf_mul(mpf_mul(mh[i], mh[j], prec, _RND), num, prec, _RND)
-                v = mpf_div(v, den, prec, _RND)
-                est2 = v if est2 is None else mpf_add(est2, v, prec, _RND)
-            est = mpf_sqrt(mpf_abs(est2), prec, _RND)
-            if mpf_lt(est, quarter):
-                exact = AlcovePoint(tuple(mpf_to_fraction(v) for v in x))
+                v = _near_div(_near_mul(_near_mul(mh[i], mh[j], prec), num, prec), den, prec)
+                est2 = _near_add(est2, v, prec)
+            est = mpf_sqrt(_mpf(abs(est2[0]), est2[1]), prec, _RND)
+            if _lt(*_pair(est), *quarter):
+                exact = AlcovePoint(tuple(mpf_to_fraction(_mpf(*v)) for v in x))
                 if point_in_alcove(d, exact, strict=True):
                     mc = mean_curvature(d, exact, max(DEFAULT_PRECISION_BITS, prec))
                     if mc.norm.hi < tol:
@@ -564,28 +552,29 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
             # (w * a_i) * a_j over the terms with a_i != 0, H[i][j] = H[j][i] in mirror
             hess = []
             for i, (nz, sub) in enumerate(zip(nzs, subs)):
-                wa = [ws[t] if a == 1 else _mul_int(ws[t], a, prec) for t, a in zip(nz, sub[i])]
+                wa = [_near(ws[t][0] * a, ws[t][1], prec) for t, a in zip(nz, sub[i])]
                 hess.append([hess[j][i] if (i, j) in mirror else
-                             mpf_mul(pi2, _pairing(c, wa, prec), prec, _RND)
+                             _near_mul(pi2, _pairing(c, wa, prec), prec)
                              for j, c in enumerate(sub)])
-            step = _lu_solve(hess, grad, prec)
+            step = _lu_solve([[_mpf(*v) for v in row] for row in hess],
+                             [_mpf(*v) for v in grad], prec)
+            step = [_pair(v) for v in step]
             lam = _ONE
             for normal, bound in walls:
                 ad = _pairing(normal, step, prec)
-                if mpf_gt(ad, fzero):
-                    room = mpf_div(mpf_sub(bound, _pairing(normal, x, prec), prec, _RND),
-                                   ad, prec, _RND)
-                    room = mpf_mul(room, shrink, prec, _RND)
-                    if mpf_lt(room, lam):
+                if ad[0] > 0:
+                    dm, de = _pairing(normal, x, prec)
+                    room = _near_div(_near_add(bound, (-dm, de), prec), ad, prec)
+                    room = _near_mul(room, shrink, prec)
+                    if _lt(*room, *lam):
                         lam = room
             for _ in range(80):
-                trial = [mpf_add(xi, mpf_mul(lam, si, prec, _RND), prec, _RND)
-                         for xi, si in zip(x, step)]
+                trial = [_near_add(xi, _near_mul(lam, si, prec), prec) for xi, si in zip(x, step)]
                 value, trial_trig = _log_volume(roots, rung, trial, prec)
-                if mpf_gt(value, base):
+                if _lt(*base, *value):
                     x, base, trig = trial, value, trial_trig
                     break
-                lam = mpf_shift(lam, -1)  # lam / 2, exact: lam has at most prec bits
+                lam = lam[0], lam[1] - 1  # lam / 2, exact
             else:
                 break
         prec *= 2

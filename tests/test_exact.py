@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_rational, mpf_neg,
-                          mpi_sqrt, round_floor)
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_rational, mpf_add,
+                          mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, mpi_sqrt, round_floor,
+                          round_nearest)
 
 from hermann.exact import (
     DimensionMismatch,
@@ -177,6 +178,52 @@ def test_cot_eval_calls_only_the_trig_functions_of_libmp():
                 todo.append(called)
     assert {"from_raw", "_pi_ends", "_quotient", "_outward", "_divide", "_mpf"} <= seen
     assert used == {"mpf_pi", "mpf_cos_sin", "cos_sin_quadrant"}
+
+
+def _signed(bits):
+    """Zero, a small integer, or a mantissa of at most bits bits, of either sign."""
+    return st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+                     st.integers(min_value=-(2 ** bits - 1), max_value=2 ** bits - 1))
+
+
+@given(st.sampled_from(tuple(p + k for p in (192, 296, 495, 592, 990) for k in (0, 10))),
+       st.sampled_from(("any", "gap", "tie")), st.sampled_from((1, -1, 2, -2, 4, 3, -3, 6)),
+       st.data())
+@settings(max_examples=400, deadline=None)
+def test_near_arithmetic_rounds_as_libmp_at_round_nearest_bit_for_bit(prec, shape, n, data):
+    # the (m, e) pair kernels against mpf_add, mpf_sub, mpf_mul, mpf_mul_int
+    # and mpf_div: a product or quotient takes operands of prec + 10 bits,
+    # as the Newton step is; a sum's have at most prec + 4 bits (the
+    # ascent's at most prec + 1), as beyond prec + 5 bits the perturbation
+    # branch of mpf_add (exponents more than 100 apart, leading bits more
+    # than prec + 4) rounds the perturbed, not the exact, sum
+    draw = data.draw
+    e, f = (draw(st.integers(min_value=-prec - 60, max_value=60)) for _ in range(2))
+    a, b = (draw(_signed(prec + 10)), e), (draw(_signed(prec + 10)), f)
+    c = (draw(_signed(prec + 10).filter(bool)), f)
+    s, t = (draw(_signed(prec + 4)), e), (draw(_signed(prec + 4)), f)
+    if shape == "gap":  # the smaller operand first or second
+        gap = draw(st.one_of(st.integers(101, 140), st.integers(prec + 5, prec + 200)))
+        s, t = (s, (t[0], e - gap)) if draw(st.booleans()) else ((s[0], e - gap), t)
+    elif shape == "tie":  # every exact result is halfway between two values of prec bits
+        tie = 2 * draw(st.integers(2 ** (prec - 1), 2 ** prec - 1)) + 1
+        tie = draw(st.sampled_from((tie, -tie)))
+        part = draw(st.integers(min_value=min(0, tie), max_value=max(0, tie)))
+        s, t = (tie - part, e), (part, e)
+        a, b = (tie, e), (draw(st.sampled_from((1, -1, 2, -4))), f)
+        c = (draw(_signed(20).filter(bool)), f)
+        n = draw(st.sampled_from((1, -1, 2, -4)))
+    raw, rnd = from_man_exp, round_nearest
+    q = (a[0] * c[0], e) if shape == "tie" else a  # q / c is the tie
+    checks = ((exact._near_add(s, t, prec), mpf_add(raw(*s), raw(*t), prec, rnd)),
+              (exact._near_add(s, (-t[0], t[1]), prec), mpf_sub(raw(*s), raw(*t), prec, rnd)),
+              (exact._near_mul(a, b, prec), mpf_mul(raw(*a), raw(*b), prec, rnd)),
+              (exact._near(n * a[0], a[1], prec), mpf_mul_int(raw(*a), n, prec, rnd)),
+              (exact._near_div(q, c, prec), mpf_div(raw(*q), raw(*c), prec, rnd)))
+    for got, want in checks:
+        assert exact._mpf(*got) == want
+    v = draw(_signed(prec))  # a value of at most prec bits is kept as it is
+    assert exact._near(v, e, prec) == (v, e)
 
 
 def test_mpf_to_fraction_is_exact():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import io
 import json
 import re
@@ -10,8 +12,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_neg, mpf_shift,
-                          round_nearest)
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_neg, mpf_shift
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,9 @@ from hermann.alcove import (AlcovePoint, _scaled, active_roots, active_walls, al
                             alcove_grid, alcove_vertices, faces, point_in_alcove)
 from hermann.cli import main
 from hermann.datum import catalog, positive_sector_roots
+import hermann.exact as exact
 import hermann.geometry as geometry
-from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, _ratio, cot_eval,
+from hermann.exact import (DimensionMismatch, GramMatrix, RealInterval, _mpf, _ratio, cot_eval,
                            format_interval, mpf_to_fraction, pairing)
 from hermann.geometry import (
     CotTerm,
@@ -44,6 +46,7 @@ from hermann.geometry import (
 from interval_reference import (interval_from_iv, iv_context, iv_from_interval,
                                 mean_curvature_reference)
 from setup_reference import inner
+from test_exact import _calls
 
 Q = Fraction
 
@@ -548,10 +551,34 @@ def test_log_volume_kernel_matches_mpf_operators_bit_for_bit(i, prec, bits, data
         x = [mpmath.mpf(c.numerator) / c.denominator for c in point.coeffs]
         terms = [(alpha, mpmath.mpf(t.numerator) / t.denominator, m) for alpha, t, m in stream]
         want, want_trig = _reference_log_volume(terms, x)
+    _assert_log_volume(stream, x, prec, want, want_trig)
+
+
+def _assert_log_volume(stream, x, prec, want, want_trig):
+    """_log_volume on x's (m, e) pairs has the raw value and (cos, sin) of want."""
     roots, rung = geometry._rung(stream, prec)
-    got, got_trig = geometry._log_volume(roots, rung, [v._mpf_ for v in x], prec)
-    assert got == want._mpf_
-    assert got_trig == [(c._mpf_, s._mpf_) for c, s in want_trig]
+    got, got_trig = geometry._log_volume(roots, rung, [geometry._pair(v._mpf_) for v in x], prec)
+    assert _mpf(*got) == want._mpf_
+    assert [(_mpf(*c), _mpf(*s)) for c, s in got_trig] == [(c._mpf_, s._mpf_)
+                                                           for c, s in want_trig]
+
+
+def test_log_volume_makes_one_cos_sin_and_log_per_distinct_angle(monkeypatch):
+    # at isotropy:D4's barycenter its 12 terms make 6 distinct angles pi * p
+    d, prec = catalog("isotropy", label="D4"), 192
+    stream = positive_sector_roots(d)
+    calls = Counter()
+    for name in ("mpf_cos_sin", "mpf_log"):
+        monkeypatch.setattr(geometry, name, lambda *args, _f=getattr(geometry, name), _n=name:
+                            calls.update([_n]) or _f(*args))
+    with mpmath.mp.workprec(prec):
+        x = [mpmath.mpf(c.numerator) / c.denominator for c in alcove_barycenter(d).coeffs]
+        terms = [(alpha, mpmath.mpf(t.numerator) / t.denominator, m) for alpha, t, m in stream]
+        want, want_trig = _reference_log_volume(terms, x)
+        angles = {(mpmath.pi * (pairing(alpha, x) + phase))._mpf_ for alpha, phase, _ in terms}
+    assert (len(terms), len(angles)) == (12, 6)
+    _assert_log_volume(stream, x, prec, want, want_trig)
+    assert calls == {"mpf_cos_sin": len(angles), "mpf_log": len(angles)}
 
 
 def _dyadic(prec, man_bits=None):
@@ -651,35 +678,43 @@ def test_pairing_kernel_matches_mpf_operators_bit_for_bit(prec, size, data):
     for k in range(1, size + 1):  # every prefix, so a lone 1 * y is checked too
         with mpmath.mp.workprec(prec):
             want = sum((a * make(y) for a, y in zip(alpha[:k], x)), mpmath.mpf(0))
-        assert geometry._pairing(alpha[:k], x, prec) == want._mpf_
+        got = geometry._pairing(alpha[:k], [geometry._pair(y) for y in x], prec)
+        assert _mpf(*got) == want._mpf_
 
 
-@given(st.sampled_from((53, 192, 495, 990)), st.sampled_from((1, -1, 2, -2, 4, -4, 3, 6)),
-       st.data())
-@settings(max_examples=200, deadline=None)
-def test_mul_int_shift_is_mpf_mul_int_bit_for_bit(prec, m, data):
-    # a product with +-2^k of a value of at most prec bits is an exponent
-    # shift; a wider value (the Newton step has prec + 10 bits) or another m
-    # goes through mpf_mul_int
-    bits = data.draw(st.sampled_from((prec, prec + 10)))
-    v = data.draw(st.one_of(_dyadic(prec), _dyadic(prec, bits)))
-    calls = []
-    original = geometry.mpf_mul_int
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    geometry.mpf_mul_int = counting
-    try:
-        got = geometry._mul_int(v, m, prec)
-    finally:
-        geometry.mpf_mul_int = original
-    assert got == original(v, m, prec, round_nearest)
-    assert bool(calls) == (v[3] > prec or m in (3, 6))
-    if v[3] <= prec:  # the line search's halving and a phase-0 sum change no bit
-        assert mpf_shift(v, -1) == mpf_div(v, from_int(2), prec, round_nearest)
-        assert mpf_add(v, fzero, prec, round_nearest) == v
+def test_find_minimal_calls_only_the_allowed_functions_of_libmp():
+    # find_minimal, _log_volume and every geometry or exact helper they reach
+    # call no mpmath.libmp function but pi, each angle's cos_sin and log, the
+    # per-rung conversions, each iterate's sqrt, and to_str for the
+    # NoConvergence text; the walk stops at _lu_solve (mpmath's LU on raw
+    # values, held to it above), at _ratio (a Fraction's per-rung
+    # conversion) and at the certification's public mean_curvature
+    libmp, helpers = set(), {}
+    for mod in (geometry, exact):
+        tree = ast.parse(inspect.getsource(mod))
+        libmp.update(a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                     and node.module.startswith("mpmath") for a in node.names)
+        helpers.update((name, f) for name, f in vars(mod).items()
+                       if inspect.isfunction(f) and f.__module__ == mod.__name__)
+    stops = {"_lu_solve", "_ratio", "mean_curvature"}
+    seen, todo, used, reached = set(), ["find_minimal", "_log_volume"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for called in _calls(helpers[name]):
+            if called in libmp:
+                used.add(called)
+            elif called in stops:
+                reached.add(called)
+            elif called in helpers:
+                todo.append(called)
+    assert reached == stops
+    assert {"_pairing", "_pair", "_near", "_near_add", "_near_mul", "_near_div", "_lt",
+            "_mpf", "mpf_to_fraction"} <= seen
+    assert used == {"mpf_pi", "mpf_cos_sin", "mpf_log", "from_int", "from_str", "mpf_sqrt",
+                    "to_str"}
 
 
 def test_no_convergence_names_the_tolerance_as_mpmath_nstr_does(monkeypatch):

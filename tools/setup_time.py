@@ -8,7 +8,10 @@ and austere-scan workloads of `bench/workloads.py` cold, as a fresh
 process does: `datum.catalog` makes a new datum, and
 `alcove.fundamental_alcove` lays out its alcove.  Each stage is timed by
 a wrapper around the function that does it, and a pass sums a stage over
-the 12 data.  The output has one line per stage, the median of its N
+the 12 data.  As the benchmark scales an operation's latency, each pass
+sum is scaled by `bench/calibrate.normalized` to the reference host
+speed, with the calibration unit timed right before and right after the
+pass.  The output has one line per stage, the median of its N scaled
 pass sums in milliseconds:
 
     build       catalog less validate: the root system and the sectors
@@ -23,7 +26,7 @@ pass sums in milliseconds:
     total       build + validate + slabs + facets + cartan + vertices
 
 The wrappers add well under a microsecond per call.  Run it on two trees
-(`--src`) alternately to compare them.
+(`--src`) to compare them.
 """
 
 import argparse
@@ -36,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
+import calibrate  # noqa: E402
 from workloads import FACE_DATA, PQ_BY_RANK, SCAN_DATA, catalog_call  # noqa: E402
 
 # (stage, module, candidate function names: the first that the module has)
@@ -73,15 +77,18 @@ def install(spent):
 
 
 def one_pass(calls, spent):
-    """The stage sums of one cold build of every datum, in seconds."""
+    """The stage sums of one cold build of every datum, in seconds at the
+    reference host speed."""
     from hermann.alcove import fundamental_alcove
     from hermann.datum import catalog
 
     for key in spent:
         spent[key] = 0.0
+    before = calibrate.unit_seconds()
     for key, params in calls:
         fundamental_alcove(catalog(key, **params))
-    s = dict(spent)
+    after = calibrate.unit_seconds()
+    s = {key: calibrate.normalized(v, before, after) for key, v in spent.items()}
     out = {"build": s["catalog"] - s["validate"], "validate": s["validate"],
            "  closure": s["closure"], "slabs": s["slabs"], "facets": s["facets"],
            "cartan": s["cartan"],
@@ -102,7 +109,7 @@ def run(argv=None):
     calls = data()
     one_pass(calls, spent)  # warm the imports and the interpreter
     passes = [one_pass(calls, spent) for _ in range(args.repeats)]
-    print(f"{len(calls)} data, median of {args.repeats} passes, ms")
+    print(f"{len(calls)} data, median of {args.repeats} passes, ms at the reference speed")
     for stage in SHOWN:
         print(f"{stage:<10} {1000 * statistics.median(p[stage] for p in passes):8.3f}")
 
