@@ -343,11 +343,15 @@ def parse_datum(text: str) -> GradedRootDatum:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     _no_extra(doc, ("name", "rank", "gram", "simple_roots_label", "order",
                     "zero_mult", "sectors"), "datum")
     name = _req(doc, "name", str, "datum")
+    if not (name.isascii() and name.isprintable()):
+        raise ParseError("datum.name: must be printable ASCII")
     rank = _req(doc, "rank", int, "datum")
     if rank < 1:
         raise ParseError("datum.rank: must be >= 1")

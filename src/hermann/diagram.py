@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 from .alcove import alcove_vertices
 from .datum import GradedRootDatum, positive_sector_roots
-from .exact import dual_basis, ldl, pairing
+from .exact import dual_basis, pairing
 from .geometry import OrbitReport, TriState
 
 
@@ -33,12 +33,14 @@ def _fmt(v: float) -> str:
 
 def _embedding(gram):
     """Rows of E map dual coordinates x to Euclidean u = E x isometrically,
-    a rank-1 x onto the plane's x axis."""
+    a rank-1 x onto the plane's x axis: E = sqrt(D) L^T for the metric
+    m = L D L^T, which a 1x1 or 2x2 m gives in closed form, exactly."""
     m = dual_basis(gram)
-    lower, diag = ldl(m)
-    n = len(diag)
-    emb = [[sqrt(diag[i]) * float(lower[j][i]) for j in range(n)] for i in range(n)]
-    return emb if n == 2 else [[emb[0][0], 0], [0, 1]]
+    a = m[0][0]
+    if len(m) == 1:
+        return [[sqrt(a), 0], [0, 1]]
+    l10, d1 = m[1][0] / a, m[1][1] - m[1][0] ** 2 / a
+    return [[sqrt(a), sqrt(a) * float(l10)], [0.0, sqrt(d1)]]
 
 
 def _plane(v):

@@ -6,11 +6,15 @@ cotangents, certified enclosures with dyadic ends, each the one mpmath's
 interval context gives, that cot_eval makes in integers around libmp's pi and
 mpf_cos_sin, and the mean curvature's norm, whose ends sqrt_ratio_interval
 makes by one integer square root each.  Both keep their raw ends, of which a
-RealInterval makes Fractions only when read.  A dyadic Fraction becomes an
-mpf by one from_man_exp, the value mpf_div by its power of two gives.  Every
-exact elimination is one integer `eliminate`.  A Gram matrix keeps its
+RealInterval makes Fractions only when read.  Every integer step that stands
+for a libmp call is a pair (m, e) for m * 2^e rounded by one kernel, _round:
+to nearest, half to even, or to ceiling or floor, as libmp rounds; _add, _mul
+and _div make the exact sum, product or quotient (to a sticky bit) and round
+it once, and _pair is the one conversion from a raw mpf value to a pair.
+Every exact elimination is one integer `eliminate`.  A Gram matrix keeps its
 integer form, integer rows over one denominator, on which squared lengths,
-coroot rows and the Bareiss test of positive definiteness run.
+coroot rows, the Bareiss test of positive definiteness and the dual basis
+run.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_cos_sin, mpf_div, mpf_lt,
-                          mpf_neg, mpf_pi, mpf_shift, round_ceiling, round_floor, round_nearest,
-                          to_str)
+from mpmath.libmp import fzero, mpf_cos_sin, mpf_pi, round_ceiling, round_floor, to_str
 from mpmath.libmp.libmpi import cos_sin_quadrant
 
 #: Reports are certified at DEFAULT_PRECISION_BITS; MAX_PRECISION_BITS
@@ -64,8 +66,7 @@ class RealInterval:
     @classmethod
     def from_raw(cls, lo, hi, precision_bits: int) -> "RealInterval":
         """The interval between the finite raw mpf values lo <= hi."""
-        (hs, hm, he, _), (ls, lm, le, _) = hi, lo
-        if _lt(-hm if hs else hm, he, -lm if ls else lm, le):
+        if _lt(*_pair(hi), *_pair(lo)):
             raise ValueError(f"interval endpoints out of order: "
                              f"{mpf_to_fraction(lo)} > {mpf_to_fraction(hi)}")
         self = object.__new__(cls)
@@ -123,75 +124,64 @@ class RealInterval:
         return RealInterval(self.hi * c, self.lo * c, self.precision_bits)
 
 
+def _pair(v):
+    """The finite raw mpf v as the pair (m, e) of its value m * 2^e."""
+    sign, man, exp, _ = v
+    return -man if sign else man, exp
+
+
 def mpf_to_fraction(t) -> Fraction:
     """Exact conversion of a finite raw mpf value (an mpf's _mpf_) to Fraction."""
-    sign, man, exp, _ = t
-    if not man and exp:
+    m, e = _pair(t)
+    if not m and e:
         raise ValueError(f"non-finite value {t!r}")
-    man = -man if sign else man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _round_int(n: int, prec: int, up: bool):
-    """(m, k) with m * 2^k the integer n > 0 rounded to prec bits, up or down."""
-    k = n.bit_length() - prec
-    if k <= 0:
-        return n, 0
-    m = n >> k
-    return m + (up and m << k != n), k
-
-
-def _quotient(a: int, b: int, prec: int, up: bool):
-    """(m, k) with m * 2^k the quotient a / b of integers a, b > 0, a of at most
-    prec + 1 bits, rounded to prec bits, up or down: one divmod to prec + 1 or
-    prec + 2 bits, then the dropped bits and the remainder decide the last one."""
-    sh = prec + 1 + b.bit_length() - a.bit_length()
-    q, rem = divmod(a << sh, b)
-    d = q.bit_length() - prec
-    m = q >> d
-    return m + (up and (rem > 0 or m << d != q)), d - sh
-
-
-def _lt(a: int, ea: int, b: int, eb: int) -> bool:
-    """a * 2^ea < b * 2^eb, compared at the smaller exponent."""
-    return a << ea - eb < b if ea > eb else a < b << eb - ea
-
-
-def _near(m: int, e: int, prec: int):
-    """(m, e) rounded to nearest at prec bits, half to even, as libmp's normalize
-    rounds it, trailing zeros kept; of at most prec bits, unchanged."""
+def _round(m: int, e: int, prec: int, up=None):
+    """(m, e) rounded to prec bits, as libmp rounds: to nearest, half to even,
+    when up is None, else to ceiling (up) or floor; trailing zeros are kept,
+    and a value of at most prec bits is returned unchanged."""
     a = -m if m < 0 else m
     k = a.bit_length() - prec
     if k <= 0:
         return m, e
     t = a >> k - 1  # the kept bits and the half bit
     q = t >> 1
-    if t & 1 and (q & 1 or t << k - 1 != a):
+    if up is None:
+        if t & 1 and (q & 1 or t << k - 1 != a):
+            q += 1
+    elif up != (m < 0) and q << k != a:  # away from zero, and bits were dropped
         q += 1
     return -q if m < 0 else q, e + k
 
 
-def _near_add(a, b, prec: int):
-    """The sum of (m, e) pairs a and b, exact, then rounded by _near."""
+def _add(a, b, prec: int):
+    """The sum of (m, e) pairs a and b, exact, then rounded to nearest by _round."""
     (am, ae), (bm, be) = a, b
     if ae < be:
-        return _near(am + (bm << be - ae), ae, prec)
-    return _near((am << ae - be) + bm, be, prec)
+        return _round(am + (bm << be - ae), ae, prec)
+    return _round((am << ae - be) + bm, be, prec)
 
 
-def _near_mul(a, b, prec: int):
-    """The product of (m, e) pairs a and b, exact, then rounded by _near."""
-    return _near(a[0] * b[0], a[1] + b[1], prec)
+def _mul(a, b, prec: int, up=None):
+    """The product of (m, e) pairs a and b, exact, then rounded by _round."""
+    return _round(a[0] * b[0], a[1] + b[1], prec, up)
 
 
-def _near_div(a, b, prec: int):
+def _div(a, b, prec: int, up=None):
     """a / b for (m, e) pairs, b != 0: the quotient to prec + 2 bits or more and a
-    sticky bit for the remainder, rounded by _near, so a tie is exact."""
+    sticky bit for the remainder, rounded by _round, so a tie is exact."""
     (am, ae), (bm, be) = a, b
     sh = max(prec + 2 + bm.bit_length() - am.bit_length(), 0)
     q, rem = divmod((-am if am < 0 else am) << sh, -bm if bm < 0 else bm)
     q = q << 1 | (rem > 0)
-    return _near(-q if (am < 0) != (bm < 0) else q, ae - be - sh - 1, prec)
+    return _round(-q if (am < 0) != (bm < 0) else q, ae - be - sh - 1, prec, up)
+
+
+def _lt(a: int, ea: int, b: int, eb: int) -> bool:
+    """a * 2^ea < b * 2^eb, compared at the smaller exponent."""
+    return a << ea - eb < b if ea > eb else a < b << eb - ea
 
 
 def _mpf(m: int, e: int):
@@ -209,19 +199,16 @@ def _root_end(n: int, odd: int, s: int, prec: int, up: bool):
     if not n:
         return fzero
     k, g = min((n & -n).bit_length() - 1, s), gcd(n, odd)
-    (a, ea), (b, eb) = _round_int((n >> k) // g, prec, up), \
-        _round_int((odd // g) << (s - k), prec, not up)
-    m, exp = _quotient(a, b, prec, up)
-    exp += ea - eb
+    m, exp = _div(_round((n >> k) // g, 0, prec, up),
+                  _round((odd // g) << (s - k), 0, prec, not up), prec, up)
     if exp & 1:
         m, exp = m << 1, exp - 1
-    # the root of m * 2^exp from at least prec bits of one isqrt: an exact
-    # root has at most half of m's bits, so only a remainder makes it round up
+    # the root of m * 2^exp from at least prec bits of one isqrt and a sticky
+    # bit for its remainder
     j = prec - (m.bit_length() >> 1)  # m has at most prec + 2 bits
     x = m << 2 * j
     r = isqrt(x)
-    d = r.bit_length() - prec
-    return _mpf((r >> d) + (up and r * r != x), (exp >> 1) - j + d)
+    return _mpf(*_round(r << 1 | (r * r != x), (exp >> 1) - j - 1, prec, up))
 
 
 def sqrt_ratio_interval(lo: int, hi: int, den: int, prec: int):
@@ -233,38 +220,25 @@ def sqrt_ratio_interval(lo: int, hi: int, den: int, prec: int):
 
 
 def _ratio(q: Fraction, prec: int):
-    """mpf(q.numerator) / q.denominator at prec bits, rounded to nearest; a
-    division by 2^k is exact, so a dyadic q is its numerator rounded once."""
-    den = q.denominator
-    if den & (den - 1) == 0:
-        return from_man_exp(q.numerator, 1 - den.bit_length(), prec, round_nearest)
-    return mpf_div(from_int(q.numerator, prec, round_nearest), from_int(den), prec,
-                   round_nearest)
+    """mpf(q.numerator) / q.denominator at prec bits, rounded to nearest, as a pair."""
+    return _div(_round(q.numerator, 0, prec), (q.denominator, 0), prec)
 
 
 @lru_cache(maxsize=64)
 def _pi_ends(work: int):
-    """pi rounded down and up at work bits, each as (man, exp)."""
-    return mpf_pi(work, round_floor)[1:3], mpf_pi(work, round_ceiling)[1:3]
+    """pi rounded down and up at work bits, each as a pair."""
+    return _pair(mpf_pi(work, round_floor)), _pair(mpf_pi(work, round_ceiling))
 
 
-def _outward(m: int, e: int, floor: bool, prec: int):
-    """mpi_cos_sin's last step on m * 2^e at prec bits, rounded to floor or ceiling:
+def _outward(m: int, e: int, up: bool, prec: int):
+    """mpi_cos_sin's last step on m * 2^e at prec bits, rounded up or down:
     times 1 +- 2^(10 - wp), wp = prec + 20, + when that moves it toward the
     rounding's side; a magnitude of at least 1 becomes -1 or 1."""
-    wp, a, away = prec + 20, -m if m < 0 else m, (m < 0) == floor
-    a, k = _round_int((a << wp) + (a << 10) if away else (a << wp) - (a << 10), prec, away)
-    if a.bit_length() + k + e - wp >= 1:
+    wp, d = prec + 20, (-m if m < 0 else m) << 10
+    a, k = _round((m << wp) + (d if up else -d), e - wp, prec, up)
+    if a.bit_length() + k >= 1:
         return -1 if m < 0 else 1, 0
-    return -a if m < 0 else a, k + e - wp
-
-
-def _divide(a: int, ea: int, b: int, eb: int, prec: int, ceiling: bool):
-    """mpf_div of a * 2^ea by b * 2^eb > 0 at prec bits, rounded to ceiling or floor."""
-    if not a:
-        return 0, 0
-    q, k = _quotient(-a if a < 0 else a, b, prec, ceiling == (a > 0))
-    return -q if a < 0 else q, ea - eb + k
+    return a, k
 
 
 @lru_cache(maxsize=8192)
@@ -286,34 +260,32 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
     for _ in range(16):
         (p_lo, e_lo), (p_hi, e_hi) = pi = _pi_ends(work)
         wp, ends = work + 20, []
-        for (p, e), up in zip(pi, (False, True)):
-            (n, kn), (d, kd) = _round_int(num, work, up), _round_int(den, work, not up)
-            m, k = _round_int(p * n, work, up)
-            m, km = _quotient(m, d, work, up)
-            e += kn + k - kd + km
+        for p, up in zip(pi, (False, True)):
+            n, d = _round(num, 0, work, up), _round(den, 0, work, not up)
+            m, e = _div(_mul(p, n, work, up), d, work, up)
             # cos_sin_quadrant(t, wp), its quadrant read off the bounds of pi/2 and pi
             q = 0 if _lt(m, e + 1, p_lo, e_lo) else \
                 1 if _lt(p_hi, e_hi, m, e + 1) and _lt(m, e, p_lo, e_lo) else -1
             t = _mpf(m, e)
             c, s, q = (*mpf_cos_sin(t, wp), q) if q >= 0 else cos_sin_quadrant(t, wp)
-            ends.append(((-c[1] if c[0] else c[1], c[2]), (-s[1] if s[0] else s[1], s[2]), q))
+            ends.append((_pair(c), _pair(s), q))
         (ca, sa, na), (cb, sb, nb) = ends
         ca, cb = (cb, ca) if _lt(*cb, *ca) else (ca, cb)
         sa, sb = (sb, sa) if _lt(*sb, *sa) else (sa, sb)
         if na != nb:  # mpi_cos_sin: an extremum of cos or sin lies between the ends
             ca, cb, sa, sb = (v if (na - k) // 4 == (nb - k) // 4 else (e, 0) for v, k, e in
                               ((ca, 2, -1), (cb, 0, 1), (sa, 3, -1), (sb, 1, 1)))
-        sa = _outward(*sa, True, work)
+        sa = _outward(*sa, False, work)
         # sin(theta) > 0 on (0, pi); an enclosure whose lower end is negative
         # or zero means the working precision cannot separate it yet
         if sa[0] <= 0:
             work *= 2
             continue
-        sb, ca, cb = _outward(*sb, False, work), _outward(*ca, True, work), \
-            _outward(*cb, False, work)
+        sb, ca, cb = _outward(*sb, True, work), _outward(*ca, False, work), \
+            _outward(*cb, True, work)
         # mpi_div by sin > 0: each end's divisor is read off the signs of cos's ends
-        lo = _divide(*ca, *(sa if ca[0] < 0 else sb), work, False)
-        hi = _divide(*cb, *(sb if ca[0] < 0 and cb[0] <= 0 else sa), work, True)
+        lo = _div(ca, sa if ca[0] < 0 else sb, work, False)
+        hi = _div(cb, sb if ca[0] < 0 and cb[0] <= 0 else sa, work, True)
         e = min(lo[1], hi[1], 8 - precision_bits)
         if (hi[0] << hi[1] - e) - (lo[0] << lo[1] - e) <= 1 << 8 - precision_bits - e:
             return RealInterval.from_raw(_mpf(*lo), _mpf(*hi), precision_bits)
@@ -325,21 +297,6 @@ def cot_eval(a: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealI
 def pairing(alpha, x):
     """Exact pairing alpha . x of root coefficients with int or Fraction coordinates."""
     return sum(map(mul, alpha, x))
-
-
-def row_reduce(rows):
-    """Reduced row-echelon form over Fraction and its pivot columns.
-
-    The rows are scaled to integers and eliminated by eliminate; each entry
-    is made a Fraction once, at the end.
-    """
-    m = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    pivots = eliminate(m)
-    return ([[Fraction(x, m[r][c]) for x in m[r]] for r, c in enumerate(pivots)]
-            + [[Fraction(0)] * len(row) for row in m[len(pivots):]]), tuple(pivots)
 
 
 def eliminate(m) -> list:
@@ -403,40 +360,19 @@ class GramMatrix:
         return len(self.entries)
 
 
-def ldl(m):
-    """Exact unit-lower-triangular L and positive diagonal D with m = L D L^T.
-
-    Pivot j is the ratio of the leading (j+1)- and j-minors, so the first
-    pivot <= 0 raises SingularGram before it is divided by: a symmetric m
-    is positive definite exactly when this returns.
-    """
-    n = len(m)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        lower[j][j] = Fraction(1)
-        diag[j] = m[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        if diag[j] <= 0:
-            raise SingularGram(f"leading {j + 1}x{j + 1} minor is not positive")
-        for i in range(j + 1, n):
-            num = m[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = num / diag[j]
-    return lower, diag
-
-
 def dual_basis(g: GramMatrix):
     """Columns are the dual vectors H_i in simple-root coordinates.
 
     The defining property <H_i, alpha_j> = delta_ij makes the matrix the
-    inverse of g, read off the reduced form of [g | I]; the product is
-    re-checked exactly before returning.
+    inverse of g, den times that of g's integer form, read off one eliminate
+    of [form | I]; the product is re-checked exactly before returning.
     """
     r = g.rank
-    m, pivots = row_reduce([list(row) + [int(i == j) for j in range(r)]
-                            for i, row in enumerate(g.entries)])
-    if pivots != tuple(range(r)):
+    rows, den = g.form
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
+    if eliminate(m) != list(range(r)):
         raise SingularGram("Gram matrix is singular")
-    out = tuple(tuple(row[r:]) for row in m)
+    out = tuple(tuple(Fraction(den * x, row[i]) for x in row[r:]) for i, row in enumerate(m))
     for i in range(r):
         h = tuple(out[k][i] for k in range(r))
         for j in range(r):
@@ -463,22 +399,23 @@ def format_interval(r: RealInterval) -> str:
     """Deterministic ASCII rendering with a precision annotation.
 
     The midpoint to 12 significant digits when r is certainly positive,
-    else <=B with B a bound on |r|: the raw mpmath.libmp calls, in order, that
-    mpmath.mp makes for the same expressions and nstr under workprec(max(80, bits)).
-    Each end is rounded to nearest once, a raw end by from_man_exp, a Fraction
-    end by _ratio; the rounding keeps signs, sends no nonzero end to 0, and
-    is monotone and odd, so the rounded bound is the larger rounded |end|.
+    else <=B with B a bound on |r|: the values that mpmath.mp makes for the
+    same expressions and nstr under workprec(max(80, bits)).  Each end is
+    rounded to nearest once, a raw end by _round, a Fraction end by _ratio;
+    the rounding keeps signs, sends no nonzero end to 0, and is monotone and
+    odd, so the rounded bound is the larger rounded |end|.  The ends have at
+    most prec bits, so mpf_add rounds their exact sum, and its halving is exact.
     """
     prec, bits = max(80, r.precision_bits), r.precision_bits
     if r.raw:
-        lo, hi = (from_man_exp(-man if sign else man, exp, prec, round_nearest)
-                  for sign, man, exp, _ in r.raw)
+        lo, hi = (_round(*_pair(v), prec) for v in r.raw)
     else:
         lo, hi = _ratio(r.lo, prec), _ratio(r.hi, prec)
-    if lo == hi == fzero:
+    if not lo[0] and not hi[0]:
         return f"0@{bits}b"
-    if not lo[0] and lo[1]:  # lo > 0; mpf_div of the sum by 2 is this exact halving
-        mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
+    if lo[0] > 0:
+        m, e = _add(lo, hi, prec)
+        mid = _mpf(m, e - 1)
         return f"{to_str(mid, 12)}@{bits}b"
-    lo = mpf_neg(lo)  # lo <= 0, so |lo|; hi <= 0 makes |hi| <= |lo|
-    return f"<={to_str(hi if mpf_lt(lo, hi) else lo, 3)}@{bits}b"
+    lo = -lo[0], lo[1]  # lo <= 0, so |lo|; hi <= 0 makes |hi| <= |lo|
+    return f"<={to_str(_mpf(*(hi if _lt(*lo, *hi) else lo)), 3)}@{bits}b"

@@ -26,9 +26,10 @@ Tits table cross-checks.
 
 find_minimal's Newton ascent is not certified, only its last point is, but
 its iterates are reproducible bit for bit: it runs on integer pairs
-(m, e) for m * 2^e, each step the exact result rounded once, as the libmp
-call of the mpf operator it stands for rounds it; libmp makes pi, each
-distinct angle's cos_sin and log, each iterate's sqrt and the LU step.
+(m, e) for m * 2^e, each step the exact result rounded once by exact's
+kernel, as the libmp call of the mpf operator it stands for rounds it, the
+per-rung constants included; libmp makes pi, each distinct angle's cos_sin
+and log, each iterate's sqrt and the LU step.
 """
 
 from __future__ import annotations
@@ -39,17 +40,17 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from mpmath.libmp import (MPZ_ONE, from_int, from_str, fzero, mpf_abs, mpf_cos_sin, mpf_div,
-                          mpf_gt, mpf_le, mpf_log, mpf_mul, mpf_pi, mpf_rdiv_int, mpf_sqrt,
-                          mpf_sub, mpf_sum, round_nearest, to_str)
+from mpmath.libmp import (MPZ_ONE, fzero, mpf_abs, mpf_cos_sin, mpf_div, mpf_gt, mpf_le, mpf_log,
+                          mpf_mul, mpf_pi, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum, round_nearest,
+                          to_str)
 
 from .alcove import (ActiveRoots, ActiveWalls, AlcovePoint, _scaled, _walls, active_walls,
                      alcove_barycenter, alcove_grid, fundamental_alcove, point_in_alcove,
                      sector_angles)
 from .datum import GradedRootDatum, positive_sector_roots, sector_phases
 from .exact import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DimensionMismatch,
-                    RealInterval, _lt, _mpf, _near, _near_add, _near_div, _near_mul,
-                    _ratio, cot_eval, mpf_to_fraction, pairing, sqrt_ratio_interval)
+                    RealInterval, _add, _div, _lt, _mpf, _mul, _pair, _ratio, _round,
+                    cot_eval, mpf_to_fraction, pairing, sqrt_ratio_interval)
 from .roots import (CartanLabel, contains_minus_identity, tits_minus_identity,
                     weyl_group)
 
@@ -174,7 +175,7 @@ class MeanCurvature:
 def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -> MeanCurvature:
     """The certified enclosure, summed in Python ints, one cot_eval per angle n/den.
 
-    Every cot_eval endpoint [a, b] is dyadic, read off its raw (man, exp), so
+    Every cot_eval endpoint [a, b] is dyadic, read off its raw end's pair, so
     each coefficient interval is two integers over one 2^e, and the squared
     norm is integers over 2^(2e) times the Gram form's denominator: the
     rationals of interval sums and products over Fraction.  A term adds
@@ -186,11 +187,11 @@ def _mean_curvature(d: GradedRootDatum, den: int, groups, precision_bits: int) -
     norm at precision_bits + 16, one integer square root per end.
     """
     r = d.rank
-    cots = [cot_eval(Fraction(n, den), precision_bits).raw for n in groups]
-    e = max([0, *(-exp for c in cots for _, _, exp, _ in c)])
+    cots = [tuple(map(_pair, cot_eval(Fraction(n, den), precision_bits).raw)) for n in groups]
+    e = max([0, *(-exp for c in cots for _, exp in c)])
     lo, hi = [0] * r, [0] * r
     for c, pairs in zip(cots, groups.values()):
-        a, b = ((-man if sign else man) << (e + exp) for sign, man, exp, _ in c)
+        a, b = (m << e + exp for m, exp in c)
         ks = [0] * r
         for alpha, m in pairs:
             for j, x in enumerate(alpha):
@@ -368,19 +369,14 @@ _RND = round_nearest
 _ONE = 1, 0
 
 
-def _pair(v):
-    """The finite raw mpf v as the pair (m, e) of its value m * 2^e."""
-    sign, man, exp, _ = v
-    return -man if sign else man, exp
-
-
 def _pairing(alpha, x, prec: int):
-    """pairing(alpha, x) for pairs x: sum(a * y) from 0 in _near arithmetic at prec
-    bits; a zero coefficient adds an exact 0, which rounds to no change."""
+    """pairing(alpha, x) for pairs x: sum(a * y) from 0, each step rounded to
+    nearest at prec bits; a zero coefficient adds an exact 0, which rounds to
+    no change."""
     acc = 0, 0
     for a, (m, e) in zip(alpha, x):
         if a:
-            acc = _near_add(acc, _near(a * m, e, prec), prec)
+            acc = _add(acc, _round(a * m, e, prec), prec)
     return acc
 
 
@@ -454,7 +450,7 @@ def _mirror(cols):
 def _rung(terms, prec: int):
     """The distinct roots of terms, and (root index, phase pair, mult) per term."""
     index = {}
-    rung = tuple((index.setdefault(alpha, len(index)), _pair(_ratio(t, prec)), m)
+    rung = tuple((index.setdefault(alpha, len(index)), _ratio(t, prec), m)
                  for alpha, t, m in terms)
     return tuple(index), rung
 
@@ -464,18 +460,17 @@ def _log_volume(roots, rung, x, prec: int):
     all pairs, p = alpha . x + phase: one pairing per root, and one mpf_cos_sin
     and mpf_log per distinct angle pi * p, looked up by its normalized raw
     value, so a repeated angle gets the bits of its first call."""
-    pm, pe = _pair(mpf_pi(prec, _RND))
+    pi = _pair(mpf_pi(prec, _RND))
     pairs = [_pairing(alpha, x, prec) for alpha in roots]
     total, trig, seen = (0, 0), [], {}
     for k, phase, m in rung:
-        p, q = _near_add(pairs[k], phase, prec) if phase[0] else pairs[k]
-        t = _mpf(*_near(pm * p, pe + q, prec))
+        t = _mpf(*_mul(pi, _add(pairs[k], phase, prec) if phase[0] else pairs[k], prec))
         hit = seen.get(t)
         if hit is None:
             c, s = mpf_cos_sin(t, prec, _RND)
             hit = seen[t] = (_pair(c), _pair(s)), _pair(mpf_log((0, *s[1:]), prec, _RND))
         cs, (lm, le) = hit
-        total = _near_add(total, _near(m * lm, le, prec), prec)
+        total = _add(total, _round(m * lm, le, prec), prec)
         trig.append(cs)
     return total, trig
 
@@ -495,10 +490,11 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     The ascent holds every value as a pair (m, e) for m * 2^e, and each
     step of the mpf operators it stands for (int * mpf and sums from 0
     included) is the exact result in integers rounded once to the rung's
-    bits by exact._near, to nearest, as libmp rounds it; so every iterate
-    has the bits of plain mpf arithmetic.  libmp makes pi, the per-rung
-    constants, each angle's cos_sin and log and each iterate's sqrt; the
-    step is _lu_solve, mpmath's LU 10 bits above the rung, on raw values.
+    bits by exact._round, to nearest, as libmp rounds it; so every iterate
+    has the bits of plain mpf arithmetic, and so have the per-rung constants,
+    made by exact._ratio and _round.  libmp makes pi, each angle's cos_sin
+    and log and each iterate's sqrt; the step is _lu_solve, mpmath's LU 10
+    bits above the rung, on raw values.
     """
     tol = Fraction(tolerance)
     if tol <= 0:
@@ -518,29 +514,29 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
     total_iter = 0
     while prec <= 4 * MAX_PRECISION_BITS:
         pi = _pair(mpf_pi(prec, _RND))
-        pi2 = _near_mul(pi, pi, prec)  # mpf_pow_int(pi, 2) rounds the square once
+        pi2 = _mul(pi, pi, prec)  # mpf_pow_int(pi, 2) rounds the square once
         roots, rung = _rung(terms, prec)
-        gram = [(i, j, _pair(from_int(g[i][j].numerator, prec, _RND)), (g[i][j].denominator, 0))
+        gram = [(i, j, _round(g[i][j].numerator, 0, prec), (g[i][j].denominator, 0))
                 for i, j in product(range(r), repeat=2) if g[i][j]]
-        walls = [(q.normal, _pair(_ratio(q.bound, prec))) for q in facets]
-        shrink = _pair(from_str("0.99", prec, _RND))
-        quarter = _near_div(_pair(_ratio(tol, prec)), (4, 0), prec)
-        x = [_pair(_ratio(c, prec)) for c in start.coeffs]
+        walls = [(q.normal, _ratio(q.bound, prec)) for q in facets]
+        shrink = _ratio(Fraction(99, 100), prec)  # from_str("0.99") gives the same bits
+        quarter = _div(_ratio(tol, prec), (4, 0), prec)
+        x = [_ratio(c, prec) for c in start.coeffs]
         base, trig = _log_volume(roots, rung, x, prec)
         for _ in range(60 + 4 * prec):
             total_iter += 1
             mcts, ws = [], []
             for (_, _, m), (cos, sin) in zip(rung, trig):
-                cm, ce = ct = _near_div(cos, sin, prec)
-                wm, we = _near_add(_near_mul(ct, ct, prec), _ONE, prec)
-                mcts.append(_near(m * cm, ce, prec))
-                ws.append(_near(m * wm, we, prec))
-            grad = [_near_mul(pi, _pairing(col, mcts, prec), prec) for col in cols]
+                cm, ce = ct = _div(cos, sin, prec)
+                wm, we = _add(_mul(ct, ct, prec), _ONE, prec)
+                mcts.append(_round(m * cm, ce, prec))
+                ws.append(_round(m * wm, we, prec))
+            grad = [_mul(pi, _pairing(col, mcts, prec), prec) for col in cols]
             est2 = 0, 0
-            mh = [_near_div((-gm, ge), pi, prec) for gm, ge in grad]
+            mh = [_div((-gm, ge), pi, prec) for gm, ge in grad]
             for i, j, num, den in gram:
-                v = _near_div(_near_mul(_near_mul(mh[i], mh[j], prec), num, prec), den, prec)
-                est2 = _near_add(est2, v, prec)
+                v = _div(_mul(_mul(mh[i], mh[j], prec), num, prec), den, prec)
+                est2 = _add(est2, v, prec)
             est = mpf_sqrt(_mpf(abs(est2[0]), est2[1]), prec, _RND)
             if _lt(*_pair(est), *quarter):
                 exact = AlcovePoint(tuple(mpf_to_fraction(_mpf(*v)) for v in x))
@@ -552,9 +548,9 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
             # (w * a_i) * a_j over the terms with a_i != 0, H[i][j] = H[j][i] in mirror
             hess = []
             for i, (nz, sub) in enumerate(zip(nzs, subs)):
-                wa = [_near(ws[t][0] * a, ws[t][1], prec) for t, a in zip(nz, sub[i])]
+                wa = [_round(ws[t][0] * a, ws[t][1], prec) for t, a in zip(nz, sub[i])]
                 hess.append([hess[j][i] if (i, j) in mirror else
-                             _near_mul(pi2, _pairing(c, wa, prec), prec)
+                             _mul(pi2, _pairing(c, wa, prec), prec)
                              for j, c in enumerate(sub)])
             step = _lu_solve([[_mpf(*v) for v in row] for row in hess],
                              [_mpf(*v) for v in grad], prec)
@@ -564,12 +560,11 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
                 ad = _pairing(normal, step, prec)
                 if ad[0] > 0:
                     dm, de = _pairing(normal, x, prec)
-                    room = _near_div(_near_add(bound, (-dm, de), prec), ad, prec)
-                    room = _near_mul(room, shrink, prec)
+                    room = _mul(_div(_add(bound, (-dm, de), prec), ad, prec), shrink, prec)
                     if _lt(*room, *lam):
                         lam = room
             for _ in range(80):
-                trial = [_near_add(xi, _near_mul(lam, si, prec), prec) for xi, si in zip(x, step)]
+                trial = [_add(xi, _mul(lam, si, prec), prec) for xi, si in zip(x, step)]
                 value, trial_trig = _log_volume(roots, rung, trial, prec)
                 if _lt(*base, *value):
                     x, base, trig = trial, value, trial_trig
@@ -578,7 +573,7 @@ def find_minimal(d: GradedRootDatum, tolerance=Fraction(1, 10 ** 20)) -> Minimal
             else:
                 break
         prec *= 2
-    raise NoConvergence(f"no certified point below {to_str(_ratio(tol, 53), 3)}: the ladder "
+    raise NoConvergence(f"no certified point below {to_str(_mpf(*_ratio(tol, 53)), 3)}: the ladder "
                         f"starts at {bits_needed} bits, its cap is {4 * MAX_PRECISION_BITS} bits")
 
 

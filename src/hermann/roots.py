@@ -10,9 +10,8 @@ root's squared length is that of the simple root it is raised from.
 
 A Weyl group is its integer Cartan matrix.  Its order is Kostant's height
 formula over the positive roots of that matrix, and -id is tested by the
-longest-element walk; the orbit of a chamber point, one point per element,
-is built only when asked for.  An irreducible component is named by one
-rule set: its Dynkin diagram, read by cartan_type.
+longest-element walk; no element is listed.  An irreducible component is
+named by one rule set: its Dynkin diagram, read by cartan_type.
 """
 
 from __future__ import annotations
@@ -114,25 +113,6 @@ class WeylGroup:
         for h, n in heights.items():
             out *= (h + 1) ** (n - heights[h + 1])
         return out
-
-    @cached_property
-    def elements(self) -> frozenset:
-        """The orbit of the chamber point c0 = (1, ..., k): c0 is regular, so
-        the orbit has one point per element."""
-        gens = self.generators
-        c0 = tuple(range(1, len(gens) + 1))
-        elements = {c0}
-        frontier = [c0]
-        while frontier:
-            c = frontier.pop()
-            for i, a in enumerate(gens):
-                w = tuple(x - c[i] * y for x, y in zip(c, a))
-                if w not in elements:
-                    if len(elements) >= DEFAULT_BUDGET:
-                        raise ClosureBudgetExceeded(f"Weyl closure exceeded {DEFAULT_BUDGET}")
-                    elements.add(w)
-                    frontier.append(w)
-        return frozenset(elements)
 
 
 @dataclass(frozen=True, order=True)

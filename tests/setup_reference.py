@@ -11,17 +11,79 @@ walks every phase pair, `ldl` as the positive-definiteness check, the slab
 pass with Fraction comparisons, the facet test that recomputes every side,
 the facet Cartan matrix from coroots made anew and one `solve_exact` per
 vertex.
+
+It also holds the Fraction routes that the program no longer takes: the
+reduced row-echelon form `row_reduce` and the factorization `ldl`, which
+`exact.dual_basis` and `diagram._embedding` replace by one integer
+elimination and a closed form, and `weyl_elements`, the chamber orbit that
+lists a Weyl group, one point per element.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from hermann.alcove import AlcovePoint, Facet, Wall, _sides
 from hermann.datum import Sector, Violation, positive_sector_roots
-from hermann.exact import DimensionMismatch, SingularGram, ldl, pairing, row_reduce
-from hermann.roots import (CartanLabel, RootSystem, _is_positive, _reflect_by, _unit,
-                           cartan_matrix, linked_components, reference_gram)
+from hermann.exact import DimensionMismatch, SingularGram, eliminate, pairing
+from hermann.roots import (DEFAULT_BUDGET, CartanLabel, ClosureBudgetExceeded, RootSystem,
+                           _is_positive, _reflect_by, _unit, cartan_matrix, linked_components,
+                           reference_gram)
+
+
+def row_reduce(rows):
+    """Reduced row-echelon form over Fraction and its pivot columns.
+
+    The rows are scaled to integers and eliminated by eliminate; each entry
+    is made a Fraction once, at the end.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    pivots = eliminate(m)
+    return ([[Fraction(x, m[r][c]) for x in m[r]] for r, c in enumerate(pivots)]
+            + [[Fraction(0)] * len(row) for row in m[len(pivots):]]), tuple(pivots)
+
+
+def ldl(m):
+    """Exact unit-lower-triangular L and positive diagonal D with m = L D L^T.
+
+    Pivot j is the ratio of the leading (j+1)- and j-minors, so the first
+    pivot <= 0 raises SingularGram before it is divided by: a symmetric m
+    is positive definite exactly when this returns.
+    """
+    n = len(m)
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for j in range(n):
+        lower[j][j] = Fraction(1)
+        diag[j] = m[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
+        if diag[j] <= 0:
+            raise SingularGram(f"leading {j + 1}x{j + 1} minor is not positive")
+        for i in range(j + 1, n):
+            num = m[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            lower[i][j] = num / diag[j]
+    return lower, diag
+
+
+def weyl_elements(group) -> frozenset:
+    """The orbit of the chamber point c0 = (1, ..., k) under the WeylGroup
+    group: c0 is regular, so the orbit has one point per element."""
+    gens = group.generators
+    c0 = tuple(range(1, len(gens) + 1))
+    elements = {c0}
+    frontier = [c0]
+    while frontier:
+        c = frontier.pop()
+        for i, a in enumerate(gens):
+            w = tuple(x - c[i] * y for x, y in zip(c, a))
+            if w not in elements:
+                if len(elements) >= DEFAULT_BUDGET:
+                    raise ClosureBudgetExceeded(f"Weyl closure exceeded {DEFAULT_BUDGET}")
+                elements.add(w)
+                frontier.append(w)
+    return frozenset(elements)
 
 
 def inner(u, v, g) -> Fraction:

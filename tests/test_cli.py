@@ -7,15 +7,19 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from math import sqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermann.alcove import NonTermination
 from hermann.cli import main
 from hermann.datum import catalog, serialize_datum
-from hermann.diagram import MARGIN
-from hermann.exact import PrecisionExhausted
+from hermann.diagram import MARGIN, _embedding
+from hermann.exact import GramMatrix, PrecisionExhausted, dual_basis
+from setup_reference import ldl
 
 
 def _run(argv):
@@ -299,6 +303,36 @@ def test_non_utf8_datum_file_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_deeply_nested_datum_file_exits_two(tmp_path, capsys):
+    # deeper than the interpreter's recursion limit: json.loads raises
+    # RecursionError, which parse_datum reports as a ParseError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    out = io.StringIO()
+    assert main(["catalog", "show", "--triad", f"@{path}"], stdout=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "error: not valid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("name", ["café", "x\nfake: line", "tab\there", "bell\x07"])
+def test_a_datum_name_that_is_not_printable_ascii_exits_two(name, tmp_path, capsys):
+    # the name reaches stdout verbatim, so it must keep all output ASCII and
+    # one key: value pair per line
+    doc = json.loads(serialize_datum(catalog("isotropy", label="BC1")))
+    path = tmp_path / "named.json"
+    for cmd in (["analyze", "--point=0"], ["find-minimal"]):
+        doc["name"] = name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        assert main([cmd[0], "--triad", f"@{path}", *cmd[1:]], stdout=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == "error: datum.name: must be printable ASCII\n"
+        doc["name"] = "x: y ~"  # printable ASCII passes through as it is
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([cmd[0], "--triad", f"@{path}", *cmd[1:]], stdout=out) == 0
+        assert out.getvalue().startswith("datum: x: y ~\n")
+
+
 def test_uncertified_minimal_search_exits_four(capsys):
     # 1e-2000 needs more bits than the top of the precision ladder
     out = io.StringIO()
@@ -500,6 +534,22 @@ def test_diagram_rank_one_segment(tmp_path):
         assert {_marker_cy(e) for e in markers} == {float(alcove[0].get("y1"))}
 
 
+@given(st.integers(min_value=1, max_value=2).flatmap(
+    lambda r: st.lists(st.lists(st.fractions(-3, 3, max_denominator=7), min_size=r, max_size=r),
+                       min_size=r, max_size=r)))
+@settings(max_examples=100, deadline=None)
+def test_embedding_is_the_ldl_route(a):
+    # the closed form gives sqrt(D) L^T of the Fraction LDL^T of the dual
+    # basis float for float, the rank-1 padding and the signs of zeros included
+    g = GramMatrix(tuple(tuple(sum(x * y for x, y in zip(u, v)) + (i == j)
+                               for j, v in enumerate(a)) for i, u in enumerate(a)))
+    lower, diag = ldl(dual_basis(g))
+    n = len(diag)
+    want = [[sqrt(diag[i]) * float(lower[j][i]) for j in range(n)] for i in range(n)]
+    want = want if n == 2 else [[want[0][0], 0], [0, 1]]
+    assert repr(_embedding(g)) == repr(want)
+
+
 def test_diagram_bytes_stable(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     _run(["diagram", "--triad", "so8_g2", "--out", str(a)])
@@ -693,3 +743,30 @@ def test_ab_paired_reports_a_differing_output(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.count("DIFFERS hermann analyze") == 2
     assert proc.stdout.splitlines()[-1].endswith("differing outputs 2")
+
+
+def test_cold_cli_times_fresh_processes_and_reports_a_differing_output(tmp_path):
+    # tree B prints 11 digits where A prints 12: the commands that print a
+    # certified midpoint differ, reduce and catalog show do not
+    src = Path(__file__).resolve().parents[1] / "src"
+    other = tmp_path / "hermann"
+    other.mkdir()
+    for path in (src / "hermann").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "exact.py":
+            text = text.replace("to_str(mid, 12)", "to_str(mid, 11)")
+        (other / path.name).write_text(text, encoding="utf-8")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cold_cli.py"
+    proc = subprocess.run([sys.executable, str(tool), str(src), str(tmp_path), "--repeats", "1"],
+                          capture_output=True, timeout=300, text=True)
+    assert proc.returncode == 1 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "repeats 1  bytecode none"
+    for line in lines[1:7]:
+        assert re.fullmatch(r"[a-z].*: A \d+\.\d ms  B \d+\.\d ms  B/A \d+\.\d{4}  "
+                            r"B faster in [01] of 1", line), line
+    assert re.fullmatch(r"sum of medians: A \d+\.\d ms  B \d+\.\d ms  B/A \d+\.\d{4}", lines[7])
+    differ = [line.split(" ", 2)[1] for line in lines[8:-1]]
+    assert "find-minimal" in differ and not {"reduce", "catalog"} & set(differ)
+    assert lines[-1] == f"differing outputs {len(differ)}" and all(
+        line.startswith("DIFFERS ") for line in lines[8:-1])

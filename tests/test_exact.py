@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_rational, mpf_add,
-                          mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, mpi_sqrt, round_floor,
-                          round_nearest)
+                          from_str, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, mpi_sqrt,
+                          round_ceiling, round_floor, round_nearest)
 
 from hermann.exact import (
     DimensionMismatch,
@@ -24,8 +24,8 @@ from hermann.exact import (
     dual_basis,
     format_interval,
     mpf_to_fraction,
+    pairing,
     parse_rational,
-    row_reduce,
     sqrt_ratio_interval,
 )
 
@@ -33,7 +33,7 @@ import hermann.exact as exact
 from interval_reference import (cot_eval_libmp, cot_eval_reference, format_interval_reference,
                                 interval_from_iv, iv_context, ratio_interval_reference,
                                 ratio_reference)
-from setup_reference import inner, matrix_rank, solve_exact
+from setup_reference import inner, matrix_rank, row_reduce, solve_exact
 
 HALF = Fraction(1, 2)
 
@@ -176,7 +176,7 @@ def test_cot_eval_calls_only_the_trig_functions_of_libmp():
                 used.add(called)
             elif called in helpers:
                 todo.append(called)
-    assert {"from_raw", "_pi_ends", "_quotient", "_outward", "_divide", "_mpf"} <= seen
+    assert {"from_raw", "_pi_ends", "_round", "_mul", "_div", "_outward", "_pair", "_mpf"} <= seen
     assert used == {"mpf_pi", "mpf_cos_sin", "cos_sin_quadrant"}
 
 
@@ -215,15 +215,46 @@ def test_near_arithmetic_rounds_as_libmp_at_round_nearest_bit_for_bit(prec, shap
         n = draw(st.sampled_from((1, -1, 2, -4)))
     raw, rnd = from_man_exp, round_nearest
     q = (a[0] * c[0], e) if shape == "tie" else a  # q / c is the tie
-    checks = ((exact._near_add(s, t, prec), mpf_add(raw(*s), raw(*t), prec, rnd)),
-              (exact._near_add(s, (-t[0], t[1]), prec), mpf_sub(raw(*s), raw(*t), prec, rnd)),
-              (exact._near_mul(a, b, prec), mpf_mul(raw(*a), raw(*b), prec, rnd)),
-              (exact._near(n * a[0], a[1], prec), mpf_mul_int(raw(*a), n, prec, rnd)),
-              (exact._near_div(q, c, prec), mpf_div(raw(*q), raw(*c), prec, rnd)))
+    checks = ((exact._add(s, t, prec), mpf_add(raw(*s), raw(*t), prec, rnd)),
+              (exact._add(s, (-t[0], t[1]), prec), mpf_sub(raw(*s), raw(*t), prec, rnd)),
+              (exact._mul(a, b, prec), mpf_mul(raw(*a), raw(*b), prec, rnd)),
+              (exact._round(n * a[0], a[1], prec), mpf_mul_int(raw(*a), n, prec, rnd)),
+              (exact._div(q, c, prec), mpf_div(raw(*q), raw(*c), prec, rnd)))
     for got, want in checks:
         assert exact._mpf(*got) == want
     v = draw(_signed(prec))  # a value of at most prec bits is kept as it is
-    assert exact._near(v, e, prec) == (v, e)
+    assert exact._round(v, e, prec) == (v, e)
+
+
+@given(st.sampled_from(tuple(p + k for p in (192, 296, 495, 592, 990) for k in (0, 10))),
+       st.sampled_from(("any", "exact", "carry")), st.booleans(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_directed_rounding_is_libmp_at_round_floor_and_round_ceiling_bit_for_bit(prec, shape,
+                                                                                 up, data):
+    # _round, the product _mul and the quotient _div toward ceiling (up) or
+    # floor, against from_man_exp, mpf_mul and mpf_div at round_ceiling and
+    # round_floor, on signed operands of up to prec + 10 bits: an exact
+    # result keeps its value, and rounding away from zero may carry into a
+    # new leading bit
+    draw = data.draw
+    e, f = (draw(st.integers(min_value=-prec - 60, max_value=60)) for _ in range(2))
+    a, b = (draw(_signed(prec + 10)), e), (draw(_signed(prec + 10)), f)
+    c = (draw(_signed(prec + 10).filter(bool)), f)
+    if shape == "exact":  # of at most prec bits, shifted: nothing is dropped
+        a = (draw(_signed(prec)) << draw(st.integers(0, 40)), e)
+        b = c = (draw(st.sampled_from((1, -1, 2, -4))), f)
+    elif shape == "carry":  # prec + 1 or more ones: rounded away, they carry
+        ones = (1 << draw(st.integers(prec + 1, prec + 10))) - 1
+        a = (draw(st.sampled_from((ones, -ones))), e)
+        b = c = (draw(st.sampled_from((1, -1, 2, -4))), f)
+    raw, rnd = from_man_exp, round_ceiling if up else round_floor
+    checks = ((exact._round(*a, prec, up), from_man_exp(*a, prec, rnd)),
+              (exact._mul(a, b, prec, up), mpf_mul(raw(*a), raw(*b), prec, rnd)),
+              (exact._div(a, c, prec, up), mpf_div(raw(*a), raw(*c), prec, rnd)))
+    for got, want in checks:
+        assert exact._mpf(*got) == want
+    v = draw(_signed(prec))
+    assert exact._round(v, e, prec, up) == (v, e)
 
 
 def test_mpf_to_fraction_is_exact():
@@ -391,6 +422,30 @@ def test_dual_basis_g2():
     assert duals == ((2, 1), (1, Fraction(2, 3)))
 
 
+def _gram_from(a):
+    """A A^T + I, positive definite, as a GramMatrix."""
+    return GramMatrix(tuple(tuple(pairing(u, v) + (i == j) for j, v in enumerate(a))
+                            for i, u in enumerate(a)))
+
+
+gram_factors = st.integers(min_value=1, max_value=4).flatmap(
+    lambda r: st.lists(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=r, max_size=r),
+                       min_size=r, max_size=r))
+
+
+@given(gram_factors)
+@settings(max_examples=100, deadline=None)
+def test_dual_basis_is_the_row_reduce_route(a):
+    # one integer eliminate of [form | I] gives the Fractions of the reduced
+    # row-echelon form of [g | I]
+    g = _gram_from(a)
+    r = g.rank
+    m, pivots = row_reduce([list(row) + [int(i == j) for j in range(r)]
+                            for i, row in enumerate(g.entries)])
+    assert pivots == tuple(range(r))
+    assert dual_basis(g) == tuple(tuple(row[r:]) for row in m)
+
+
 def test_solve_exact_and_rank():
     sol = solve_exact([[2, 1], [1, 1]], [3, 2])
     assert sol == (1, 1)
@@ -452,7 +507,15 @@ RATIO_CASES = [Fraction(2 ** 53 + 1, 2 ** 60), Fraction(2 ** 54 + 2, 2 ** 3),
        st.one_of(st.sampled_from((53, 208, 1536)), st.integers(min_value=53, max_value=1536)))
 @settings(max_examples=400, deadline=None)
 def test_ratio_matches_the_mpf_div_route(q, prec):
-    assert _ratio(q, prec) == ratio_reference(q, prec)
+    assert exact._mpf(*_ratio(q, prec)) == ratio_reference(q, prec)
+
+
+@given(st.integers(min_value=53, max_value=7000))
+@settings(max_examples=100, deadline=None)
+def test_ratio_of_99_over_100_is_from_str_of_0_99(prec):
+    # find_minimal's per-rung step shrink, which it once read from from_str
+    assert exact._mpf(*_ratio(Fraction(99, 100), prec)) == \
+        from_str("0.99", prec, round_nearest)
 
 
 # angles n/D with D up to 2^200, dyadic times a grading order as

@@ -655,8 +655,8 @@ def test_lu_solve_swaps_rows_as_mpmath_does():
              ([[2, 0, 0, 1], [1, 3, 0, 0], [0, 1, 4, 0], [0, 0, 1, 5]], [1, 2, 3, 4]))
     for rows, rhs in cases:
         for prec in (53, 192, 495, 990):
-            a = [[_ratio(Q(v, 7), prec) for v in row] for row in rows]
-            b = [_ratio(Q(v, 3), prec) for v in rhs]
+            a = [[_mpf(*_ratio(Q(v, 7), prec)) for v in row] for row in rows]
+            b = [_mpf(*_ratio(Q(v, 3), prec)) for v in rhs]
             got = geometry._lu_solve(a, b, prec)
             assert got == _reference_lu_solve(a, b, prec)
             # and it solves the system to about prec bits
@@ -684,11 +684,11 @@ def test_pairing_kernel_matches_mpf_operators_bit_for_bit(prec, size, data):
 
 def test_find_minimal_calls_only_the_allowed_functions_of_libmp():
     # find_minimal, _log_volume and every geometry or exact helper they reach
-    # call no mpmath.libmp function but pi, each angle's cos_sin and log, the
-    # per-rung conversions, each iterate's sqrt, and to_str for the
-    # NoConvergence text; the walk stops at _lu_solve (mpmath's LU on raw
-    # values, held to it above), at _ratio (a Fraction's per-rung
-    # conversion) and at the certification's public mean_curvature
+    # call no mpmath.libmp function but pi, each angle's cos_sin and log,
+    # each iterate's sqrt, and to_str for the NoConvergence text; the per-rung
+    # conversions are _ratio and _round; the walk stops at _lu_solve
+    # (mpmath's LU on raw values, held to it above) and at the
+    # certification's public mean_curvature
     libmp, helpers = set(), {}
     for mod in (geometry, exact):
         tree = ast.parse(inspect.getsource(mod))
@@ -696,7 +696,7 @@ def test_find_minimal_calls_only_the_allowed_functions_of_libmp():
                      and node.module.startswith("mpmath") for a in node.names)
         helpers.update((name, f) for name, f in vars(mod).items()
                        if inspect.isfunction(f) and f.__module__ == mod.__name__)
-    stops = {"_lu_solve", "_ratio", "mean_curvature"}
+    stops = {"_lu_solve", "mean_curvature"}
     seen, todo, used, reached = set(), ["find_minimal", "_log_volume"], set(), set()
     while todo:
         name = todo.pop()
@@ -711,10 +711,9 @@ def test_find_minimal_calls_only_the_allowed_functions_of_libmp():
             elif called in helpers:
                 todo.append(called)
     assert reached == stops
-    assert {"_pairing", "_pair", "_near", "_near_add", "_near_mul", "_near_div", "_lt",
-            "_mpf", "mpf_to_fraction"} <= seen
-    assert used == {"mpf_pi", "mpf_cos_sin", "mpf_log", "from_int", "from_str", "mpf_sqrt",
-                    "to_str"}
+    assert {"_pairing", "_pair", "_round", "_add", "_mul", "_div", "_ratio", "_lt", "_mpf",
+            "mpf_to_fraction"} <= seen
+    assert used == {"mpf_pi", "mpf_cos_sin", "mpf_log", "mpf_sqrt", "to_str"}
 
 
 def test_no_convergence_names_the_tolerance_as_mpmath_nstr_does(monkeypatch):
@@ -870,14 +869,15 @@ def test_facet_walls_match_the_active_root_reference(key, params, oracles):
     # orbit; both routes share the namer, so each printed label is also held
     # to the counts of the oracles' ambient builders
     from hermann.roots import cartan_matrix, weyl_group
+    from setup_reference import weyl_elements
     d = catalog(key, **dict(params))
     for face in faces(d):
         point = face.representative
         act = active_roots(d, point)
         system = act.system
         spans = len(system.simple_roots) == d.rank
-        wr = spans and tuple(range(-1, -d.rank - 1, -1)) in weyl_group(
-            cartan_matrix(system.simple_roots, system.gram)).elements
+        wr = spans and tuple(range(-1, -d.rank - 1, -1)) in weyl_elements(weyl_group(
+            cartan_matrix(system.simple_roots, system.gram)))
         r = orbit_report(d, point)
         assert (r.type_label, r.arid_sufficient, r.weakly_reflective_sufficient) == \
             (type_label(d, act), spans, wr), point
